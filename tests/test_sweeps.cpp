@@ -1,10 +1,78 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "dsslice/sim/sweeps.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
 namespace {
+
+// Figure pins: every paper figure sweep at 16 graphs per point, paper
+// defaults, fixed seed. The digest covers each cell's exact success count
+// and the bit pattern of its mean min-laxity, the two numbers a figure
+// prints per point, so any change to how figures are evaluated that moves a
+// single count or the last bit of a mean fails here.
+constexpr std::size_t kPinGraphs = 16;
+
+ExperimentConfig pin_base() {
+  ExperimentConfig c;
+  c.generator.graph_count = kPinGraphs;
+  c.generator.base_seed = 20250707;
+  return c;
+}
+
+std::uint64_t figure_digest(const SweepResult& sweep) {
+  std::string text;
+  for (const Series& s : sweep.series) {
+    for (std::size_t j = 0; j < sweep.x.size(); ++j) {
+      char line[160];
+      std::snprintf(
+          line, sizeof line, "%s %g %lld %016llx\n", s.name.c_str(), sweep.x[j],
+          static_cast<long long>(std::llround(
+              s.success_ratio[j] * static_cast<double>(kPinGraphs))),
+          static_cast<unsigned long long>(
+              std::bit_cast<std::uint64_t>(s.mean_min_laxity[j])));
+      text += line;
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const char ch : text) {
+    h ^= static_cast<std::uint8_t>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Sweeps, PaperFiguresMatchPinnedDigests) {
+  ThreadPool pool(2);
+  ExperimentConfig wcet_base = pin_base();
+  wcet_base.technique = DistributionTechnique::kSlicingAdaptL;
+  const std::vector<double> olrs = {0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+                                    1.1, 1.2, 1.3, 1.4, 1.5};
+  const std::vector<double> etds = {0.0, 0.25, 0.5, 0.75, 1.0};
+  EXPECT_EQ(figure_digest(
+                sweep_system_size(pin_base(), {2, 3, 4, 5, 6, 7, 8}, pool)),
+            0x94d94455c45243ecULL)
+      << "Fig. 2";
+  EXPECT_EQ(figure_digest(sweep_olr(pin_base(), olrs, pool)),
+            0x8d37f16586602a10ULL)
+      << "Fig. 3";
+  EXPECT_EQ(figure_digest(sweep_etd(pin_base(), etds, pool)),
+            0x5011cb11a291fffcULL)
+      << "Fig. 4";
+  EXPECT_EQ(figure_digest(sweep_wcet_olr(
+                wcet_base, {0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2}, pool)),
+            0xed40d86e05d9c9d1ULL)
+      << "Fig. 5";
+  EXPECT_EQ(figure_digest(sweep_wcet_etd(wcet_base, etds, pool)),
+            0x83939149c1cd12cbULL)
+      << "Fig. 6";
+}
 
 ExperimentConfig tiny_base() {
   ExperimentConfig c;
