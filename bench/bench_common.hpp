@@ -101,7 +101,6 @@ inline CliParser make_parser(const std::string& name,
   p.add_flag("graphs", "1024", "task graphs per experiment point (paper: 1024)");
   p.add_flag("seed", "20250707", "base seed for workload generation");
   p.add_flag("threads", "0", "worker threads (0 = hardware concurrency)");
-  p.add_flag("grain", "0", "scenarios per parallel chunk (0 = automatic)");
   p.add_flag("csv", "", "write the sweep as CSV to this path");
   p.add_bool_flag("verbose", "progress on stderr");
   obs::ObsCli::register_flags(p);
@@ -133,10 +132,6 @@ inline ExperimentConfig base_config(const CliParser& cli) {
 }
 
 inline ThreadPool make_pool(const CliParser& cli) {
-  // The chunk-size override rides along with pool creation so every bench
-  // picks up --grain without further plumbing (results are grain-invariant;
-  // only throughput changes).
-  set_experiment_grain(static_cast<std::size_t>(cli.get_int("grain")));
   return ThreadPool(static_cast<std::size_t>(cli.get_int("threads")));
 }
 

@@ -230,19 +230,20 @@ int main(int argc, char** argv) {
                      on_s * 1e6, percent_delta(bare2_s, on_s)});
   obs::reset();
 
-  // 3. Pipeline delta — a real (serial) experiment batch off vs on.
+  // 3. Pipeline delta — a real experiment batch (one shard on the calling
+  // thread) off vs on.
   ExperimentConfig config;
   config.generator.graph_count = smoke ? 32 : 256;
   config.generator.base_seed = 0x0B5;
-  const auto run_batch_once = [&] {
-    const ExperimentResult r = run_experiment_serial(config);
-    g_sink = r.success.trials();
+  ThreadPool pool(1);
+  const auto run_experiment_once = [&] {
+    g_sink = run_experiment(config, pool).success.trials();
   };
   const auto [pipe_off_s, pipe_on_s] = time_per_call_pair(
-      min_seconds, 4, run_batch_once,
+      min_seconds, 4, run_experiment_once,
       [&] {
         obs::set_enabled(true);
-        run_batch_once();
+        run_experiment_once();
         obs::set_enabled(false);
         obs::reset();
       });
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
     double spent = 0.0;
     std::size_t phase_reps = 0;
     while (spent < phase_seconds || phase_reps < 2) {
-      run_batch_once();
+      run_experiment_once();
       ++phase_reps;
       spent = std::chrono::duration<double>(Clock::now() - t0).count();
     }

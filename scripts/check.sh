@@ -17,6 +17,13 @@ for preset in default sanitize; do
   ctest --preset "$preset" -j "$jobs"
 done
 
+# Repository benchmark smoke (benchmark/run.py, its own Release build): every
+# workload at 1/16 size with every correctness check, including the golden
+# digests and per-cell figure success counts in benchmark/golden.json, so a
+# change that moves a single figure count or aggregate bit fails here.
+echo "==> benchmark smoke"
+python3 benchmark/run.py --smoke
+
 # Smoke pass of the perf harnesses (tiny sizes): catches regressions in the
 # benches themselves and asserts the cached hot paths build zero analyses /
 # grow zero scheduler buffers. perf_scheduling also re-checks bit-identity
@@ -160,8 +167,11 @@ obs_smoke() {
     --obs-summary > "$out/summary.txt"
   "$build/tools/trace_check" "$out/trace.json"
   "$build/tools/trace_check" --jsonl "$out/metrics.jsonl"
-  grep -q "slice.run" "$out/summary.txt" ||
-    { echo "obs smoke [$tag]: summary missing slicing spans" >&2; exit 1; }
+  # run_experiment is a one-shard sweep through the batch slicing kernel.
+  for span in batch.slice.run sweep.shard; do
+    grep -q "$span" "$out/summary.txt" ||
+      { echo "obs smoke [$tag]: summary missing $span span" >&2; exit 1; }
+  done
 }
 echo "==> obs smoke [default]"
 obs_smoke ./build

@@ -162,9 +162,9 @@ RobustnessResult run_robustness_batch(const RobustnessConfig& config,
   const auto t0 = std::chrono::steady_clock::now();
 
   std::vector<RobustnessOutcome> outcomes(total);
-  // Chunked like run_experiment: each worker keeps one ScenarioScratch, so
-  // the slicing and scheduling buffers are recycled across every faulted
-  // scenario it evaluates.
+  // Chunked: each worker keeps one ScenarioScratch, so the slicing and
+  // scheduling buffers are recycled across every faulted scenario it
+  // evaluates.
   const auto evaluate_range = [&](std::size_t begin, std::size_t end) {
     thread_local ScenarioScratch scratch;
     for (std::size_t j = begin; j < end; ++j) {

@@ -101,9 +101,10 @@ RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
                                            ScenarioScratch* scratch = nullptr);
 
 /// Runs base.generator.graph_count faulted task sets on the pool and
-/// aggregates in index order (deterministic reduction, like
-/// run_experiment). Graph k uses derive_seed(generator.base_seed, k) for
-/// the workload and derive_seed(faults.seed, k) for the fault realization.
+/// aggregates in index order, so the result does not depend on the pool
+/// size. Graph k uses derive_seed(generator.base_seed, k) for the workload
+/// (the scenario run_experiment evaluates as graph k) and
+/// derive_seed(faults.seed, k) for the fault realization.
 RobustnessResult run_robustness(const RobustnessConfig& config,
                                 ThreadPool& pool);
 

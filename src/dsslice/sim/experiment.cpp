@@ -1,53 +1,16 @@
 #include "dsslice/sim/experiment.hpp"
 
 #include <limits>
-#include <sstream>
 
 #include "dsslice/core/quality.hpp"
 #include "dsslice/core/slicing.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/obs/trace.hpp"
-#include "dsslice/util/string_util.hpp"
 
 namespace dsslice {
 
 std::string ExperimentConfig::display_label() const {
   return label.empty() ? to_string(technique) : label;
-}
-
-void ExperimentResult::add(const GraphOutcome& outcome) {
-  success.add(outcome.scheduled);
-  min_laxity.add(outcome.min_laxity);
-  if (outcome.lateness_valid) {
-    max_lateness.add(outcome.max_lateness);
-  }
-  if (outcome.scheduled) {
-    makespan.add(outcome.makespan);
-  }
-  slicing_passes.add(static_cast<double>(outcome.slicing_passes));
-  task_count.add(static_cast<double>(outcome.task_count));
-}
-
-void ExperimentResult::merge(const ExperimentResult& other) {
-  success.merge(other.success);
-  min_laxity.merge(other.min_laxity);
-  max_lateness.merge(other.max_lateness);
-  makespan.merge(other.makespan);
-  slicing_passes.merge(other.slicing_passes);
-  task_count.merge(other.task_count);
-  wall_seconds += other.wall_seconds;
-}
-
-std::string ExperimentResult::summary(const std::string& label) const {
-  std::ostringstream os;
-  os << pad_right(label, 16) << " success "
-     << pad_left(format_percent(success_ratio(), 1), 7) << " ±"
-     << format_percent(success.ci95_halfwidth(), 1) << "  min-laxity "
-     << format_fixed(min_laxity.mean(), 2);
-  if (makespan.count() > 0) {
-    os << "  makespan " << format_fixed(makespan.mean(), 1);
-  }
-  return os.str();
 }
 
 DeadlineAssignment distribute_for_config(const ExperimentConfig& config,

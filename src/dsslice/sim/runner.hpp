@@ -1,43 +1,25 @@
-// Batch experiment execution, parallelized across task sets.
+// Experiment execution: one experiment is one shard of the sweep engine.
 //
-// Each of the batch's graphs carries its own derived seed, so the outcome
-// of graph k is independent of execution order: parallel and serial runs
-// produce bit-identical statistics (asserted by the property tests).
+// run_experiment evaluates graph k from derive_seed(base_seed, k) through
+// the same batched generator, batch slicing kernel and per-thread arena as
+// every million-scenario sweep, and folds the outcomes in index order.
 #pragma once
 
-#include <functional>
-
 #include "dsslice/sim/experiment.hpp"
+#include "dsslice/sweep/aggregate.hpp"
 #include "dsslice/util/thread_pool.hpp"
 
 namespace dsslice {
 
-/// Overrides the parallel chunk size used by run_experiment's worker loop.
-/// 0 (the default) restores the automatic heuristic
-/// (count / (8 × threads), clamped to [1, 64]). The override is process-wide
-/// and is intended for grain-sensitivity benchmarking (`--grain` in the
-/// bench binaries); results are unaffected — graph k's outcome depends only
-/// on its derived seed, never on which worker or chunk evaluated it.
-void set_experiment_grain(std::size_t grain);
-
-/// Current process-wide grain override (0 = automatic).
-std::size_t experiment_grain();
-
-/// Runs config.generator.graph_count task sets on the given pool and
-/// aggregates their outcomes in index order (deterministic reduction).
-ExperimentResult run_experiment(const ExperimentConfig& config,
-                                ThreadPool& pool);
+/// Runs config.generator.graph_count task sets as a checkpoint-free
+/// run_sweep over one shard and returns the shard's aggregate. A single
+/// shard runs inline on the calling thread, so the result never depends on
+/// the pool and the call is safe from a pool worker: parallelism comes from
+/// running several experiments at once (see sim/sweeps.hpp).
+SweepAggregate run_experiment(const ExperimentConfig& config,
+                              ThreadPool& pool);
 
 /// Convenience overload using the process-wide pool.
-ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Strictly serial run (reference implementation for determinism tests).
-ExperimentResult run_experiment_serial(const ExperimentConfig& config);
-
-/// Streams every per-graph outcome (index order) to `sink` after the batch
-/// completes — used by benches that need distributions, not just means.
-ExperimentResult run_experiment_with_outcomes(
-    const ExperimentConfig& config, ThreadPool& pool,
-    const std::function<void(std::size_t, const GraphOutcome&)>& sink);
+SweepAggregate run_experiment(const ExperimentConfig& config);
 
 }  // namespace dsslice

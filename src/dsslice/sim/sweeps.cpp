@@ -1,5 +1,6 @@
 #include "dsslice/sim/sweeps.hpp"
 
+#include <chrono>
 #include <cstdio>
 
 #include "dsslice/util/check.hpp"
@@ -29,23 +30,36 @@ SweepResult run_sweep(const std::string& x_label, std::vector<double> xs,
   SweepResult result;
   result.x_label = x_label;
   result.x = std::move(xs);
+  const std::size_t nx = result.x.size();
+  std::vector<SweepAggregate> cells(specs.size() * nx);
+  const auto t0 = std::chrono::steady_clock::now();
+  // Cell i is (series i / nx, x i % nx). Each cell is a one-shard sweep,
+  // which runs inline on the calling thread (parallel_for with a single
+  // chunk never submits), so running cells on pool workers never nests a
+  // submission into the same pool.
+  parallel_for(pool, cells.size(), [&](std::size_t i) {
+    const SeriesSpec& spec = specs[i / nx];
+    const double x = result.x[i % nx];
+    cells[i] = run_experiment(spec.factory(x), pool);
+    if (verbose) {
+      std::fprintf(stderr, "  %s %s=%g: %s\n", spec.name.c_str(),
+                   x_label.c_str(), x,
+                   format_percent(cells[i].success_ratio(), 1).c_str());
+    }
+  });
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
   result.series.reserve(specs.size());
-  for (const SeriesSpec& spec : specs) {
+  for (std::size_t s = 0; s < specs.size(); ++s) {
     Series series;
-    series.name = spec.name;
-    for (const double x : result.x) {
-      const ExperimentConfig config = spec.factory(x);
-      const ExperimentResult r = run_experiment(config, pool);
-      result.scenarios += config.generator.graph_count;
-      result.wall_seconds += r.wall_seconds;
+    series.name = specs[s].name;
+    for (std::size_t j = 0; j < nx; ++j) {
+      const SweepAggregate& r = cells[s * nx + j];
+      result.scenarios += r.scenarios();
       series.success_ratio.push_back(r.success_ratio());
       series.ci95.push_back(r.success.ci95_halfwidth());
       series.mean_min_laxity.push_back(r.min_laxity.mean());
-      if (verbose) {
-        std::fprintf(stderr, "  %s %s=%g: %s\n", spec.name.c_str(),
-                     x_label.c_str(), x,
-                     format_percent(r.success_ratio(), 1).c_str());
-      }
     }
     result.series.push_back(std::move(series));
   }

@@ -26,15 +26,15 @@ struct SweepResult {
   std::vector<double> x;
   std::vector<Series> series;
   /// Aggregate throughput bookkeeping: scenario evaluations summed over
-  /// every cell, and the wall time their batches reported. Filled by
-  /// run_sweep (and the robustness sweep); benches report scenarios/sec.
+  /// every cell, and the wall time of the whole sweep. Filled by run_sweep
+  /// (and the robustness sweep); benches report scenarios/sec.
   std::size_t scenarios = 0;
   double wall_seconds = 0.0;
 
   /// Series lookup by name; throws when absent.
   const Series& find(const std::string& name) const;
 
-  /// Evaluated scenarios per second of batch wall time (0 when unknown).
+  /// Evaluated scenarios per second of sweep wall time (0 when unknown).
   double scenarios_per_second() const;
 };
 
@@ -46,8 +46,9 @@ struct SeriesSpec {
   ConfigFactory factory;
 };
 
-/// Runs |xs| × |specs| experiments on the pool. Cells run sequentially
-/// (each is internally parallel over its 1024 graphs) to keep memory flat.
+/// Runs |xs| × |specs| experiments on the pool, one (series, x) cell per
+/// task; each cell is a single-threaded run_experiment, so the factories
+/// may be called concurrently. Results do not depend on the pool size.
 SweepResult run_sweep(const std::string& x_label, std::vector<double> xs,
                       const std::vector<SeriesSpec>& specs, ThreadPool& pool,
                       bool verbose = false);

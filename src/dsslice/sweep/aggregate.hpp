@@ -1,4 +1,6 @@
-// Streaming per-shard aggregate for the million-scenario sweep engine.
+// Streaming aggregate of scenario outcomes: the result type of every
+// evaluation, from a one-experiment figure cell (run_experiment) to a
+// million-scenario sweep.
 //
 // A sweep never retains per-scenario outcomes: every shard folds its
 // GraphOutcomes into one SweepAggregate online (O(1) memory per shard) and
@@ -15,8 +17,8 @@
 
 namespace dsslice {
 
-/// Online aggregate over a set of scenario outcomes. Mirrors
-/// ExperimentResult's measures and adds a laxity histogram so the sweep can
+/// Online aggregate over a set of scenario outcomes: the success count, the
+/// moments of each secondary measure, and a laxity histogram so a sweep can
 /// report the *distribution* of min-laxity (the infeasibility tail), not
 /// just its moments, without retaining scenarios.
 struct SweepAggregate {
@@ -38,5 +40,9 @@ struct SweepAggregate {
   /// One-line human-readable summary.
   std::string summary(const std::string& label) const;
 };
+
+/// Former name of run_experiment's result, kept for code that still spells
+/// it (benchmark/dsslice_benchmark.cpp).
+using ExperimentResult = SweepAggregate;
 
 }  // namespace dsslice

@@ -93,9 +93,6 @@ void validate_options(const SweepOptions& options) {
   if (options.shard_size == 0) {
     throw ConfigError("sweep shard_size must be positive");
   }
-  if (options.gen_chunk == 0) {
-    throw ConfigError("sweep gen_chunk must be positive");
-  }
   if (options.resume && options.checkpoint_path.empty()) {
     throw ConfigError("sweep resume requires a checkpoint path");
   }
@@ -200,10 +197,10 @@ SweepReport run_sweep(const ExperimentConfig& config,
                   static_cast<std::int64_t>(resumed_successes));
   }
 
-  // Slicing techniques route each generator chunk through the SoA batch
-  // kernel: one kernel pass distributes the whole chunk, then every scenario
-  // joins back into the scheduler half. The kernel's bit-identity contract
-  // makes the aggregates indistinguishable from the scalar path.
+  // Slicing techniques route each generated scenario through the SoA batch
+  // kernel, then join back into the scheduler half. The kernel's
+  // bit-identity contract makes the aggregates indistinguishable from the
+  // scalar path.
   const bool kernel_path =
       options.use_batch_kernel && is_slicing(config.technique);
   BatchSliceConfig kernel_config;
@@ -220,22 +217,17 @@ SweepReport run_sweep(const ExperimentConfig& config,
     const std::size_t first = shard * options.shard_size;
     const std::size_t last =
         std::min(first + options.shard_size, options.scenario_count);
-    for (std::size_t chunk = first; chunk < last; chunk += options.gen_chunk) {
-      const std::size_t n = std::min(options.gen_chunk, last - chunk);
-      arena.batch.generate(config.generator, chunk, n);
+    for (std::size_t k = first; k < last; ++k) {
+      arena.batch.generate(config.generator, k, SweepOptions::gen_chunk);
+      const Scenario& scenario = arena.batch[0];
       if (kernel_path) {
         arena.kernel.run(arena.batch.scenarios(), kernel_config);
-        for (std::size_t i = 0; i < n; ++i) {
-          aggregate.add(evaluate_scheduled(
-              config, arena.batch[i], arena.kernel.assignment(i),
-              arena.kernel.outcome_min_laxity(i), arena.kernel.stats(i).passes,
-              &arena.scratch));
-        }
+        aggregate.add(evaluate_scheduled(
+            config, scenario, arena.kernel.assignment(0),
+            arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
+            &arena.scratch));
       } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          aggregate.add(evaluate_generated(config, arena.batch[i],
-                                           &arena.scratch));
-        }
+        aggregate.add(evaluate_generated(config, scenario, &arena.scratch));
       }
     }
     arena.note_extra_capacity();

@@ -5,11 +5,13 @@
 // consecutive scenario indices. A shard is the unit of scheduling,
 // aggregation and checkpointing:
 //
-//   - workers claim shards via the thread pool; within a shard, scenarios
-//     are generated in ScenarioBatch chunks (amortizing generator scratch)
-//     and evaluated through evaluate_generated with a per-thread
-//     ScenarioScratch — after warm-up the whole path is allocation-free
-//     (sweep_arena_grow_events() is the counter the benches gate on);
+//   - workers claim shards via the thread pool; within a shard, each
+//     scenario is generated into the thread's ScenarioBatch, distributed by
+//     its BatchSliceKernel and scheduled with its ScenarioScratch, one
+//     scenario per call (larger generator chunks bought no throughput and
+//     cost resident memory). After warm-up the whole path is
+//     allocation-free (sweep_arena_grow_events() is the counter the benches
+//     gate on);
 //   - each shard folds its outcomes into its own SweepAggregate; the final
 //     result folds per-shard aggregates in shard-index order, so thread
 //     count and completion order cannot perturb a single bit;
@@ -35,8 +37,8 @@ struct SweepOptions {
   /// Scenarios per shard. The shard is the checkpoint/aggregation grain:
   /// smaller shards checkpoint finer but fold more aggregates.
   std::size_t shard_size = 1024;
-  /// Scenarios generated per ScenarioBatch chunk within a shard.
-  std::size_t gen_chunk = 64;
+  /// Scenarios per ScenarioBatch::generate / BatchSliceKernel::run call.
+  static constexpr std::size_t gen_chunk = 1;
   /// Checkpoint wave width in shards; 0 = one wave (checkpoint only at the
   /// end, and only when checkpoint_path is set).
   std::size_t checkpoint_every = 0;
@@ -50,8 +52,8 @@ struct SweepOptions {
   /// checkpoint boundary and resume it later.
   std::size_t max_shards = 0;
   /// Route slicing techniques through the SoA batch slicing kernel
-  /// (batch/slice_kernel.hpp): each generator chunk is distributed in one
-  /// kernel pass, then joined back into evaluate_scheduled. Bit-identical
+  /// (batch/slice_kernel.hpp): each generated scenario is distributed by
+  /// the kernel, then joined back into evaluate_scheduled. Bit-identical
   /// aggregates to the scalar path by the kernel's equivalence contract; off
   /// switch kept for A/B benchmarking and as a fallback. Ignored for
   /// non-slicing techniques.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dsslice/sim/experiment.hpp"
+#include "dsslice/sweep/aggregate.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
@@ -14,8 +15,8 @@ TEST(ExperimentConfig, DisplayLabelDefaultsToTechnique) {
   EXPECT_EQ(c.display_label(), "custom");
 }
 
-TEST(ExperimentResult, AddAggregates) {
-  ExperimentResult r;
+TEST(SweepAggregate, AddAggregates) {
+  SweepAggregate r;
   GraphOutcome ok;
   ok.scheduled = true;
   ok.min_laxity = 5.0;
@@ -39,27 +40,27 @@ TEST(ExperimentResult, AddAggregates) {
   EXPECT_EQ(r.makespan.count(), 1u);       // only successful outcomes
   EXPECT_DOUBLE_EQ(r.makespan.mean(), 100.0);
   EXPECT_DOUBLE_EQ(r.task_count.mean(), 46.0);
+  EXPECT_EQ(r.laxity.count(), 2u);         // histogram sees every outcome
 }
 
-TEST(ExperimentResult, MergeCombines) {
-  ExperimentResult a;
-  ExperimentResult b;
+TEST(SweepAggregate, MergeCombines) {
+  SweepAggregate a;
+  SweepAggregate b;
   GraphOutcome ok;
   ok.scheduled = true;
   ok.makespan = 10.0;
   a.add(ok);
   GraphOutcome fail;
   b.add(fail);
-  a.wall_seconds = 1.0;
-  b.wall_seconds = 2.0;
   a.merge(b);
-  EXPECT_EQ(a.success.trials(), 2u);
+  EXPECT_EQ(a.scenarios(), 2u);
   EXPECT_DOUBLE_EQ(a.success_ratio(), 0.5);
-  EXPECT_DOUBLE_EQ(a.wall_seconds, 3.0);
+  EXPECT_EQ(a.makespan.count(), 1u);
+  EXPECT_EQ(a.laxity.count(), 2u);
 }
 
-TEST(ExperimentResult, SummaryMentionsLabelAndRatio) {
-  ExperimentResult r;
+TEST(SweepAggregate, SummaryMentionsLabelAndRatio) {
+  SweepAggregate r;
   GraphOutcome ok;
   ok.scheduled = true;
   ok.makespan = 10.0;

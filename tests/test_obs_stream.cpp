@@ -79,7 +79,6 @@ SweepOptions small_sweep_options() {
   SweepOptions options;
   options.scenario_count = 96;
   options.shard_size = 16;
-  options.gen_chunk = 8;
   return options;
 }
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "dsslice/sim/runner.hpp"
+#include "dsslice/sweep/checkpoint.hpp"
+#include "dsslice/sweep/sweep_engine.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
@@ -16,78 +16,36 @@ ExperimentConfig small_config(std::uint64_t seed, std::size_t graphs = 32) {
   return c;
 }
 
-TEST(Runner, ParallelMatchesSerialExactly) {
-  const ExperimentConfig c = small_config(42);
-  ThreadPool pool(4);
-  const ExperimentResult parallel = run_experiment(c, pool);
-  const ExperimentResult serial = run_experiment_serial(c);
-  EXPECT_EQ(parallel.success.successes(), serial.success.successes());
-  EXPECT_EQ(parallel.success.trials(), serial.success.trials());
-  EXPECT_DOUBLE_EQ(parallel.min_laxity.mean(), serial.min_laxity.mean());
-  EXPECT_DOUBLE_EQ(parallel.min_laxity.variance(),
-                   serial.min_laxity.variance());
-  EXPECT_DOUBLE_EQ(parallel.makespan.sum(), serial.makespan.sum());
-}
-
 TEST(Runner, TrialCountMatchesGraphCount) {
   const ExperimentConfig c = small_config(1, 17);
-  const ExperimentResult r = run_experiment(c);
+  const SweepAggregate r = run_experiment(c);
   EXPECT_EQ(r.success.trials(), 17u);
   EXPECT_EQ(r.task_count.count(), 17u);
-  EXPECT_GE(r.wall_seconds, 0.0);
-}
-
-TEST(Runner, OutcomeSinkSeesEveryIndexInOrder) {
-  const ExperimentConfig c = small_config(3, 16);
-  ThreadPool pool(4);
-  std::vector<std::size_t> indices;
-  const ExperimentResult r = run_experiment_with_outcomes(
-      c, pool, [&indices](std::size_t k, const GraphOutcome& o) {
-        indices.push_back(k);
-        EXPECT_GT(o.task_count, 0u);
-      });
-  ASSERT_EQ(indices.size(), 16u);
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    EXPECT_EQ(indices[k], k);  // deterministic, in index order
-  }
-  EXPECT_EQ(r.success.trials(), 16u);
 }
 
 TEST(Runner, RepeatedRunsAreIdentical) {
   const ExperimentConfig c = small_config(9, 24);
   ThreadPool pool(8);
-  const ExperimentResult r1 = run_experiment(c, pool);
-  const ExperimentResult r2 = run_experiment(c, pool);
-  EXPECT_EQ(r1.success.successes(), r2.success.successes());
-  EXPECT_DOUBLE_EQ(r1.min_laxity.mean(), r2.min_laxity.mean());
+  const SweepAggregate r1 = run_experiment(c, pool);
+  const SweepAggregate r2 = run_experiment(c, pool);
+  EXPECT_EQ(serialize_sweep_aggregate(r1), serialize_sweep_aggregate(r2));
 }
 
-TEST(Runner, DeterministicAcrossThreadCountsAndGrain) {
-  // Graph k's outcome depends only on derive_seed(base_seed, k) — never on
-  // which worker or chunk evaluated it. One worker, many workers, the serial
-  // path, and a forced chunk size must all produce bit-identical statistics.
+TEST(Runner, IsAOneShardSweepOnAnyPool) {
+  // run_experiment is run_sweep over one shard of graph_count scenarios:
+  // graph k's outcome depends only on derive_seed(base_seed, k), and the
+  // single shard folds in index order on the calling thread, so the pool
+  // size cannot move a bit.
   const ExperimentConfig c = small_config(77, 48);
-  const ExperimentResult serial = run_experiment_serial(c);
-
+  SweepOptions options;
+  options.scenario_count = c.generator.graph_count;
+  options.shard_size = c.generator.graph_count;
   ThreadPool one(1);
   ThreadPool many(7);
-  const ExperimentResult single = run_experiment(c, one);
-  const ExperimentResult parallel = run_experiment(c, many);
-
-  set_experiment_grain(5);  // force an uneven chunking of the 48 graphs
-  const ExperimentResult chunked = run_experiment(c, many);
-  set_experiment_grain(0);  // restore automatic chunking for other tests
-
-  for (const ExperimentResult* r : {&single, &parallel, &chunked}) {
-    EXPECT_EQ(r->success.successes(), serial.success.successes());
-    EXPECT_EQ(r->success.trials(), serial.success.trials());
-    EXPECT_DOUBLE_EQ(r->min_laxity.mean(), serial.min_laxity.mean());
-    EXPECT_DOUBLE_EQ(r->min_laxity.variance(), serial.min_laxity.variance());
-    EXPECT_DOUBLE_EQ(r->max_lateness.sum(), serial.max_lateness.sum());
-    EXPECT_DOUBLE_EQ(r->makespan.sum(), serial.makespan.sum());
-    EXPECT_DOUBLE_EQ(r->slicing_passes.sum(), serial.slicing_passes.sum());
-    EXPECT_DOUBLE_EQ(r->task_count.sum(), serial.task_count.sum());
-  }
+  const std::string sweep =
+      serialize_sweep_aggregate(run_sweep(c, options, one).aggregate);
+  EXPECT_EQ(serialize_sweep_aggregate(run_experiment(c, one)), sweep);
+  EXPECT_EQ(serialize_sweep_aggregate(run_experiment(c, many)), sweep);
 }
 
 TEST(Runner, InvalidConfigThrows) {

@@ -946,7 +946,7 @@ TEST(SchedulerEquivalence, WarmPathGrowsZeroBuffers) {
   SchedulerWorkspace ws;
   SchedulerResult result;
 
-  const auto run_batch = [&] {
+  const auto run_all_seeds = [&] {
     for (const std::uint64_t seed : kSeeds) {
       const Prepared p = prepare(MetricKind::kAdaptL, seed);
       {
@@ -978,11 +978,11 @@ TEST(SchedulerEquivalence, WarmPathGrowsZeroBuffers) {
     }
   };
 
-  run_batch();  // cold: sizes every buffer for the batch's largest scenario
-  run_batch();  // settle: result shells and timelines reach steady state
+  run_all_seeds();  // cold: sizes every buffer for the batch's largest scenario
+  run_all_seeds();  // settle: result shells and timelines reach steady state
   const std::uint64_t warm = ws.grow_events();
-  run_batch();
-  run_batch();
+  run_all_seeds();
+  run_all_seeds();
   EXPECT_EQ(ws.grow_events(), warm)
       << "warm scheduler runs must not grow workspace buffers";
 }

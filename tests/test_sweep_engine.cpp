@@ -28,7 +28,6 @@ SweepOptions small_options() {
   SweepOptions options;
   options.scenario_count = 96;
   options.shard_size = 16;
-  options.gen_chunk = 8;
   return options;
 }
 
@@ -140,9 +139,6 @@ TEST(SweepEngine, ValidatesOptions) {
   EXPECT_THROW(run_sweep(config, options), ConfigError);
   options = small_options();
   options.shard_size = 0;
-  EXPECT_THROW(run_sweep(config, options), ConfigError);
-  options = small_options();
-  options.gen_chunk = 0;
   EXPECT_THROW(run_sweep(config, options), ConfigError);
   options = small_options();
   options.resume = true;  // resume without a checkpoint path
@@ -270,10 +266,11 @@ TEST(SweepEngine, WarmSweepAllocatesNothing) {
   // touch), and with N workers the racy shard->thread assignment could
   // hand a thread a scenario shape it never warmed on.
   ThreadPool pool(1);
-  // The arena's batch storage rotates against scenario shapes between
-  // runs (see the ScenarioBatch steady-state test), so settle until a
-  // full rotation cycle of runs stays flat before asserting.
-  constexpr int kRotationCycle = 10;  // gen_chunk=8 slots + scratch, margin
+  // The arena's batch storage rotates between its one scenario slot
+  // (gen_chunk = 1) and the generator scratch (see the ScenarioBatch
+  // steady-state test), so settle until a full rotation cycle of runs
+  // stays flat before asserting.
+  constexpr int kRotationCycle = 4;  // one slot + scratch, with margin
   int flat = 0;
   for (int pass = 0; pass < 100 && flat < kRotationCycle; ++pass) {
     const std::uint64_t before = sweep_arena_grow_events();

@@ -145,6 +145,28 @@ TEST(Sweeps, SystemSizeSweepSetsProcessorCount) {
   ASSERT_EQ(r.series.size(), 4u);
 }
 
+TEST(Sweeps, CellsInParallelMatchSequentialBitForBit) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const SweepResult serial = sweep_system_size(tiny_base(), {2, 3, 4}, one);
+  const SweepResult parallel = sweep_system_size(tiny_base(), {2, 3, 4}, four);
+  EXPECT_EQ(parallel.scenarios, serial.scenarios);
+  ASSERT_EQ(parallel.series.size(), serial.series.size());
+  for (std::size_t s = 0; s < serial.series.size(); ++s) {
+    const Series& a = serial.series[s];
+    const Series& b = parallel.series[s];
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.success_ratio, a.success_ratio) << a.name;
+    EXPECT_EQ(b.ci95, a.ci95) << a.name;
+    ASSERT_EQ(b.mean_min_laxity.size(), a.mean_min_laxity.size());
+    for (std::size_t j = 0; j < a.mean_min_laxity.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(b.mean_min_laxity[j]),
+                std::bit_cast<std::uint64_t>(a.mean_min_laxity[j]))
+          << a.name << " x=" << serial.x[j];
+    }
+  }
+}
+
 TEST(Sweeps, OlrAndEtdSweepsProduceSeries) {
   ThreadPool pool(4);
   const SweepResult olr = sweep_olr(tiny_base(), {0.6, 1.0}, pool);

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
                 "evaluation with streaming aggregation and checkpoint/resume.");
   cli.add_flag("scenarios", "100000", "total scenario count");
   cli.add_flag("shard-size", "1024", "scenarios per shard");
-  cli.add_flag("gen-chunk", "64", "scenarios generated per batch call");
   cli.add_flag("checkpoint", "", "checkpoint file (empty: no checkpointing)");
   cli.add_flag("checkpoint-every", "0",
                "write a checkpoint every N shards (0: once at the end)");
@@ -55,7 +54,6 @@ int main(int argc, char** argv) {
   SweepOptions options;
   options.scenario_count = static_cast<std::size_t>(cli.get_int("scenarios"));
   options.shard_size = static_cast<std::size_t>(cli.get_int("shard-size"));
-  options.gen_chunk = static_cast<std::size_t>(cli.get_int("gen-chunk"));
   options.checkpoint_path = cli.get_string("checkpoint");
   options.checkpoint_every =
       static_cast<std::size_t>(cli.get_int("checkpoint-every"));
