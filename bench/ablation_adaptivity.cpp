@@ -24,14 +24,21 @@ int main(int argc, char** argv) {
   ExperimentConfig base = bench::base_config(cli);
   base.generator.platform.processor_count = 3;
 
-  // Reference points: the non-adaptive metrics at the same operating point.
-  for (const DistributionTechnique t : {DistributionTechnique::kSlicingPure,
-                                        DistributionTechnique::kSlicingNorm}) {
+  // Reference points: the non-adaptive metrics at the same operating point,
+  // side by side (each experiment is single-threaded).
+  const DistributionTechnique references[] = {
+      DistributionTechnique::kSlicingPure, DistributionTechnique::kSlicingNorm};
+  std::vector<SweepAggregate> reference_results(std::size(references));
+  parallel_for(pool, reference_results.size(), [&](std::size_t i) {
     ExperimentConfig c = base;
-    c.technique = t;
-    const ExperimentResult r = run_experiment(c, pool);
-    std::printf("reference %-12s success %s\n", to_string(t).c_str(),
-                format_percent(r.success_ratio(), 1).c_str());
+    c.technique = references[i];
+    reference_results[i] = run_experiment(c);
+  });
+  for (std::size_t i = 0; i < reference_results.size(); ++i) {
+    std::printf("reference %-12s success %s\n",
+                to_string(references[i]).c_str(),
+                format_percent(reference_results[i].success_ratio(), 1)
+                    .c_str());
   }
   std::printf("\n");
 

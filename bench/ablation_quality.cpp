@@ -26,15 +26,22 @@ int main(int argc, char** argv) {
 
   std::printf("== A6 — secondary quality measures at OLR=%.2f (m=3) ==\n\n",
               cli.get_double("olr"));
+  const DistributionTechnique techniques[] = {
+      DistributionTechnique::kSlicingPure, DistributionTechnique::kSlicingNorm,
+      DistributionTechnique::kSlicingAdaptG,
+      DistributionTechnique::kSlicingAdaptL};
+  // Each experiment is single-threaded; run the four metrics side by side.
+  std::vector<SweepAggregate> results(std::size(techniques));
+  parallel_for(pool, results.size(), [&](std::size_t i) {
+    ExperimentConfig c = base;
+    c.technique = techniques[i];
+    results[i] = run_experiment(c);
+  });
   Table table({"metric", "success", "mean max lateness", "mean min laxity",
                "mean makespan"});
-  for (const DistributionTechnique t :
-       {DistributionTechnique::kSlicingPure, DistributionTechnique::kSlicingNorm,
-        DistributionTechnique::kSlicingAdaptG,
-        DistributionTechnique::kSlicingAdaptL}) {
-    ExperimentConfig c = base;
-    c.technique = t;
-    const ExperimentResult r = run_experiment(c, pool);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const DistributionTechnique t = techniques[i];
+    const SweepAggregate& r = results[i];
     table.add_row({to_string(metric_of(t)),
                    format_percent(r.success_ratio(), 1),
                    format_fixed(r.max_lateness.mean(), 2),

@@ -235,9 +235,8 @@ int main(int argc, char** argv) {
   ExperimentConfig config;
   config.generator.graph_count = smoke ? 32 : 256;
   config.generator.base_seed = 0x0B5;
-  ThreadPool pool(1);
   const auto run_experiment_once = [&] {
-    g_sink = run_experiment(config, pool).success.trials();
+    g_sink = run_experiment(config).success.trials();
   };
   const auto [pipe_off_s, pipe_on_s] = time_per_call_pair(
       min_seconds, 4, run_experiment_once,

@@ -86,9 +86,8 @@ int main(int argc, char** argv) {
     config.scheduler.abort_on_miss = !cli.get_bool("lateness");
 
     // One experiment is one sweep shard, evaluated on the calling thread.
-    ThreadPool pool(1);
     const auto t0 = std::chrono::steady_clock::now();
-    const SweepAggregate result = run_experiment(config, pool);
+    const SweepAggregate result = run_experiment(config);
     const double wall_seconds = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();

@@ -167,7 +167,7 @@ obs_smoke() {
     --obs-summary > "$out/summary.txt"
   "$build/tools/trace_check" "$out/trace.json"
   "$build/tools/trace_check" --jsonl "$out/metrics.jsonl"
-  # run_experiment is a one-shard sweep through the batch slicing kernel.
+  # run_experiment runs one sweep shard through the batch slicing kernel.
   for span in batch.slice.run sweep.shard; do
     grep -q "$span" "$out/summary.txt" ||
       { echo "obs smoke [$tag]: summary missing $span span" >&2; exit 1; }

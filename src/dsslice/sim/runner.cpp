@@ -4,16 +4,14 @@
 
 namespace dsslice {
 
-SweepAggregate run_experiment(const ExperimentConfig& config,
-                              ThreadPool& pool) {
-  SweepOptions options;
-  options.scenario_count = config.generator.graph_count;
-  options.shard_size = config.generator.graph_count;
-  return run_sweep(config, options, pool).aggregate;
+SweepAggregate run_experiment(const ExperimentConfig& config) {
+  config.generator.validate();
+  return run_sweep_shard(config, 0, config.generator.graph_count);
 }
 
-SweepAggregate run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, global_pool());
+SweepAggregate run_experiment(const ExperimentConfig& config,
+                              ThreadPool& /*unused*/) {
+  return run_experiment(config);
 }
 
 }  // namespace dsslice

@@ -11,15 +11,18 @@
 
 namespace dsslice {
 
-/// Runs config.generator.graph_count task sets as a checkpoint-free
-/// run_sweep over one shard and returns the shard's aggregate. A single
-/// shard runs inline on the calling thread, so the result never depends on
-/// the pool and the call is safe from a pool worker: parallelism comes from
-/// running several experiments at once (see sim/sweeps.hpp).
+/// Runs config.generator.graph_count task sets as one sweep shard on the
+/// calling thread (run_sweep_shard over [0, graph_count)) and returns its
+/// aggregate: bit-identical to a checkpoint-free run_sweep with a single
+/// shard. Safe to call from a pool worker; parallelism comes from running
+/// several experiments at once (see sim/sweeps.hpp). Publishes no
+/// sweep.progress.* metrics, so concurrent experiments never overwrite a
+/// sweep's live progress. Throws ConfigError for an invalid config.
+SweepAggregate run_experiment(const ExperimentConfig& config);
+
+/// Same as above; the pool is unused. Kept for callers written against the
+/// pooled signature (benchmark/dsslice_benchmark.cpp).
 SweepAggregate run_experiment(const ExperimentConfig& config,
                               ThreadPool& pool);
-
-/// Convenience overload using the process-wide pool.
-SweepAggregate run_experiment(const ExperimentConfig& config);
 
 }  // namespace dsslice

@@ -33,14 +33,13 @@ SweepResult run_sweep(const std::string& x_label, std::vector<double> xs,
   const std::size_t nx = result.x.size();
   std::vector<SweepAggregate> cells(specs.size() * nx);
   const auto t0 = std::chrono::steady_clock::now();
-  // Cell i is (series i / nx, x i % nx). Each cell is a one-shard sweep,
-  // which runs inline on the calling thread (parallel_for with a single
-  // chunk never submits), so running cells on pool workers never nests a
-  // submission into the same pool.
+  // Cell i is (series i / nx, x i % nx). Each cell is one sweep shard run
+  // on the worker that claims it; run_experiment takes no pool, so running
+  // cells on pool workers never nests a submission into the same pool.
   parallel_for(pool, cells.size(), [&](std::size_t i) {
     const SeriesSpec& spec = specs[i / nx];
     const double x = result.x[i % nx];
-    cells[i] = run_experiment(spec.factory(x), pool);
+    cells[i] = run_experiment(spec.factory(x));
     if (verbose) {
       std::fprintf(stderr, "  %s %s=%g: %s\n", spec.name.c_str(),
                    x_label.c_str(), x,

@@ -110,6 +110,42 @@ std::uint64_t sweep_arena_grow_events() {
   return total;
 }
 
+SweepAggregate run_sweep_shard(const ExperimentConfig& config,
+                               std::size_t first, std::size_t last,
+                               bool use_batch_kernel) {
+  DSSLICE_SPAN("sweep.shard");
+  // Slicing techniques route each generated scenario through the SoA batch
+  // kernel, then join back into the scheduler half. The kernel's
+  // bit-identity contract makes the aggregates indistinguishable from the
+  // scalar path.
+  const bool kernel_path = use_batch_kernel && is_slicing(config.technique);
+  BatchSliceConfig kernel_config;
+  if (kernel_path) {
+    kernel_config.metric = metric_of(config.technique);
+    kernel_config.params = config.metric_params;
+    kernel_config.wcet_strategy = config.wcet_strategy;
+  }
+
+  SweepArena& arena = local_arena();
+  SweepAggregate aggregate;
+  for (std::size_t k = first; k < last; ++k) {
+    arena.batch.generate(config.generator, k, SweepOptions::gen_chunk);
+    const Scenario& scenario = arena.batch[0];
+    if (kernel_path) {
+      arena.kernel.run(arena.batch.scenarios(), kernel_config);
+      aggregate.add(evaluate_scheduled(
+          config, scenario, arena.kernel.assignment(0),
+          arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
+          &arena.scratch));
+    } else {
+      aggregate.add(evaluate_generated(config, scenario, &arena.scratch));
+    }
+  }
+  arena.note_extra_capacity();
+  DSSLICE_COUNT("sweep.shards_completed", 1);
+  return aggregate;
+}
+
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options, ThreadPool& pool) {
   DSSLICE_SPAN("sweep.run");
@@ -197,43 +233,13 @@ SweepReport run_sweep(const ExperimentConfig& config,
                   static_cast<std::int64_t>(resumed_successes));
   }
 
-  // Slicing techniques route each generated scenario through the SoA batch
-  // kernel, then join back into the scheduler half. The kernel's
-  // bit-identity contract makes the aggregates indistinguishable from the
-  // scalar path.
-  const bool kernel_path =
-      options.use_batch_kernel && is_slicing(config.technique);
-  BatchSliceConfig kernel_config;
-  if (kernel_path) {
-    kernel_config.metric = metric_of(config.technique);
-    kernel_config.params = config.metric_params;
-    kernel_config.wcet_strategy = config.wcet_strategy;
-  }
-
   const auto run_one_shard = [&](std::size_t shard) {
-    DSSLICE_SPAN("sweep.shard");
-    SweepArena& arena = local_arena();
-    SweepAggregate aggregate;
     const std::size_t first = shard * options.shard_size;
     const std::size_t last =
         std::min(first + options.shard_size, options.scenario_count);
-    for (std::size_t k = first; k < last; ++k) {
-      arena.batch.generate(config.generator, k, SweepOptions::gen_chunk);
-      const Scenario& scenario = arena.batch[0];
-      if (kernel_path) {
-        arena.kernel.run(arena.batch.scenarios(), kernel_config);
-        aggregate.add(evaluate_scheduled(
-            config, scenario, arena.kernel.assignment(0),
-            arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
-            &arena.scratch));
-      } else {
-        aggregate.add(evaluate_generated(config, scenario, &arena.scratch));
-      }
-    }
-    arena.note_extra_capacity();
-    state.shards[shard] = aggregate;
+    state.shards[shard] =
+        run_sweep_shard(config, first, last, options.use_batch_kernel);
     state.completed[shard] = 1;
-    DSSLICE_COUNT("sweep.shards_completed", 1);
   };
 
   const auto t0 = std::chrono::steady_clock::now();

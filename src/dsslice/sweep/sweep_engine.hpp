@@ -81,6 +81,16 @@ SweepReport run_sweep(const ExperimentConfig& config,
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options);
 
+/// One shard of a sweep: evaluates scenarios [first, last) on the calling
+/// thread with its arena and folds their outcomes in index order. run_sweep
+/// runs every shard through this function, so a sweep whose single shard
+/// covers [0, n) returns exactly run_sweep_shard(config, 0, n). Records the
+/// sweep.shard span and sweep.shards_completed counter, but none of
+/// run_sweep's progress metrics. The config must be valid.
+SweepAggregate run_sweep_shard(const ExperimentConfig& config,
+                               std::size_t first, std::size_t last,
+                               bool use_batch_kernel = true);
+
 /// Capacity growths observed inside the sweep's per-thread arenas
 /// (generator batch storage + scratch, scheduler workspaces, estimate
 /// buffers) since process start, including arenas of exited threads. Warm

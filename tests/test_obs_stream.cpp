@@ -21,6 +21,7 @@
 #include "dsslice/obs/stream.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sim/experiment.hpp"
+#include "dsslice/sim/sweeps.hpp"
 #include "dsslice/sweep/checkpoint.hpp"
 #include "dsslice/sweep/sweep_engine.hpp"
 #include "dsslice/util/check.hpp"
@@ -452,6 +453,46 @@ TEST(ObsStream, SweepAggregatesBitIdenticalWithAndWithoutSink) {
   EXPECT_EQ(serialize_sweep_aggregate(streamed.aggregate),
             serialize_sweep_aggregate(plain.aggregate));
   EXPECT_EQ(streamed.scenarios(), plain.scenarios());
+}
+
+// A figure sweep runs its cells concurrently as bare sweep shards. None of
+// them may publish sweep.progress.* — per-sweep totals written by parallel
+// cells would overwrite each other and the heartbeat would report more
+// scenarios done than scheduled — so the status file shows a plain tick.
+TEST(ObsStream, FigureSweepPublishesNoSweepProgress) {
+  ObsGuard guard;
+  TempFile status("figure.status.json");
+  ExperimentConfig base = sweep_config();
+  base.generator.graph_count = 8;
+  ThreadPool pool(2);
+  obs::set_enabled(true);
+  obs::StreamOptions options;
+  options.status_path = status.path();
+  options.interval_ms = 1;
+  {
+    obs::StreamSink sink(options);
+    sink.start();
+    (void)sweep_system_size(base, {2, 3}, pool);
+    obs::set_enabled(false);
+    sink.stop();
+  }
+
+  const obs::MetricsSnapshot snapshot = obs::metrics_snapshot();
+  for (const auto& [name, counter] : snapshot.counters) {
+    EXPECT_NE(name.rfind("sweep.progress.", 0), 0u) << name;
+  }
+  for (const auto& [name, gauge] : snapshot.gauges) {
+    EXPECT_NE(name.rfind("sweep.progress.", 0), 0u) << name;
+  }
+  // 2 sizes x 4 metrics, one shard per cell.
+  ASSERT_EQ(snapshot.counters.count("sweep.shards_completed"), 1u);
+  EXPECT_EQ(snapshot.counters.at("sweep.shards_completed").total, 8.0);
+
+  const std::string heartbeat = slurp(status.path());
+  EXPECT_NE(heartbeat.find("\"type\":\"heartbeat\""), std::string::npos)
+      << heartbeat;
+  EXPECT_NE(heartbeat.find("\"sweep\":false"), std::string::npos)
+      << heartbeat;
 }
 
 }  // namespace

@@ -25,17 +25,16 @@ TEST(Runner, TrialCountMatchesGraphCount) {
 
 TEST(Runner, RepeatedRunsAreIdentical) {
   const ExperimentConfig c = small_config(9, 24);
-  ThreadPool pool(8);
-  const SweepAggregate r1 = run_experiment(c, pool);
-  const SweepAggregate r2 = run_experiment(c, pool);
+  const SweepAggregate r1 = run_experiment(c);
+  const SweepAggregate r2 = run_experiment(c);
   EXPECT_EQ(serialize_sweep_aggregate(r1), serialize_sweep_aggregate(r2));
 }
 
 TEST(Runner, IsAOneShardSweepOnAnyPool) {
   // run_experiment is run_sweep over one shard of graph_count scenarios:
   // graph k's outcome depends only on derive_seed(base_seed, k), and the
-  // single shard folds in index order on the calling thread, so the pool
-  // size cannot move a bit.
+  // single shard folds in index order on one thread, so neither the sweep's
+  // pool size nor the (unused) pool argument can move a bit.
   const ExperimentConfig c = small_config(77, 48);
   SweepOptions options;
   options.scenario_count = c.generator.graph_count;
@@ -44,13 +43,18 @@ TEST(Runner, IsAOneShardSweepOnAnyPool) {
   ThreadPool many(7);
   const std::string sweep =
       serialize_sweep_aggregate(run_sweep(c, options, one).aggregate);
-  EXPECT_EQ(serialize_sweep_aggregate(run_experiment(c, one)), sweep);
+  EXPECT_EQ(serialize_sweep_aggregate(run_sweep(c, options, many).aggregate),
+            sweep);
+  EXPECT_EQ(serialize_sweep_aggregate(run_experiment(c)), sweep);
   EXPECT_EQ(serialize_sweep_aggregate(run_experiment(c, many)), sweep);
 }
 
 TEST(Runner, InvalidConfigThrows) {
   ExperimentConfig c = small_config(1);
   c.generator.workload.olr = -1.0;
+  EXPECT_THROW(run_experiment(c), ConfigError);
+  c = small_config(1);
+  c.generator.graph_count = 0;
   EXPECT_THROW(run_experiment(c), ConfigError);
 }
 

@@ -205,6 +205,22 @@ TEST(SweepEngine, ThreadCountDoesNotChangeAggregateBits) {
             serialize_sweep_aggregate(serial.aggregate));
 }
 
+// run_sweep is its shards folded in index order: merging run_sweep_shard
+// over the same index ranges reproduces the sweep's aggregate exactly.
+TEST(SweepEngine, SweepIsItsShardsFoldedInOrder) {
+  const ExperimentConfig config = sweep_config();
+  const SweepOptions options = small_options();
+  ThreadPool pool(3);
+  SweepAggregate folded;
+  for (std::size_t first = 0; first < options.scenario_count;
+       first += options.shard_size) {
+    folded.merge(run_sweep_shard(config, first, first + options.shard_size));
+  }
+  const SweepReport sweep = run_sweep(config, options, pool);
+  EXPECT_EQ(serialize_sweep_aggregate(folded),
+            serialize_sweep_aggregate(sweep.aggregate));
+}
+
 // The batch slicing kernel is an execution strategy, not a semantic change:
 // toggling it must not perturb a single aggregate bit, for every slicing
 // metric. (Non-slicing techniques ignore the flag; one spot check.)
