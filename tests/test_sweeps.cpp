@@ -40,12 +40,7 @@ std::uint64_t figure_digest(const SweepResult& sweep) {
       text += line;
     }
   }
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (const char ch : text) {
-    h ^= static_cast<std::uint8_t>(ch);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return testing::fnv1a(text);
 }
 
 TEST(Sweeps, PaperFiguresMatchPinnedDigests) {

@@ -1,11 +1,24 @@
 // Shared fixtures and builders for the dsslice test suite.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dsslice/dsslice.hpp"
 
 namespace dsslice::testing {
+
+/// FNV-1a 64-bit over a byte string: the digest the pin tests compare
+/// against committed constants.
+inline std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : bytes) {
+    h ^= static_cast<std::uint8_t>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// A linear chain t0 ≺ t1 ≺ ... with uniform WCETs and one E-T-E deadline.
 inline Application make_chain(std::size_t length, double wcet, Time deadline,
