@@ -283,7 +283,7 @@ SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
                 std::to_string(kMaxShardCount));
   }
   const std::uint64_t expected_shards =
-      (cp.scenario_count + cp.shard_size - 1) / cp.shard_size;
+      ceil_div(cp.scenario_count, cp.shard_size);
   if (shard_count != expected_shards) {
     reader.fail("shard count " + tokens[1] + " does not match " +
                 std::to_string(cp.scenario_count) + " scenarios in shards of " +

@@ -23,6 +23,12 @@
 
 namespace dsslice {
 
+/// ceil(n / d) for d > 0 without the wrap of (n + d - 1) / d when d is near
+/// 2^64: the shard count of `n` scenarios in shards of `d`.
+constexpr std::uint64_t ceil_div(std::uint64_t n, std::uint64_t d) {
+  return n / d + (n % d != 0 ? 1 : 0);
+}
+
 /// Durable sweep state: layout parameters, a completed-shard bitmap and the
 /// per-shard aggregates (entries for incomplete shards are default-empty).
 struct SweepCheckpoint {

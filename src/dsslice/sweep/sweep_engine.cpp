@@ -153,7 +153,7 @@ SweepReport run_sweep(const ExperimentConfig& config,
   config.generator.validate();
 
   const std::size_t shard_count =
-      (options.scenario_count + options.shard_size - 1) / options.shard_size;
+      ceil_div(options.scenario_count, options.shard_size);
   const std::uint64_t fingerprint = sweep_config_fingerprint(config);
 
   SweepCheckpoint state;
@@ -210,8 +210,7 @@ SweepReport run_sweep(const ExperimentConfig& config,
   // them is independent of whether a sink is attached, so a streaming run
   // and a plain run execute identical instruction streams through the
   // sweep itself — the aggregates stay bit-identical either way.
-  const std::size_t waves_total =
-      pending.empty() ? 0 : (pending.size() + wave_width - 1) / wave_width;
+  const std::size_t waves_total = ceil_div(pending.size(), wave_width);
   DSSLICE_GAUGE("sweep.progress.scenarios_total",
                 static_cast<std::int64_t>(options.scenario_count));
   DSSLICE_GAUGE("sweep.progress.waves_total",

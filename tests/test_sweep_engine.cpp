@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "dsslice/sim/experiment.hpp"
@@ -132,6 +133,18 @@ TEST(SweepCheckpoint, ParseRejectsCorruptedValues) {
   EXPECT_THROW(parse_sweep_checkpoint(corrupted), ConfigError);
 }
 
+// A layout whose shard-count line was computed with a wrapping ceil-div
+// (5 scenarios in shards of 2^64-1 as 0 shards) must be rejected: a sweep
+// resuming from it would index an empty completed bitmap.
+TEST(SweepCheckpoint, ParseRejectsWrappedShardCount) {
+  SweepCheckpoint wrapped;
+  wrapped.scenario_count = 5;
+  wrapped.shard_size = std::numeric_limits<std::uint64_t>::max();
+  const std::string text = serialize_sweep_checkpoint(wrapped);
+  ASSERT_NE(text.find("shard-count 0\n"), std::string::npos);
+  EXPECT_THROW(parse_sweep_checkpoint(text), ConfigError);
+}
+
 TEST(SweepEngine, ValidatesOptions) {
   const ExperimentConfig config = sweep_config();
   SweepOptions options = small_options();
@@ -143,6 +156,20 @@ TEST(SweepEngine, ValidatesOptions) {
   options = small_options();
   options.resume = true;  // resume without a checkpoint path
   EXPECT_THROW(run_sweep(config, options), ConfigError);
+}
+
+// A shard size near SIZE_MAX is one shard holding every scenario, not a
+// shard count that wraps to zero and runs nothing.
+TEST(SweepEngine, HugeShardSizeRunsOneShard) {
+  SweepOptions options;
+  options.scenario_count = 100;
+  options.shard_size = std::numeric_limits<std::size_t>::max();
+  ThreadPool pool(1);
+  const SweepReport report = run_sweep(sweep_config(), options, pool);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.shard_count, 1u);
+  EXPECT_EQ(report.shards_run, 1u);
+  EXPECT_EQ(report.scenarios(), 100u);
 }
 
 TEST(SweepEngine, ResumeMatchesUninterruptedRunBitForBit) {
