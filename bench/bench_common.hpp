@@ -1,12 +1,16 @@
-// Shared scaffolding for the figure-reproduction and ablation benches.
+// Shared scaffolding for the figure-reproduction, ablation and perf benches.
 //
-// Every bench binary follows the same recipe: parse the common flags, run a
-// sweep on the shared thread pool, print the paper-style table plus an ASCII
-// chart of the series, and drop a CSV next to the binary (best effort).
+// Every figure/ablation binary follows the same recipe: parse the common
+// flags, run a sweep on the shared thread pool, print the paper-style table
+// plus an ASCII chart of the series, and drop a CSV next to the binary (best
+// effort). The perf_* harnesses share the sized scenario population and the
+// timing loop below.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -14,12 +18,43 @@
 
 namespace dsslice::bench {
 
-/// Scratch-file path in the system temp directory (checkpoints and other
-/// transient bench artifacts that must not land in the working tree).
-inline std::string temp_path(const std::string& name) {
-  std::error_code ec;
-  const std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
-  return (ec ? std::filesystem::path{"."} / name : dir / name).string();
+/// Generator config for the perf harnesses' size rows: exactly `tasks` tasks
+/// and a fixed seed, so every harness measures the same scenario population.
+/// Depth scales as sqrt(n) so both depth and level width grow with n; a
+/// tasks/5 rule would keep the width at ~5 tasks for every size and turn
+/// large graphs into long chains with less ready-set pressure.
+inline GeneratorConfig sized_config(std::size_t tasks,
+                                    std::size_t processors) {
+  GeneratorConfig cfg;
+  cfg.platform.processor_count = processors;
+  cfg.workload.min_tasks = tasks;
+  cfg.workload.max_tasks = tasks;
+  const auto depth = static_cast<std::size_t>(
+      std::lround(std::sqrt(static_cast<double>(tasks))));
+  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
+  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
+  cfg.base_seed = 0xBE7C;
+  return cfg;
+}
+
+/// Runs `body` in doubling batches until at least `min_seconds` of wall time
+/// and `min_reps` repetitions have accumulated; returns mean seconds per call.
+template <typename F>
+double time_per_call(double min_seconds, std::size_t min_reps, F&& body) {
+  using Clock = std::chrono::steady_clock;
+  std::size_t reps = 0;
+  double elapsed = 0.0;
+  std::size_t batch = 1;
+  while (elapsed < min_seconds || reps < min_reps) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < batch; ++i) {
+      body();
+    }
+    elapsed += std::chrono::duration<double>(Clock::now() - t0).count();
+    reps += batch;
+    batch = std::min<std::size_t>(batch * 2, 4096);
+  }
+  return elapsed / static_cast<double>(reps);
 }
 
 /// Instruction-set description of this build/machine pair: the ISA baseline

@@ -1,30 +1,21 @@
-// P1: before/after performance harness for the shared graph-analysis cache.
+// P1: performance harness for the slicing hot path.
 //
-// Measures, per graph size, three layers of the slicing hot path:
-//  * structure construction: the legacy per-call TransitiveClosure build
-//    (with its O(n²) ancestor-count loop) vs one GraphAnalysis build;
-//  * DeadlineMetric::weights() per metric: the legacy implementation
-//    (closure + topological sort per call, materialized parallel sets) vs
-//    the cached weights_into path;
-//  * end-to-end run_slicing: the legacy loop (per-run topological sort,
-//    per-pass allocations, per-call weights) vs the cached, workspace-backed
-//    implementation.
+// Measures, per graph size, three layers of deadline distribution:
+//  * structure construction: one GraphAnalysis build (transitive closure,
+//    parallel-set sizes) per scenario;
+//  * DeadlineMetric::weights_into per metric on the memoized analysis;
+//  * ADAPT-L run_slicing end to end: the cached scalar path (warm analysis,
+//    shared SlicingWorkspace) vs the SoA batch kernel (lanes64) over the
+//    same scenarios. batch_speedup is the kernel against that in-library
+//    scalar reference.
 //
-// The "legacy" code below is the pre-cache implementation, carried verbatim
-// so both variants compile into one binary under identical flags. The
-// equivalence suite (tests/test_slicing_equivalence.cpp) asserts the two
-// produce bit-identical assignments; this harness asserts the cached timing
-// loops build zero GraphAnalysis instances, then reports speedups and
-// writes BENCH_slicing.json. Every size row averages over kRowSeeds
-// scenarios (same idiom as perf_scheduling) so one outlier DAG cannot skew
-// the row.
-#include <algorithm>
-#include <bit>
-#include <chrono>
-#include <cmath>
+// Bit-identity with the pre-cache slicing code is pinned by
+// tests/test_slicing_equivalence.cpp. This harness asserts the cached timing
+// loops build zero GraphAnalysis instances and the warm batch kernel grows
+// zero buffers, then writes BENCH_slicing.json. Every size row averages over
+// kRowSeeds scenarios so one outlier DAG cannot skew the row.
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,352 +28,33 @@ namespace {
 
 using namespace dsslice;
 
-// ---------------------------------------------------------------------------
-// Legacy implementations (pre-cache), kept verbatim for the "before" side.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-class Closure {
- public:
-  explicit Closure(const TaskGraph& g)
-      : n_(g.node_count()),
-        reach_(n_ * ((n_ + 63) / 64), 0),
-        descendants_(n_, 0),
-        ancestors_(n_, 0) {
-    const auto order = topological_order(g);
-    DSSLICE_REQUIRE(order.has_value(),
-                    "transitive closure requires an acyclic graph");
-    const std::size_t w = words();
-    for (auto it = order->rbegin(); it != order->rend(); ++it) {
-      const NodeId u = *it;
-      std::uint64_t* ru = row(u);
-      for (const NodeId s : g.successors(u)) {
-        const std::uint64_t* rs = row(s);
-        for (std::size_t k = 0; k < w; ++k) {
-          ru[k] |= rs[k];
-        }
-        ru[s / 64] |= (std::uint64_t{1} << (s % 64));
-      }
-    }
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::uint64_t* ru = row(u);
-      std::size_t count = 0;
-      for (std::size_t k = 0; k < w; ++k) {
-        count += static_cast<std::size_t>(std::popcount(ru[k]));
-      }
-      descendants_[u] = count;
-    }
-    // The quadratic ancestor-count loop this PR replaced with co-reach
-    // popcounts.
-    for (NodeId u = 0; u < n_; ++u) {
-      for (NodeId v = 0; v < n_; ++v) {
-        if (reaches(u, v)) {
-          ++ancestors_[v];
-        }
-      }
-    }
-  }
-
-  bool reaches(NodeId u, NodeId v) const {
-    DSSLICE_REQUIRE(u < n_ && v < n_, "node id out of range");
-    return (row(u)[v / 64] >> (v % 64)) & 1;
-  }
-  bool ordered(NodeId u, NodeId v) const {
-    return reaches(u, v) || reaches(v, u);
-  }
-  std::size_t parallel_set_size(NodeId i) const {
-    return n_ - 1 - descendants_[i] - ancestors_[i];
-  }
-  std::vector<NodeId> parallel_set(NodeId i) const {
-    std::vector<NodeId> out;
-    out.reserve(parallel_set_size(i));
-    for (NodeId v = 0; v < n_; ++v) {
-      if (v != i && !ordered(i, v)) {
-        out.push_back(v);
-      }
-    }
-    return out;
-  }
-
- private:
-  std::size_t words() const { return (n_ + 63) / 64; }
-  const std::uint64_t* row(NodeId u) const { return &reach_[u * words()]; }
-  std::uint64_t* row(NodeId u) { return &reach_[u * words()]; }
-
-  std::size_t n_;
-  std::vector<std::uint64_t> reach_;
-  std::vector<std::size_t> descendants_;
-  std::vector<std::size_t> ancestors_;
-};
-
-std::vector<double> weights(const DeadlineMetric& metric,
-                            const Application& app,
-                            std::span<const double> est_wcet,
-                            std::size_t processor_count) {
-  const MetricParams& params = metric.params();
-  std::vector<double> w(est_wcet.begin(), est_wcet.end());
-  if (!metric.is_adaptive()) {
-    return w;
-  }
-  const double threshold = metric.effective_threshold(est_wcet);
-  const double m = static_cast<double>(processor_count);
-  if (metric.kind() == MetricKind::kAdaptG) {
-    const double xi = average_parallelism(app.graph(), est_wcet);
-    const double surplus = 1.0 + params.k_global * xi / m;
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      if (est_wcet[i] >= threshold) {
-        w[i] = est_wcet[i] * surplus;
-      }
-    }
-    return w;
-  }
-  const Closure closure(app.graph());
-  for (NodeId i = 0; i < w.size(); ++i) {
-    if (est_wcet[i] < threshold) {
-      continue;
-    }
-    const double psi = static_cast<double>(closure.parallel_set_size(i));
-    w[i] = est_wcet[i] * (1.0 + params.k_local * psi / m);
-  }
-  return w;
-}
-
-constexpr NodeId kNoPrev = std::numeric_limits<NodeId>::max();
-
-struct Entry {
-  Time start = kTimeZero;
-  double sum_weight = 0.0;
-  std::uint32_t count = 0;
-  NodeId prev = kNoPrev;
-  double score = std::numeric_limits<double>::infinity();
-  bool valid = false;
-};
-
-bool better(const Entry& a, const Entry& b) {
-  if (!b.valid) {
-    return a.valid;
-  }
-  if (!a.valid) {
-    return false;
-  }
-  if (a.score != b.score) {
-    return a.score < b.score;
-  }
-  if (a.sum_weight != b.sum_weight) {
-    return a.sum_weight > b.sum_weight;
-  }
-  return a.prev < b.prev;
-}
-
-std::optional<CriticalPath> find_path(const TaskGraph& g,
-                                      std::span<const NodeId> topo_order,
-                                      const AnchorState& anchors,
-                                      std::span<const double> weights,
-                                      const DeadlineMetric& metric) {
-  const std::size_t n = g.node_count();
-  if (anchors.all_assigned()) {
-    return std::nullopt;
-  }
-  std::vector<Time> latest(n, kTimeInfinity);
-  for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
-    const NodeId v = *it;
-    if (anchors.assigned(v)) {
-      continue;
-    }
-    Time l = anchors.deadline_anchor(v);
-    for (const NodeId w : g.successors(v)) {
-      if (!anchors.assigned(w)) {
-        l = std::min(l, latest[w] - weights[w]);
-      }
-    }
-    latest[v] = l;
-  }
-  std::vector<Entry> dp(n);
-  NodeId best_sink = kNoPrev;
-  Entry best_sink_entry;
-  for (const NodeId v : topo_order) {
-    if (anchors.assigned(v)) {
-      continue;
-    }
-    Entry best;
-    const auto consider = [&](Time start, double sum_weight,
-                              std::uint32_t count, NodeId prev) {
-      Entry cand;
-      cand.start = start;
-      cand.sum_weight = sum_weight;
-      cand.count = count;
-      cand.prev = prev;
-      cand.score = metric.path_value(latest[v] - start, sum_weight, count);
-      cand.valid = true;
-      if (better(cand, best)) {
-        best = cand;
-      }
-    };
-    if (anchors.is_pi_source(g, v)) {
-      consider(anchors.arrival_anchor(v), weights[v], 1, kNoPrev);
-    }
-    for (const NodeId u : g.predecessors(v)) {
-      if (!anchors.assigned(u)) {
-        consider(dp[u].start, dp[u].sum_weight + weights[v], dp[u].count + 1,
-                 u);
-      }
-    }
-    dp[v] = best;
-    if (anchors.is_pi_sink(g, v)) {
-      if (best_sink == kNoPrev || dp[v].score < best_sink_entry.score ||
-          (dp[v].score == best_sink_entry.score && v < best_sink)) {
-        best_sink = v;
-        best_sink_entry = dp[v];
-      }
-    }
-  }
-  CriticalPath path;
-  path.window_start = best_sink_entry.start;
-  path.window_end = anchors.deadline_anchor(best_sink);
-  path.metric_value = best_sink_entry.score;
-  for (NodeId v = best_sink; v != kNoPrev; v = dp[v].prev) {
-    path.nodes.push_back(v);
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  return path;
-}
-
-DeadlineAssignment run_slicing(const Application& app,
-                               std::span<const double> est_wcet,
-                               const DeadlineMetric& metric,
-                               std::size_t processor_count) {
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
-  const auto topo = topological_order(g);
-  DSSLICE_REQUIRE(topo.has_value(), "slicing requires an acyclic task graph");
-
-  const std::vector<double> w = weights(metric, app, est_wcet,
-                                        processor_count);
-  AnchorState anchors(app);
-  DeadlineAssignment assignment;
-  assignment.windows.resize(n);
-  assignment.pass_of.assign(n, -1);
-  int pass = 0;
-  while (!anchors.all_assigned()) {
-    const auto path = find_path(g, *topo, anchors, w, metric);
-    DSSLICE_CHECK(path.has_value(), "no critical path found");
-    std::vector<double> path_weights;
-    std::vector<double> path_est;
-    path_weights.reserve(path->nodes.size());
-    path_est.reserve(path->nodes.size());
-    for (const NodeId v : path->nodes) {
-      path_weights.push_back(w[v]);
-      path_est.push_back(est_wcet[v]);
-    }
-    const std::vector<double> d = metric.adaptive_slices(
-        path->window_length(), path_weights, path_est);
-    Time boundary = path->window_start;
-    for (std::size_t k = 0; k < path->nodes.size(); ++k) {
-      const NodeId v = path->nodes[k];
-      const Time lo = boundary;
-      boundary += d[k];
-      const Time hi =
-          (k + 1 == path->nodes.size()) ? path->window_end : boundary;
-      Window win{lo, hi};
-      if (anchors.has_arrival_anchor(v)) {
-        win.arrival = std::max(win.arrival, anchors.arrival_anchor(v));
-      }
-      if (anchors.has_deadline_anchor(v)) {
-        win.deadline = std::min(win.deadline, anchors.deadline_anchor(v));
-      }
-      anchors.mark_assigned(v, win);
-      assignment.windows[v] = win;
-      assignment.pass_of[v] = pass;
-    }
-    for (const NodeId v : path->nodes) {
-      const Window& win = anchors.window(v);
-      for (const NodeId u : g.predecessors(v)) {
-        if (!anchors.assigned(u)) {
-          anchors.tighten_deadline(u, win.arrival);
-        }
-      }
-      for (const NodeId s : g.successors(v)) {
-        if (!anchors.assigned(s)) {
-          anchors.tighten_arrival(s, win.deadline);
-        }
-      }
-    }
-    ++pass;
-  }
-  return assignment;
-}
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
-// Measurement scaffolding.
-// ---------------------------------------------------------------------------
-
-using Clock = std::chrono::steady_clock;
-
-/// Runs `body` repeatedly until at least `min_seconds` of wall time has
-/// accumulated (and at least `min_reps` repetitions), returning the mean
-/// seconds per call.
-template <typename F>
-double time_per_call(double min_seconds, std::size_t min_reps, F&& body) {
-  std::size_t reps = 0;
-  double elapsed = 0.0;
-  std::size_t batch = 1;
-  while (elapsed < min_seconds || reps < min_reps) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      body();
-    }
-    elapsed += std::chrono::duration<double>(Clock::now() - t0).count();
-    reps += batch;
-    batch = std::min<std::size_t>(batch * 2, 4096);
-  }
-  return elapsed / static_cast<double>(reps);
-}
-
-GeneratorConfig sized_config(std::size_t tasks, std::size_t processors) {
-  GeneratorConfig cfg;
-  cfg.platform.processor_count = processors;
-  cfg.workload.min_tasks = tasks;
-  cfg.workload.max_tasks = tasks;
-  // Depth scales as sqrt(n) so BOTH depth and level width grow with n.
-  // The old tasks/5 rule made depth grow linearly, so width stayed at ~5
-  // tasks for every size: a 1024-task "graph" was a 204-level chain with
-  // less ready-set pressure than the 512-task one, and measured time per
-  // scheduled task *fell* as n grew (docs/PERFORMANCE.md).
-  const auto depth = static_cast<std::size_t>(
-      std::lround(std::sqrt(static_cast<double>(tasks))));
-  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
-  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
-  cfg.base_seed = 0xBE7C;
-  return cfg;
-}
-
-/// Scenarios averaged per row (mirrors perf_scheduling's kRowSeeds): one
-/// lucky or unlucky DAG must not skew a size's numbers, so every timing
-/// loop iterates all seeds per call and divides by the seed count.
+/// Scenarios averaged per row: one lucky or unlucky DAG must not skew a
+/// size's numbers, so every timing loop iterates all seeds per call and
+/// divides by the seed count.
 constexpr std::size_t kRowSeeds = 5;
 
 struct MetricRow {
   std::string name;
-  double legacy_us = 0.0;
   double cached_us = 0.0;
-  double speedup() const { return cached_us > 0.0 ? legacy_us / cached_us : 0.0; }
 };
 
 struct SizeReport {
   std::size_t tasks = 0;
-  double legacy_closure_build_us = 0.0;
   double analysis_build_us = 0.0;
   std::vector<MetricRow> weights;
-  double legacy_slicing_per_sec = 0.0;   // ADAPT-L end to end
-  double cached_slicing_per_sec = 0.0;   // warm cache + workspace
+  double cached_slicing_per_sec = 0.0;   // ADAPT-L, warm cache + workspace
   double batch_slicing_per_sec = 0.0;    // SoA batch kernel (lanes64)
   std::uint64_t batch_steady_grow_events = 0;   // must be 0
   std::uint64_t cached_loop_constructions = 0;  // must be 0
+
+  double batch_speedup() const {
+    return cached_slicing_per_sec > 0.0
+               ? batch_slicing_per_sec / cached_slicing_per_sec
+               : 0.0;
+  }
 };
 
-std::string json_escape_number(double v) {
+std::string json_number(double v) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.6g", v);
   return buffer;
@@ -402,36 +74,20 @@ std::string to_json(const std::vector<SizeReport>& reports,
     const SizeReport& s = reports[r];
     out += "    {\n";
     out += "      \"tasks\": " + std::to_string(s.tasks) + ",\n";
-    out += "      \"legacy_closure_build_us\": " +
-           json_escape_number(s.legacy_closure_build_us) + ",\n";
     out += "      \"analysis_build_us\": " +
-           json_escape_number(s.analysis_build_us) + ",\n";
+           json_number(s.analysis_build_us) + ",\n";
     out += "      \"weights\": [\n";
     for (std::size_t k = 0; k < s.weights.size(); ++k) {
       const MetricRow& m = s.weights[k];
-      out += "        {\"metric\": \"" + m.name + "\", \"legacy_us\": " +
-             json_escape_number(m.legacy_us) + ", \"cached_us\": " +
-             json_escape_number(m.cached_us) + ", \"speedup\": " +
-             json_escape_number(m.speedup()) + "}";
+      out += "        {\"metric\": \"" + m.name + "\", \"cached_us\": " +
+             json_number(m.cached_us) + "}";
       out += (k + 1 < s.weights.size()) ? ",\n" : "\n";
     }
     out += "      ],\n";
-    out += "      \"slicing_adapt_l\": {\"legacy_per_sec\": " +
-           json_escape_number(s.legacy_slicing_per_sec) +
-           ", \"cached_per_sec\": " +
-           json_escape_number(s.cached_slicing_per_sec) + ", \"speedup\": " +
-           json_escape_number(s.legacy_slicing_per_sec > 0.0
-                                  ? s.cached_slicing_per_sec /
-                                        s.legacy_slicing_per_sec
-                                  : 0.0) +
-           ", \"batch_per_sec\": " +
-           json_escape_number(s.batch_slicing_per_sec) +
-           ", \"batch_speedup\": " +
-           json_escape_number(s.cached_slicing_per_sec > 0.0
-                                  ? s.batch_slicing_per_sec /
-                                        s.cached_slicing_per_sec
-                                  : 0.0) +
-           "},\n";
+    out += "      \"slicing_adapt_l\": {\"cached_per_sec\": " +
+           json_number(s.cached_slicing_per_sec) + ", \"batch_per_sec\": " +
+           json_number(s.batch_slicing_per_sec) + ", \"batch_speedup\": " +
+           json_number(s.batch_speedup()) + "},\n";
     out += "      \"batch_steady_grow_events\": " +
            std::to_string(s.batch_steady_grow_events) + ",\n";
     out += "      \"cached_loop_analysis_constructions\": " +
@@ -448,7 +104,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   SizeReport report;
   report.tasks = tasks;
 
-  const GeneratorConfig cfg = sized_config(tasks, processors);
+  const GeneratorConfig cfg = bench::sized_config(tasks, processors);
   std::vector<Scenario> scenarios;
   std::vector<std::vector<double>> ests;
   scenarios.reserve(kRowSeeds);
@@ -460,21 +116,14 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   }
   const double inv = 1.0 / static_cast<double>(kRowSeeds);
 
-  report.legacy_closure_build_us =
-      1e6 * inv * time_per_call(min_seconds, 3, [&] {
+  report.analysis_build_us =
+      1e6 * inv * bench::time_per_call(min_seconds, 3, [&] {
         for (const Scenario& sc : scenarios) {
-          legacy::Closure closure(sc.application.graph());
-          volatile std::size_t sink = closure.parallel_set_size(0);
+          GraphAnalysis analysis(sc.application.graph());
+          volatile std::size_t sink = analysis.parallel_set_size(0);
           (void)sink;
         }
       });
-  report.analysis_build_us = 1e6 * inv * time_per_call(min_seconds, 3, [&] {
-    for (const Scenario& sc : scenarios) {
-      GraphAnalysis analysis(sc.application.graph());
-      volatile std::size_t sink = analysis.parallel_set_size(0);
-      (void)sink;
-    }
-  });
 
   for (const Scenario& sc : scenarios) {
     sc.application.analysis();  // warm the memoized cache
@@ -487,16 +136,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
     const DeadlineMetric metric(kind);
     MetricRow row;
     row.name = to_string(kind);
-    row.legacy_us = 1e6 * inv * time_per_call(min_seconds, 3, [&] {
-      for (std::size_t s = 0; s < kRowSeeds; ++s) {
-        volatile double sink =
-            legacy::weights(metric, scenarios[s].application, ests[s],
-                            processors)
-                .back();
-        (void)sink;
-      }
-    });
-    row.cached_us = 1e6 * inv * time_per_call(min_seconds, 3, [&] {
+    row.cached_us = 1e6 * inv * bench::time_per_call(min_seconds, 3, [&] {
       for (std::size_t s = 0; s < kRowSeeds; ++s) {
         metric.weights_into(scenarios[s].application, ests[s], processors,
                             nullptr, out, &metric_ws);
@@ -508,20 +148,10 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   }
 
   const DeadlineMetric adapt_l(MetricKind::kAdaptL);
-  const double legacy_slice_s = inv * time_per_call(min_seconds, 3, [&] {
-    for (std::size_t s = 0; s < kRowSeeds; ++s) {
-      volatile double sink =
-          legacy::run_slicing(scenarios[s].application, ests[s], adapt_l,
-                              processors)
-              .windows[0]
-              .deadline;
-      (void)sink;
-    }
-  });
   SlicingWorkspace slicing_ws;
   SlicingOptions options;
   options.workspace = &slicing_ws;
-  const double cached_slice_s = inv * time_per_call(min_seconds, 3, [&] {
+  const double cached_slice_s = inv * bench::time_per_call(min_seconds, 3, [&] {
     for (std::size_t s = 0; s < kRowSeeds; ++s) {
       volatile double sink =
           run_slicing(scenarios[s].application, ests[s], adapt_l, processors,
@@ -531,7 +161,6 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
       (void)sink;
     }
   });
-  report.legacy_slicing_per_sec = 1.0 / legacy_slice_s;
   report.cached_slicing_per_sec = 1.0 / cached_slice_s;
 
   // The SoA batch kernel over the same scenarios, one batch per call. Warm
@@ -542,7 +171,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   batch_cfg.metric = MetricKind::kAdaptL;
   kernel.run(scenarios, batch_cfg);
   const std::uint64_t batch_warm_grow = kernel.grow_events();
-  const double batch_slice_s = inv * time_per_call(min_seconds, 3, [&] {
+  const double batch_slice_s = inv * bench::time_per_call(min_seconds, 3, [&] {
     kernel.run(scenarios, batch_cfg);
     volatile double sink = kernel.assignment(0).windows[0].deadline;
     (void)sink;
@@ -559,8 +188,8 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
 
 int main(int argc, char** argv) {
   CliParser cli("perf_slicing",
-                "Before/after benchmark of the graph-analysis cache and the "
-                "allocation-free slicing hot path.");
+                "Benchmark of the graph-analysis cache, the allocation-free "
+                "slicing hot path and the batch slicing kernel.");
   cli.add_flag("json", "", "write results as JSON to this path");
   cli.add_flag("processors", "3", "processor count m");
   cli.add_flag("min-ms", "100", "minimum wall time per measurement (ms)");
@@ -588,18 +217,13 @@ int main(int argc, char** argv) {
   bool cache_clean = true;
   for (const std::size_t n : sizes) {
     SizeReport r = measure_size(n, processors, min_seconds);
-    std::printf("n=%4zu  build %8.1fus -> %8.1fus", r.tasks,
-                r.legacy_closure_build_us, r.analysis_build_us);
+    std::printf("n=%4zu  build %8.1fus", r.tasks, r.analysis_build_us);
     for (const MetricRow& m : r.weights) {
-      std::printf("  %s %0.1fx", m.name.c_str(), m.speedup());
+      std::printf("  %s %.2fus", m.name.c_str(), m.cached_us);
     }
     std::printf(
-        "  slicing %.0f -> %.0f /s (%.1fx)  batch %.0f /s (%.2fx)  "
-        "rebuilds=%llu\n",
-        r.legacy_slicing_per_sec, r.cached_slicing_per_sec,
-        r.cached_slicing_per_sec / r.legacy_slicing_per_sec,
-        r.batch_slicing_per_sec,
-        r.batch_slicing_per_sec / r.cached_slicing_per_sec,
+        "  slicing %.0f /s  batch %.0f /s (%.2fx)  rebuilds=%llu\n",
+        r.cached_slicing_per_sec, r.batch_slicing_per_sec, r.batch_speedup(),
         static_cast<unsigned long long>(r.cached_loop_constructions));
     if (r.cached_loop_constructions != 0 || r.batch_steady_grow_events != 0) {
       cache_clean = false;
@@ -609,7 +233,8 @@ int main(int argc, char** argv) {
 
   if (!cache_clean) {
     std::fprintf(stderr,
-                 "FAIL: cached timing loops rebuilt the graph analysis\n");
+                 "FAIL: cached timing loops rebuilt the graph analysis or "
+                 "the warm batch kernel grew buffers\n");
     return 1;
   }
   std::printf("\ncached loops built zero GraphAnalysis instances: OK\n");

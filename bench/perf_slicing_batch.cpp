@@ -19,8 +19,6 @@
 // scripts/bench_compare.py. The canary floor is enforced here on
 // uninstrumented builds and by bench_compare.py on fresh release runs.
 #include <bit>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -34,7 +32,6 @@
 namespace {
 
 using namespace dsslice;
-using Clock = std::chrono::steady_clock;
 
 // Sanitizer instrumentation inflates the two engines by different factors
 // (the lanes engine's bitset walks shadow-check every word), so the absolute
@@ -54,39 +51,6 @@ constexpr bool kInstrumented = false;
 constexpr std::size_t kBatch = 32;          // scenarios per kernel pass
 constexpr double kSpeedupFloor = 2.2;       // ADAPT-L lanes-vs-reference
 constexpr std::size_t kFloorTasks = 128;    // floor applies at n >= this
-
-/// Same shape rule as perf_slicing: depth ~ sqrt(n) so both depth and level
-/// width grow with n, and the same seed so the two harnesses measure the
-/// same scenario population.
-GeneratorConfig sized_config(std::size_t tasks, std::size_t processors) {
-  GeneratorConfig cfg;
-  cfg.platform.processor_count = processors;
-  cfg.workload.min_tasks = tasks;
-  cfg.workload.max_tasks = tasks;
-  const auto depth = static_cast<std::size_t>(
-      std::lround(std::sqrt(static_cast<double>(tasks))));
-  cfg.workload.min_depth = std::max<std::size_t>(2, depth);
-  cfg.workload.max_depth = std::max<std::size_t>(2, depth);
-  cfg.base_seed = 0xBE7C;
-  return cfg;
-}
-
-template <typename F>
-double time_per_call(double min_seconds, std::size_t min_reps, F&& body) {
-  std::size_t reps = 0;
-  double elapsed = 0.0;
-  std::size_t batch = 1;
-  while (elapsed < min_seconds || reps < min_reps) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      body();
-    }
-    elapsed += std::chrono::duration<double>(Clock::now() - t0).count();
-    reps += batch;
-    batch = std::min<std::size_t>(batch * 2, 1024);
-  }
-  return elapsed / static_cast<double>(reps);
-}
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -185,7 +149,7 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
   SizeReport report;
   report.tasks = tasks;
 
-  const GeneratorConfig cfg = sized_config(tasks, processors);
+  const GeneratorConfig cfg = bench::sized_config(tasks, processors);
   std::vector<Scenario> scenarios;
   scenarios.reserve(kBatch);
   for (std::size_t s = 0; s < kBatch; ++s) {
@@ -211,12 +175,12 @@ SizeReport measure_size(std::size_t tasks, std::size_t processors,
     row.identical = kernels_identical(reference, lanes);
 
     const double inv = 1.0 / static_cast<double>(kBatch);
-    const double ref_s = inv * time_per_call(min_seconds, 3, [&] {
+    const double ref_s = inv * bench::time_per_call(min_seconds, 3, [&] {
       reference.run(scenarios, ref_cfg);
       volatile double sink = reference.assignment(0).windows[0].deadline;
       (void)sink;
     });
-    const double lanes_s = inv * time_per_call(min_seconds, 3, [&] {
+    const double lanes_s = inv * bench::time_per_call(min_seconds, 3, [&] {
       lanes.run(scenarios, lanes_cfg);
       volatile double sink = lanes.assignment(0).windows[0].deadline;
       (void)sink;

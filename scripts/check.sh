@@ -26,14 +26,15 @@ python3 benchmark/run.py --smoke
 
 # Smoke pass of the perf harnesses (tiny sizes): catches regressions in the
 # benches themselves and asserts the cached hot paths build zero analyses /
-# grow zero scheduler buffers. perf_scheduling also re-checks bit-identity
-# against the legacy schedulers, so it runs under both presets — the
-# sanitize build would catch any UB the equivalence relies on. Each run is
-# two passes, mirroring scripts/bench.sh: a timed pass with recording off
-# whose JSON is diffed against the committed BENCH_scheduling.json speedups
-# (scripts/bench_compare.py — perf regressions fail loudly), and a short
-# instrumented pass whose trace/metrics are validated by tools/trace_check
-# and must carry the dispatcher event-queue counters.
+# grow zero scheduler buffers. perf_slicing's batch-kernel row is banded
+# against the committed BENCH_slicing.json (scripts/bench_compare.py). The
+# scheduler engine runs under both presets, so the sanitize build covers
+# its warm workspace paths under ASan/UBSan (bit-identity with the
+# pre-engine schedulers is the ctest equivalence suite's job). Each
+# perf_scheduling run is two passes, mirroring scripts/bench.sh: a timed
+# pass with recording off whose JSON must show zero warm-path growth, and a
+# short instrumented pass whose trace/metrics are validated by
+# tools/trace_check and must carry the dispatcher event-queue counters.
 echo "==> bench smoke [perf_slicing]"
 mkdir -p ./build/slicing-smoke
 ./build/bench/perf_slicing --smoke --json ./build/slicing-smoke/slicing.json
@@ -84,11 +85,8 @@ scheduling_smoke() {
       { echo "scheduling smoke [$tag]: metrics missing $counter" >&2;
         exit 1; }
   done
-  # Smoke timings are short, so the band is wide; scripts/bench.sh numbers
-  # feed the committed baseline with longer windows. The sanitize pass runs
-  # --correctness-only: ASan/UBSan inflates the engine and legacy sides by
-  # different factors, so its speedups are not comparable to the Release
-  # baseline — only the identity and zero-allocation gates apply there.
+  # The absolute rates are printed against the committed baseline but not
+  # banded; the sanitize pass runs --correctness-only like the others.
   python3 scripts/bench_compare.py "$out/scheduling.json" \
     --baseline BENCH_scheduling.json --tolerance 0.6 "$@"
 }
@@ -96,38 +94,6 @@ echo "==> bench smoke [perf_scheduling, default]"
 scheduling_smoke ./build
 echo "==> bench smoke [perf_scheduling, sanitize]"
 scheduling_smoke ./build-sanitize --correctness-only
-
-# Sweep smoke: the batched sweep engine on a tiny scenario count, under both
-# presets. perf_sweep --smoke re-checks the bit-identity gates (batched vs
-# single generation, resume vs uninterrupted, 1 vs N threads) and the
-# steady-state zero-allocation gate — all of which must also hold under
-# ASan/UBSan — and its JSON is diffed against the committed BENCH_sweep.json.
-# A short instrumented sweep_runner pass then validates the engine's
-# trace/metrics exports with tools/trace_check.
-sweep_smoke() {
-  local build="$1"; shift
-  local tag="${build##*/}"
-  local out="$build/sweep-smoke"
-  mkdir -p "$out"
-  "$build/bench/perf_sweep" --smoke --json "$out/sweep.json" \
-    --checkpoint "$out/bench.ckpt" > "$out/stdout.txt"
-  python3 scripts/bench_compare.py "$out/sweep.json" \
-    --baseline BENCH_sweep.json --tolerance 0.6 "$@"
-  "$build/tools/sweep_runner" --scenarios 2048 --shard-size 256 \
-    --checkpoint "$out/runner.ckpt" --checkpoint-every 2 \
-    --trace "$out/trace.json" --metrics "$out/metrics.jsonl" > /dev/null
-  "$build/tools/trace_check" "$out/trace.json"
-  "$build/tools/trace_check" --jsonl "$out/metrics.jsonl"
-  for counter in sweep.shards_completed sweep.checkpoints_written \
-                 sweep.scenarios_per_sec; do
-    grep -q "$counter" "$out/metrics.jsonl" ||
-      { echo "sweep smoke [$tag]: metrics missing $counter" >&2; exit 1; }
-  done
-}
-echo "==> sweep smoke [default]"
-sweep_smoke ./build
-echo "==> sweep smoke [sanitize]"
-sweep_smoke ./build-sanitize --correctness-only
 
 # Degradation smoke: the graceful-degradation surface on a tiny grid, under
 # both presets (the sanitize pass covers the shed/migrate recovery paths and
@@ -185,7 +151,8 @@ obs_smoke ./build-sanitize
 # — bit-for-bit — with the quiescent snapshot export (obs_tail --check
 # --against), and a chunk file cut mid-write at an arbitrary byte (what a
 # mid-run reader sees under stdio buffering) must still validate as a
-# truncated stream.
+# truncated stream. The final export must carry the engine's progress,
+# shard, checkpoint and throughput metrics.
 stream_smoke() {
   local build="$1"
   local tag="${build##*/}"
@@ -210,7 +177,9 @@ stream_smoke() {
     { echo "stream smoke [$tag]: status file missing sweep heartbeat" >&2;
       exit 1; }
   for counter in sweep.progress.scenarios_done sweep.progress.wave \
-                 sweep.checkpoint.save_ms sweep.checkpoint.bytes; do
+                 sweep.checkpoint.save_ms sweep.checkpoint.bytes \
+                 sweep.shards_completed sweep.checkpoints_written \
+                 sweep.scenarios_per_sec; do
     grep -q "$counter" "$out/final.jsonl" ||
       { echo "stream smoke [$tag]: metrics missing $counter" >&2; exit 1; }
   done

@@ -54,9 +54,9 @@ struct SweepOptions {
   /// Route slicing techniques through the SoA batch slicing kernel
   /// (batch/slice_kernel.hpp): each generated scenario is distributed by
   /// the kernel, then joined back into evaluate_scheduled. Bit-identical
-  /// aggregates to the scalar path by the kernel's equivalence contract; off
-  /// switch kept for A/B benchmarking and as a fallback. Ignored for
-  /// non-slicing techniques.
+  /// aggregates to the scalar path by the kernel's equivalence contract. The
+  /// off switch serves `sweep_runner --no-batch-kernel` and the repo
+  /// benchmark's kernel on/off check. Ignored for non-slicing techniques.
   bool use_batch_kernel = true;
 };
 
@@ -95,7 +95,7 @@ SweepAggregate run_sweep_shard(const ExperimentConfig& config,
 /// (generator batch storage + scratch, scheduler workspaces, estimate
 /// buffers) since process start, including arenas of exited threads. Warm
 /// sweeps must not move this counter — the zero-allocation gate enforced by
-/// bench/perf_sweep and the sweep tests.
+/// the sweep tests and reported as *.grow_events by the repo benchmark.
 std::uint64_t sweep_arena_grow_events();
 
 }  // namespace dsslice

@@ -13,6 +13,11 @@
 //
 // The legacy code below is carried verbatim (same flags, same binary) so a
 // divergence is attributable to the engine, not to compiler or build skew.
+// It is the repo's only copy of the pre-engine schedulers: the perf
+// harnesses measure the engine alone, so this suite is what still proves
+// every engine change bit-identical, under both the Release and the
+// ASan/UBSan presets. It stays until a committed golden-digest corpus
+// covers the same cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>

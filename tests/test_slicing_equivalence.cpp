@@ -5,7 +5,10 @@
 // per-call implementation: same weights, same critical paths, same windows.
 // The reference computations below deliberately re-derive everything from
 // scratch with algorithms::topological_order and TransitiveClosure, exactly
-// as the pre-cache code did.
+// as the pre-cache code did. They are the repo's only copy of the pre-cache
+// algorithms: the perf harnesses time the cached path against in-library
+// references, so this suite is what still proves the cache bit-identical.
+// It stays until a committed golden-digest corpus covers the same cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
