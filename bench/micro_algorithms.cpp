@@ -135,7 +135,8 @@ void BM_BatchSliceByMode(benchmark::State& state, BatchLaneMode mode) {
   // The batch slicing kernel per engine: kReference peels with the scalar
   // run_slicing pipeline, kLanes64 with the incremental bitset-walked DP.
   // Identical inputs and entry point, so the pair isolates the lane engine's
-  // contribution (same A/B as bench/perf_slicing_batch, in microbench form).
+  // contribution (same A/B as bench/perf_slicing's batch rows, in
+  // microbench form).
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 8;
   std::vector<Scenario> scenarios;
