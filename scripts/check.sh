@@ -116,6 +116,21 @@ stream_smoke() {
     grep -q "$counter" "$out/final.jsonl" ||
       { echo "stream smoke [$tag]: metrics missing $counter" >&2; exit 1; }
   done
+  # Interrupt and resume: the same sweep stopped after 4 shards and resumed
+  # from its own checkpoint must print the uninterrupted run's aggregate
+  # summary (the first line), and the resumed run must mark its load.
+  rm -f "$out/resume.ckpt"
+  "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
+    --checkpoint "$out/resume.ckpt" --max-shards 4 > "$out/partial.txt"
+  "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
+    --checkpoint "$out/resume.ckpt" --resume \
+    --metrics "$out/resumed.jsonl" > "$out/resumed.txt"
+  [[ "$(head -n 1 "$out/resumed.txt")" == "$(head -n 1 "$out/stdout.txt")" ]] ||
+    { echo "stream smoke [$tag]: resumed summary differs from the" \
+           "uninterrupted run" >&2; exit 1; }
+  grep -q '"name":"sweep.checkpoint.load_ms"' "$out/resumed.jsonl" ||
+    { echo "stream smoke [$tag]: resumed metrics missing" \
+           "sweep.checkpoint.load_ms" >&2; exit 1; }
 }
 echo "==> stream smoke [default]"
 stream_smoke ./build

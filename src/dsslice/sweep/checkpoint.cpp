@@ -1,11 +1,15 @@
 #include "dsslice/sweep/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <cerrno>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <span>
+#include <string_view>
 
 #include "dsslice/util/check.hpp"
 
@@ -19,37 +23,91 @@ constexpr int kFormatVersion = 1;
 /// not a real sweep; rejecting it up front avoids huge allocations.
 constexpr std::uint64_t kMaxShardCount = 1'000'000;
 
-/// Raw IEEE-754 bit pattern as 16 hex digits — exact round-trip by
-/// construction (decimal formatting is not trusted for Welford state).
-std::string hex64(double x) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
-  return buf;
-}
+/// Tokens on the format's longest line: "hist lo hi underflow overflow"
+/// followed by the bin counts.
+constexpr std::size_t kMaxTokens = 5 + LinearHistogram::kBinCount;
 
-/// Tokenized line reader with position tracking for error messages
-/// (mirrors sim/serialization.cpp).
+/// Serialized size to reserve per completed shard: a shard's lines run to
+/// ~700 bytes with small bin counts, so a checkpoint rarely regrows.
+constexpr std::size_t kShardTextHint = 1024;
+
+/// Appends the format's spellings to one string: text as is, integers in
+/// decimal, and doubles as their raw IEEE-754 bit pattern in 16 lowercase
+/// hex digits — exact round-trip by construction (decimal formatting is not
+/// trusted for Welford state).
+class TextWriter {
+ public:
+  explicit TextWriter(std::string& out) : out_(out) {}
+
+  TextWriter& operator<<(std::string_view text) {
+    out_ += text;
+    return *this;
+  }
+  TextWriter& operator<<(char c) {
+    out_ += c;
+    return *this;
+  }
+  TextWriter& operator<<(std::integral auto value) {
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
+    out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
+    return *this;
+  }
+  TextWriter& operator<<(double x) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    char buf[16];
+    for (int i = 15; i >= 0; --i) {
+      buf[i] = kDigits[bits & 0xf];
+      bits >>= 4;
+    }
+    out_.append(buf, sizeof buf);
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+};
+
+using Tokens = std::span<const std::string_view>;
+
+/// Tokenizing line reader over the whole text, with position tracking for
+/// error messages. Tokens are views into the text and into one fixed array,
+/// so reading a line allocates nothing.
 class LineReader {
  public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+  explicit LineReader(std::string_view text) : text_(text) {}
 
-  std::vector<std::string> next() {
-    std::string line;
-    while (std::getline(in_, line)) {
+  /// The whitespace-separated tokens of the next line that has any, after
+  /// dropping a '#' comment. Valid until the next call. A line with more
+  /// than kMaxTokens tokens yields kMaxTokens + 1, an arity no line has.
+  Tokens next() {
+    while (pos_ < text_.size()) {
       ++line_no_;
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) {
-        line = line.substr(0, hash);
+      std::size_t eol = text_.find('\n', pos_);
+      if (eol == std::string_view::npos) {
+        eol = text_.size();
       }
-      std::istringstream ls(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (ls >> tok) {
-        tokens.push_back(tok);
+      std::string_view line = text_.substr(pos_, eol - pos_);
+      pos_ = eol + 1;
+      line = line.substr(0, line.find('#'));
+      std::size_t count = 0;
+      std::size_t i = 0;
+      while (count < tokens_.size()) {
+        while (i < line.size() && is_space(line[i])) {
+          ++i;
+        }
+        if (i == line.size()) {
+          break;
+        }
+        const std::size_t begin = i;
+        while (i < line.size() && !is_space(line[i])) {
+          ++i;
+        }
+        tokens_[count++] = line.substr(begin, i - begin);
       }
-      if (!tokens.empty()) {
-        return tokens;
+      if (count != 0) {
+        return Tokens(tokens_.data(), count);
       }
     }
     fail("unexpected end of input");
@@ -60,58 +118,70 @@ class LineReader {
                       std::to_string(line_no_) + ": " + why);
   }
 
-  void expect(const std::vector<std::string>& tokens,
-              const std::string& keyword, std::size_t arity) const {
-    if (tokens.empty() || tokens[0] != keyword ||
-        tokens.size() != arity + 1) {
-      fail("expected '" + keyword + "' with " + std::to_string(arity) +
-           " argument(s)");
+  void expect(Tokens tokens, std::string_view keyword,
+              std::size_t arity) const {
+    if (tokens.size() != arity + 1 || tokens[0] != keyword) {
+      fail("expected '" + std::string(keyword) + "' with " +
+           std::to_string(arity) + " argument(s)");
     }
   }
 
-  std::uint64_t to_u64(const std::string& tok) const {
-    if (tok.empty() || tok[0] == '-') {
-      fail("not an unsigned integer: " + tok);
+  /// Decimal digits as the writer spells them: no sign, no leading zero.
+  std::uint64_t to_u64(std::string_view tok) const {
+    std::uint64_t v = 0;
+    const char* last = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), last, v);
+    if (r.ec != std::errc{} || r.ptr != last ||
+        (tok.size() > 1 && tok[0] == '0')) {
+      fail("not an unsigned integer: " + std::string(tok));
     }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || errno == ERANGE) {
-      fail("not an unsigned integer: " + tok);
-    }
-    return static_cast<std::uint64_t>(v);
+    return v;
   }
 
-  double to_hex_double(const std::string& tok) const {
+  /// Exactly 16 lowercase hex digits, as the writer spells a double.
+  double to_hex_double(std::string_view tok) const {
     if (tok.size() != 16) {
-      fail("not a 16-hex-digit bit pattern: " + tok);
+      fail("not a 16-hex-digit bit pattern: " + std::string(tok));
     }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0' || errno == ERANGE) {
-      fail("not a 16-hex-digit bit pattern: " + tok);
+    std::uint64_t bits = 0;
+    for (const char c : tok) {
+      std::uint64_t digit = 0;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<std::uint64_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<std::uint64_t>(c - 'a' + 10);
+      } else {
+        fail("not a 16-hex-digit bit pattern: " + std::string(tok));
+      }
+      bits = bits << 4 | digit;
     }
-    return std::bit_cast<double>(static_cast<std::uint64_t>(v));
+    return std::bit_cast<double>(bits);
   }
 
  private:
-  std::istringstream in_;
+  /// The characters std::isspace matches in the "C" locale, bar '\n'.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
   int line_no_ = 0;
+  std::array<std::string_view, kMaxTokens + 1> tokens_;
 };
 
-void write_stat(std::ostringstream& os, const std::string& name,
+void write_stat(TextWriter& w, std::string_view name,
                 const RunningStats& stats) {
   const RunningStatsState s = stats.state();
-  os << "stat " << name << ' ' << s.n << ' ' << hex64(s.mean) << ' '
-     << hex64(s.m2) << ' ' << hex64(s.sum) << ' ' << hex64(s.min) << ' '
-     << hex64(s.max) << '\n';
+  w << "stat " << name << ' ' << s.n << ' ' << s.mean << ' ' << s.m2 << ' '
+    << s.sum << ' ' << s.min << ' ' << s.max << '\n';
 }
 
-RunningStats read_stat(LineReader& reader, const std::string& name) {
-  const std::vector<std::string> tokens = reader.next();
+RunningStats read_stat(LineReader& reader, std::string_view name) {
+  const Tokens tokens = reader.next();
   if (tokens.size() != 8 || tokens[0] != "stat" || tokens[1] != name) {
-    reader.fail("expected 'stat " + name + "' with 6 argument(s)");
+    reader.fail("expected 'stat " + std::string(name) +
+                "' with 6 argument(s)");
   }
   RunningStatsState s;
   s.n = static_cast<std::size_t>(reader.to_u64(tokens[2]));
@@ -123,25 +193,25 @@ RunningStats read_stat(LineReader& reader, const std::string& name) {
   return RunningStats::from_state(s);
 }
 
-void write_aggregate(std::ostringstream& os, const SweepAggregate& a) {
-  os << "success " << a.success.successes() << ' ' << a.success.trials()
-     << '\n';
-  write_stat(os, "min_laxity", a.min_laxity);
-  write_stat(os, "max_lateness", a.max_lateness);
-  write_stat(os, "makespan", a.makespan);
-  write_stat(os, "slicing_passes", a.slicing_passes);
-  write_stat(os, "task_count", a.task_count);
-  os << "hist " << hex64(a.laxity.lo()) << ' ' << hex64(a.laxity.hi()) << ' '
-     << a.laxity.underflow() << ' ' << a.laxity.overflow();
+void write_aggregate(TextWriter& w, const SweepAggregate& a) {
+  w << "success " << a.success.successes() << ' ' << a.success.trials()
+    << '\n';
+  write_stat(w, "min_laxity", a.min_laxity);
+  write_stat(w, "max_lateness", a.max_lateness);
+  write_stat(w, "makespan", a.makespan);
+  write_stat(w, "slicing_passes", a.slicing_passes);
+  write_stat(w, "task_count", a.task_count);
+  w << "hist " << a.laxity.lo() << ' ' << a.laxity.hi() << ' '
+    << a.laxity.underflow() << ' ' << a.laxity.overflow();
   for (std::size_t b = 0; b < LinearHistogram::kBinCount; ++b) {
-    os << ' ' << a.laxity.bin(b);
+    w << ' ' << a.laxity.bin(b);
   }
-  os << '\n';
+  w << '\n';
 }
 
 SweepAggregate read_aggregate(LineReader& reader) {
   SweepAggregate a;
-  std::vector<std::string> tokens = reader.next();
+  Tokens tokens = reader.next();
   reader.expect(tokens, "success", 2);
   const std::uint64_t successes = reader.to_u64(tokens[1]);
   const std::uint64_t trials = reader.to_u64(tokens[2]);
@@ -195,70 +265,78 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config) {
   const PlatformConfig& p = config.generator.platform;
   const WorkloadConfig& w = config.generator.workload;
   const MetricParams& mp = config.metric_params;
-  std::ostringstream os;
-  os << "dsslice-sweep-config-v1"
-     << " m=" << p.processor_count << " classes=" << p.min_class_count << ','
-     << p.max_class_count << " bus=" << hex64(p.bus_delay_per_item)
-     << " dev=" << hex64(p.class_deviation)
-     << " cmodel=" << static_cast<int>(p.class_model)
-     << " tasks=" << w.min_tasks << ',' << w.max_tasks << " depth="
-     << w.min_depth << ',' << w.max_depth << " degree=" << w.min_degree << ','
-     << w.max_degree << " locality=" << static_cast<int>(w.edge_locality)
-     << " cmean=" << hex64(w.mean_execution_time) << " etd=" << hex64(w.etd)
-     << " inel=" << hex64(w.ineligible_probability)
-     << " olr=" << hex64(w.olr) << " spread=" << hex64(w.olr_spread)
-     << " ccr=" << hex64(w.ccr) << " opt=" << hex64(w.min_optional_fraction)
-     << ',' << hex64(w.max_optional_fraction)
-     << " intmsg=" << (w.integral_messages ? 1 : 0)
-     << " seed=" << config.generator.base_seed
-     << " technique=" << static_cast<int>(config.technique)
-     << " kg=" << hex64(mp.k_global) << " kl=" << hex64(mp.k_local)
-     << " tf=" << hex64(mp.threshold_factor) << " to="
-     << (mp.threshold_override.has_value() ? hex64(*mp.threshold_override)
-                                           : std::string("none"))
-     << " kr=" << hex64(mp.k_resource)
-     << " tps=" << (mp.temporal_parallel_sets ? 1 : 0)
-     << " wcet=" << static_cast<int>(config.wcet_strategy)
-     << " placement=" << static_cast<int>(config.scheduler.placement)
-     << " abort=" << (config.scheduler.abort_on_miss ? 1 : 0)
-     << " bus_contention="
-     << (config.scheduler.simulate_bus_contention ? 1 : 0)
-     << " algorithm=" << static_cast<int>(config.algorithm);
-  return fnv1a(os.str());
+  std::string text;
+  TextWriter out(text);
+  out << "dsslice-sweep-config-v1"
+      << " m=" << p.processor_count << " classes=" << p.min_class_count << ','
+      << p.max_class_count << " bus=" << p.bus_delay_per_item
+      << " dev=" << p.class_deviation
+      << " cmodel=" << static_cast<int>(p.class_model)
+      << " tasks=" << w.min_tasks << ',' << w.max_tasks << " depth="
+      << w.min_depth << ',' << w.max_depth << " degree=" << w.min_degree << ','
+      << w.max_degree << " locality=" << static_cast<int>(w.edge_locality)
+      << " cmean=" << w.mean_execution_time << " etd=" << w.etd
+      << " inel=" << w.ineligible_probability << " olr=" << w.olr
+      << " spread=" << w.olr_spread << " ccr=" << w.ccr
+      << " opt=" << w.min_optional_fraction << ',' << w.max_optional_fraction
+      << " intmsg=" << (w.integral_messages ? 1 : 0)
+      << " seed=" << config.generator.base_seed
+      << " technique=" << static_cast<int>(config.technique)
+      << " kg=" << mp.k_global << " kl=" << mp.k_local
+      << " tf=" << mp.threshold_factor << " to=";
+  if (mp.threshold_override.has_value()) {
+    out << *mp.threshold_override;
+  } else {
+    out << "none";
+  }
+  out << " kr=" << mp.k_resource
+      << " tps=" << (mp.temporal_parallel_sets ? 1 : 0)
+      << " wcet=" << static_cast<int>(config.wcet_strategy)
+      << " placement=" << static_cast<int>(config.scheduler.placement)
+      << " abort=" << (config.scheduler.abort_on_miss ? 1 : 0)
+      << " bus_contention="
+      << (config.scheduler.simulate_bus_contention ? 1 : 0)
+      << " algorithm=" << static_cast<int>(config.algorithm);
+  return fnv1a(text);
 }
 
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate) {
-  std::ostringstream os;
-  write_aggregate(os, aggregate);
-  return os.str();
+  std::string text;
+  text.reserve(kShardTextHint);
+  TextWriter w(text);
+  write_aggregate(w, aggregate);
+  return text;
 }
 
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint) {
-  std::ostringstream os;
-  os << "dsslice-sweep-checkpoint " << kFormatVersion << '\n';
-  os << "fingerprint " << checkpoint.fingerprint << '\n';
-  os << "scenarios " << checkpoint.scenario_count << '\n';
-  os << "shard-size " << checkpoint.shard_size << '\n';
-  os << "shard-count " << checkpoint.shard_count() << '\n';
-  os << "completed " << checkpoint.completed_count() << '\n';
+  const std::size_t completed = checkpoint.completed_count();
+  std::string text;
+  text.reserve(256 + completed * kShardTextHint);
+  TextWriter w(text);
+  w << "dsslice-sweep-checkpoint " << kFormatVersion << '\n';
+  w << "fingerprint " << checkpoint.fingerprint << '\n';
+  w << "scenarios " << checkpoint.scenario_count << '\n';
+  w << "shard-size " << checkpoint.shard_size << '\n';
+  w << "shard-count " << checkpoint.shard_count() << '\n';
+  w << "completed " << completed << '\n';
   for (std::size_t s = 0; s < checkpoint.shard_count(); ++s) {
     if (checkpoint.completed[s] == 0) {
       continue;
     }
-    os << "shard " << s << '\n';
-    write_aggregate(os, checkpoint.shards[s]);
+    w << "shard " << s << '\n';
+    write_aggregate(w, checkpoint.shards[s]);
   }
-  os << "end\n";
-  return os.str();
+  w << "end\n";
+  return text;
 }
 
 SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
   LineReader reader(text);
-  std::vector<std::string> tokens = reader.next();
+  Tokens tokens = reader.next();
   reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
   if (reader.to_u64(tokens[1]) != static_cast<std::uint64_t>(kFormatVersion)) {
-    reader.fail("unsupported checkpoint format version " + tokens[1] +
-                " (this build reads version " +
+    reader.fail("unsupported checkpoint format version " +
+                std::string(tokens[1]) + " (this build reads version " +
                 std::to_string(kFormatVersion) + ")");
   }
   SweepCheckpoint cp;
@@ -278,14 +356,14 @@ SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
   reader.expect(tokens, "shard-count", 1);
   const std::uint64_t shard_count = reader.to_u64(tokens[1]);
   if (shard_count > kMaxShardCount) {
-    reader.fail("shard count " + tokens[1] +
+    reader.fail("shard count " + std::string(tokens[1]) +
                 " exceeds the sanity bound of " +
                 std::to_string(kMaxShardCount));
   }
   const std::uint64_t expected_shards =
       ceil_div(cp.scenario_count, cp.shard_size);
   if (shard_count != expected_shards) {
-    reader.fail("shard count " + tokens[1] + " does not match " +
+    reader.fail("shard count " + std::string(tokens[1]) + " does not match " +
                 std::to_string(cp.scenario_count) + " scenarios in shards of " +
                 std::to_string(cp.shard_size));
   }
@@ -302,10 +380,10 @@ SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
     reader.expect(tokens, "shard", 1);
     const std::uint64_t index = reader.to_u64(tokens[1]);
     if (index >= shard_count) {
-      reader.fail("shard index " + tokens[1] + " out of range");
+      reader.fail("shard index " + std::string(tokens[1]) + " out of range");
     }
     if (cp.completed[static_cast<std::size_t>(index)] != 0) {
-      reader.fail("duplicate shard " + tokens[1]);
+      reader.fail("duplicate shard " + std::string(tokens[1]));
     }
     cp.completed[static_cast<std::size_t>(index)] = 1;
     cp.shards[static_cast<std::size_t>(index)] = read_aggregate(reader);
@@ -324,7 +402,7 @@ std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
     if (!out) {
       throw ConfigError("cannot write sweep checkpoint: " + tmp);
     }
-    out << text;
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     out.flush();
     if (!out) {
       throw ConfigError("write failed for sweep checkpoint: " + tmp);
@@ -341,9 +419,25 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path) {
   if (!in) {
     throw ConfigError("cannot read sweep checkpoint: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_sweep_checkpoint(buffer.str());
+  // One read into a buffer sized from the file; the extra byte lets that
+  // read reach end-of-file. The loop only repeats if the file grew since.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string text(ec ? 0 : static_cast<std::size_t>(size) + 1, '\0');
+  std::size_t filled = 0;
+  while (in) {
+    if (filled == text.size()) {
+      text.resize(std::max<std::size_t>(2 * text.size(), 4096));
+    }
+    in.read(text.data() + filled,
+            static_cast<std::streamsize>(text.size() - filled));
+    filled += static_cast<std::size_t>(in.gcount());
+  }
+  if (in.bad()) {
+    throw ConfigError("read failed for sweep checkpoint: " + path);
+  }
+  text.resize(filled);
+  return parse_sweep_checkpoint(text);
 }
 
 }  // namespace dsslice

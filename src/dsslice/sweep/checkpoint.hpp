@@ -12,6 +12,11 @@
 // header ("dsslice-sweep-checkpoint 1"). Doubles are stored as 16-hex-digit
 // raw bit patterns, not decimals: Welford state must round-trip to the last
 // bit or the resumed aggregates drift from the uninterrupted ones.
+//
+// Only the writer's canonical spellings are read back: integers as plain
+// decimal digits (no sign, no leading zero) and doubles as exactly 16
+// lowercase hex digits (no sign, no 0x prefix). Tokens may be separated by
+// any blanks, lines may end in CRLF, and '#' starts a comment.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +62,8 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config);
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate);
 
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint);
-/// Throws ConfigError (with a line number) on version mismatch, truncation
-/// or corruption.
+/// Throws ConfigError (with a line number) on version mismatch, truncation,
+/// corruption or a non-canonical number.
 SweepCheckpoint parse_sweep_checkpoint(const std::string& text);
 
 /// Atomic save: writes to `path + ".tmp"` then renames over `path`, so an

@@ -168,7 +168,13 @@ SweepReport run_sweep(const ExperimentConfig& config,
 
   if (options.resume &&
       std::filesystem::exists(options.checkpoint_path)) {
+    const auto load_t0 = std::chrono::steady_clock::now();
     SweepCheckpoint loaded = load_sweep_checkpoint(options.checkpoint_path);
+    const double load_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - load_t0)
+            .count();
+    DSSLICE_GAUGE("sweep.checkpoint.load_ms", load_ms);
     if (loaded.fingerprint != fingerprint) {
       throw ConfigError(
           "sweep checkpoint " + options.checkpoint_path +

@@ -421,6 +421,20 @@ TEST(ObsStream, SweepProgressAndCheckpointMetricsRecorded) {
   EXPECT_EQ(snapshot.counters.at("sweep.checkpoint.bytes").count,
             report.checkpoints_written);
   EXPECT_GT(snapshot.counters.at("sweep.checkpoint.bytes").total, 0.0);
+
+  // The load side mirrors save_ms: a fresh sweep marks no load_ms, a
+  // resumed one marks it once, for the one checkpoint it read.
+  EXPECT_EQ(snapshot.gauges.count("sweep.checkpoint.load_ms"), 0u);
+  obs::reset();
+  obs::set_enabled(true);
+  options.resume = true;
+  const SweepReport resumed = run_sweep(sweep_config(), options);
+  obs::set_enabled(false);
+  EXPECT_EQ(resumed.shards_resumed, 6u);
+  const obs::MetricsSnapshot after = obs::metrics_snapshot();
+  ASSERT_EQ(after.gauges.count("sweep.checkpoint.load_ms"), 1u);
+  EXPECT_EQ(after.gauges.at("sweep.checkpoint.load_ms").count, 1u);
+  EXPECT_GE(after.gauges.at("sweep.checkpoint.load_ms").last, 0.0);
 }
 
 // Streaming must be non-interfering: the same sweep with and without an
