@@ -1,8 +1,7 @@
 #include "dsslice/analysis/graph_analysis.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <deque>
-#include <unordered_map>
 
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/util/check.hpp"
@@ -15,84 +14,92 @@ std::atomic<std::uint64_t> g_construction_count{0};
 
 }  // namespace
 
-GraphAnalysis::GraphAnalysis(const TaskGraph& g)
-    : n_(g.node_count()),
-      words_((n_ + 63) / 64),
-      tail_mask_(n_ % 64 == 0 ? ~std::uint64_t{0}
-                              : (std::uint64_t{1} << (n_ % 64)) - 1),
-      succ_off_(n_ + 1, 0),
-      pred_off_(n_ + 1, 0),
-      reach_(n_ * words_, 0),
-      coreach_(n_ * words_, 0),
-      descendants_(n_, 0),
-      ancestors_(n_, 0),
-      parallel_size_(n_, 0) {
+GraphAnalysis::GraphAnalysis(const TaskGraph& g) { rebuild(g); }
+
+void GraphAnalysis::rebuild(const TaskGraph& g) {
   DSSLICE_SPAN("analysis.build");
   g_construction_count.fetch_add(1, std::memory_order_relaxed);
   DSSLICE_COUNT("analysis.builds", 1);
 
-  // CSR adjacency in both directions, preserving TaskGraph's per-node order,
-  // with the arc payloads (message sizes) and arc indices flattened
-  // alongside so hot paths never fall back to per-arc linear searches.
-  std::unordered_map<std::uint64_t, std::uint32_t> arc_index;
-  arc_index.reserve(g.arc_count());
+  n_ = g.node_count();
+  words_ = (n_ + 63) / 64;
+  tail_mask_ = n_ % 64 == 0 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << (n_ % 64)) - 1;
   const auto& arcs = g.arcs();
-  for (std::size_t k = 0; k < arcs.size(); ++k) {
-    arc_index.emplace(
-        (static_cast<std::uint64_t>(arcs[k].from) << 32) | arcs[k].to,
-        static_cast<std::uint32_t>(k));
-  }
-  succ_data_.reserve(g.arc_count());
-  pred_data_.reserve(g.arc_count());
-  succ_items_.reserve(g.arc_count());
-  pred_items_.reserve(g.arc_count());
-  pred_arc_.reserve(g.arc_count());
+  const std::size_t arc_count = arcs.size();
+
+  // Successor CSR, preserving TaskGraph's per-node order, with the arc
+  // payloads (message sizes) flattened alongside so hot paths never fall
+  // back to per-arc linear searches.
+  succ_off_.resize(n_ + 1);
+  succ_data_.resize(arc_count);
+  succ_items_.resize(arc_count);
+  std::size_t next = 0;
   for (NodeId v = 0; v < n_; ++v) {
-    succ_off_[v] = succ_data_.size();
+    succ_off_[v] = next;
     const auto succ = g.successors(v);
     const auto items = g.successor_items(v);
-    for (std::size_t k = 0; k < succ.size(); ++k) {
-      succ_data_.push_back(succ[k]);
-      succ_items_.push_back(items[k]);
-    }
-    pred_off_[v] = pred_data_.size();
-    for (const NodeId u : g.predecessors(v)) {
-      pred_data_.push_back(u);
-      const auto it =
-          arc_index.find((static_cast<std::uint64_t>(u) << 32) | v);
-      DSSLICE_CHECK(it != arc_index.end(), "predecessor without an arc");
-      pred_arc_.push_back(it->second);
-      pred_items_.push_back(arcs[it->second].message_items);
-    }
+    DSSLICE_CHECK(next + succ.size() <= arc_count, "successor without an arc");
+    std::copy(succ.begin(), succ.end(), succ_data_.data() + next);
+    std::copy(items.begin(), items.end(), succ_items_.data() + next);
+    next += succ.size();
   }
-  succ_off_[n_] = succ_data_.size();
-  pred_off_[n_] = pred_data_.size();
+  succ_off_[n_] = next;
+
+  // Predecessor CSR from one counting pass over arcs(). TaskGraph appends
+  // each arc to its target's predecessor list in insertion order, so
+  // bucketing the arcs by target in that order reproduces predecessors(v)
+  // exactly — and records each entry's arc index without a lookup.
+  pred_off_.assign(n_ + 1, 0);
+  for (const Arc& arc : arcs) {
+    ++pred_off_[arc.to + 1];
+  }
+  for (NodeId v = 0; v < n_; ++v) {
+    pred_off_[v + 1] += pred_off_[v];
+  }
+  work_.assign(pred_off_.begin(), pred_off_.end() - 1);  // fill cursors
+  pred_data_.resize(arc_count);
+  pred_items_.resize(arc_count);
+  pred_arc_.resize(arc_count);
+  for (std::size_t k = 0; k < arc_count; ++k) {
+    const std::size_t at = work_[arcs[k].to]++;
+    pred_data_[at] = arcs[k].from;
+    pred_items_[at] = arcs[k].message_items;
+    pred_arc_[at] = static_cast<std::uint32_t>(k);
+  }
+  for (NodeId v = 0; v < n_; ++v) {
+    const auto expected = g.predecessors(v);
+    const auto built = predecessors(v);
+    DSSLICE_CHECK(std::equal(expected.begin(), expected.end(), built.begin(),
+                             built.end()),
+                  "predecessor without an arc");
+  }
 
   // Kahn topological order — same FIFO discipline (ascending seed scan,
-  // deque) as algorithms::topological_order, so the orders are identical.
-  {
-    std::vector<std::size_t> in_deg(n_);
-    std::deque<NodeId> ready;
-    for (NodeId v = 0; v < n_; ++v) {
-      in_deg[v] = predecessors(v).size();
-      if (in_deg[v] == 0) {
-        ready.push_back(v);
-      }
+  // first in first out) as algorithms::topological_order, so the orders are
+  // identical. topo_ is its own queue: [head, tail) is ready, not expanded.
+  topo_.resize(n_);
+  std::size_t tail = 0;
+  for (NodeId v = 0; v < n_; ++v) {
+    work_[v] = pred_off_[v + 1] - pred_off_[v];
+    if (work_[v] == 0) {
+      topo_[tail++] = v;
     }
-    topo_.reserve(n_);
-    while (!ready.empty()) {
-      const NodeId v = ready.front();
-      ready.pop_front();
-      topo_.push_back(v);
-      for (const NodeId w : successors(v)) {
-        if (--in_deg[w] == 0) {
-          ready.push_back(w);
-        }
-      }
-    }
-    DSSLICE_REQUIRE(topo_.size() == n_,
-                    "graph analysis requires an acyclic graph");
   }
+  for (std::size_t head = 0; head < tail; ++head) {
+    for (const NodeId w : successors(topo_[head])) {
+      if (--work_[w] == 0) {
+        topo_[tail++] = w;
+      }
+    }
+  }
+  DSSLICE_REQUIRE(tail == n_, "graph analysis requires an acyclic graph");
+
+  reach_.assign(n_ * words_, 0);
+  coreach_.assign(n_ * words_, 0);
+  descendants_.resize(n_);
+  ancestors_.resize(n_);
+  parallel_size_.resize(n_);
 
   // Reverse sweep: reach_row(u) = ∪ over successors s of (reach_row(s) ∪ {s}).
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {

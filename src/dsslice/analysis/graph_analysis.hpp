@@ -26,6 +26,9 @@
 // The analysis depends only on the graph *structure* (nodes and arcs), not
 // on task parameters, arrivals, deadlines or WCETs — so it never needs
 // invalidation for an Application whose graph is fixed at construction.
+// rebuild() recomputes an existing object for another graph in place,
+// reusing every buffer's capacity: a sweep that regenerates scenarios
+// rebuilds one analysis per scenario without touching the heap.
 #pragma once
 
 #include <bit>
@@ -42,6 +45,12 @@ class GraphAnalysis {
  public:
   /// Builds the full analysis of an acyclic graph: O(n·|A|/64 + n²/64).
   explicit GraphAnalysis(const TaskGraph& g);
+
+  /// Recomputes the analysis for `g` in place; the result equals
+  /// GraphAnalysis(g) on every accessor. Allocation-free once the buffers
+  /// have held a graph at least as large. Counts as one construction. If it
+  /// throws (cyclic graph), the object must be rebuilt before further use.
+  void rebuild(const TaskGraph& g);
 
   std::size_t node_count() const { return n_; }
   /// Number of 64-bit words per reachability row.
@@ -143,9 +152,10 @@ class GraphAnalysis {
   /// cold paths; hot paths should use for_each_parallel.
   std::vector<NodeId> parallel_set(NodeId i) const;
 
-  /// Process-wide count of GraphAnalysis constructions. Instrumentation for
-  /// tests and the perf harness: lets callers assert that a hot loop runs
-  /// zero closure/analysis builds (i.e. the cache actually hits).
+  /// Process-wide count of GraphAnalysis builds (constructions and
+  /// rebuilds). Instrumentation for tests and the perf harness: lets callers
+  /// assert that a hot loop runs zero closure/analysis builds (i.e. the
+  /// cache actually hits).
   static std::uint64_t construction_count();
 
  private:
@@ -165,6 +175,9 @@ class GraphAnalysis {
   std::vector<std::size_t> descendants_;
   std::vector<std::size_t> ancestors_;
   std::vector<std::size_t> parallel_size_;
+  // Per-node counter shared by the build passes: the predecessor fill
+  // cursor, then Kahn's remaining in-degree.
+  std::vector<std::size_t> work_;
 };
 
 }  // namespace dsslice

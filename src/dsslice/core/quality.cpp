@@ -40,9 +40,23 @@ std::vector<double> latenesses(const Schedule& schedule,
 
 double max_lateness(const Schedule& schedule,
                     const DeadlineAssignment& assignment) {
-  const auto xs = latenesses(schedule, assignment);
-  DSSLICE_REQUIRE(!xs.empty(), "no scheduled tasks");
-  return *std::max_element(xs.begin(), xs.end());
+  // One pass over latenesses() without materializing it. The fold keeps
+  // std::max_element's rule — replace only when `worst < x` — so NaNs and
+  // ties resolve exactly as they would over the vector.
+  bool any = false;
+  double worst = 0.0;
+  for (NodeId v = 0; v < assignment.windows.size(); ++v) {
+    if (!schedule.placed(v)) {
+      continue;
+    }
+    const double x = schedule.entry(v).finish - assignment.windows[v].deadline;
+    if (!any || worst < x) {
+      worst = x;
+    }
+    any = true;
+  }
+  DSSLICE_REQUIRE(any, "no scheduled tasks");
+  return worst;
 }
 
 QualityReport assess_quality(const DeadlineAssignment& assignment,

@@ -1,6 +1,8 @@
 // Random heterogeneous platform generation (§5.1).
 #pragma once
 
+#include <vector>
+
 #include "dsslice/gen/generator_config.hpp"
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/model/platform.hpp"
@@ -14,5 +16,18 @@ namespace dsslice {
 /// m processors is assigned a uniformly random class; the interconnect is a
 /// time-multiplexed shared bus.
 Platform generate_platform(const PlatformConfig& config, Xoshiro256& rng);
+
+/// Staging buffers for generate_platform_into, reused across calls.
+struct PlatformDraw {
+  std::vector<ProcessorClass> classes;
+  std::vector<ProcessorClassId> class_of;
+};
+
+/// In-place variant: draws the same platform as generate_platform, draw for
+/// draw, into `out` through Platform::assign_shared_bus. Allocation-free once
+/// `draw` and `out` have held a platform with as many classes and
+/// processors.
+void generate_platform_into(Platform& out, const PlatformConfig& config,
+                            Xoshiro256& rng, PlatformDraw& draw);
 
 }  // namespace dsslice

@@ -307,7 +307,9 @@ void generate_scenario_into(const GeneratorConfig& config, std::uint64_t seed,
   DSSLICE_SPAN("gen.scenario");
   DSSLICE_COUNT("gen.scenarios", 1);
   Xoshiro256 rng(seed);
-  out.platform = generate_platform(config.platform, rng);
+  PlatformDraw local_draw;
+  generate_platform_into(out.platform, config.platform, rng,
+                         scratch != nullptr ? scratch->platform : local_draw);
   generate_application_into(out.application, config.workload, out.platform,
                             rng, config.platform.class_model,
                             config.platform.class_deviation, scratch);

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "dsslice/gen/generator_config.hpp"
+#include "dsslice/gen/platform_generator.hpp"
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/model/application.hpp"
 #include "dsslice/model/platform.hpp"
@@ -100,15 +101,19 @@ class GeneratorScratch {
   std::vector<double> message_items;      // per-arc message draws, arc order
 
   // Deep storage recycled between generate_application_into calls: the
-  // structure is drawn into `graph` (TaskGraph::reset keeps adjacency
-  // capacity) and the task slots into `tasks` (per-task wcet_by_class
-  // capacity survives), then Application::rebuild_swap trades them for the
-  // target's previous storage. Inner adjacency growth is shape-dependent
-  // and not counted by grow_events(); it vanishes once the largest graph of
-  // a batch has been seen.
+  // structure is drawn into `graph` (TaskGraph::reset keeps every per-node
+  // adjacency slot, including those beyond a smaller graph's node count)
+  // and the task slots into `tasks` (per-task wcet_by_class capacity
+  // survives), then Application::rebuild_swap trades them for the target's
+  // previous storage. The adjacency capacity and the platform staging
+  // buffers are not counted by grow_events(); they stop growing once the
+  // largest shapes of a stream have been drawn (into both graphs that
+  // rebuild_swap alternates), and tests/test_alloc_free.cpp checks that a
+  // warm scenario makes no heap allocation at all.
   TaskGraph graph;
   std::vector<Task> tasks;
   std::vector<Task> spare_tasks;
+  PlatformDraw platform;
 
  private:
   std::uint64_t grow_events_ = 0;

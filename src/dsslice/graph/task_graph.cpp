@@ -1,23 +1,51 @@
 #include "dsslice/graph/task_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "dsslice/util/check.hpp"
 
 namespace dsslice {
 
 TaskGraph::TaskGraph(std::size_t n)
-    : succ_(n), pred_(n), succ_items_(n) {}
+    : n_(n), succ_(n), pred_(n), succ_items_(n) {}
+
+TaskGraph::TaskGraph(TaskGraph&& other) noexcept
+    : n_(std::exchange(other.n_, 0)),
+      succ_(std::move(other.succ_)),
+      pred_(std::move(other.pred_)),
+      succ_items_(std::move(other.succ_items_)),
+      arcs_(std::move(other.arcs_)) {}
+
+TaskGraph& TaskGraph::operator=(TaskGraph&& other) noexcept {
+  n_ = std::exchange(other.n_, 0);
+  succ_ = std::move(other.succ_);
+  pred_ = std::move(other.pred_);
+  succ_items_ = std::move(other.succ_items_);
+  arcs_ = std::move(other.arcs_);
+  return *this;
+}
+
+void TaskGraph::open_slot() {
+  if (n_ < succ_.size()) {
+    succ_[n_].clear();
+    pred_[n_].clear();
+    succ_items_[n_].clear();
+  } else {
+    succ_.emplace_back();
+    pred_.emplace_back();
+    succ_items_.emplace_back();
+  }
+  ++n_;
+}
 
 NodeId TaskGraph::add_node() {
-  succ_.emplace_back();
-  pred_.emplace_back();
-  succ_items_.emplace_back();
-  return static_cast<NodeId>(succ_.size() - 1);
+  open_slot();
+  return static_cast<NodeId>(n_ - 1);
 }
 
 void TaskGraph::require_node(NodeId v) const {
-  DSSLICE_REQUIRE(v < succ_.size(), "node id out of range");
+  DSSLICE_REQUIRE(v < n_, "node id out of range");
 }
 
 void TaskGraph::add_arc(NodeId from, NodeId to, double message_items) {
@@ -33,15 +61,10 @@ void TaskGraph::add_arc(NodeId from, NodeId to, double message_items) {
 }
 
 void TaskGraph::reset(std::size_t n) {
-  const std::size_t keep = std::min(n, succ_.size());
-  for (std::size_t v = 0; v < keep; ++v) {
-    succ_[v].clear();
-    pred_[v].clear();
-    succ_items_[v].clear();
+  n_ = 0;
+  while (n_ < n) {
+    open_slot();
   }
-  succ_.resize(n);
-  pred_.resize(n);
-  succ_items_.resize(n);
   arcs_.clear();
 }
 
@@ -51,8 +74,8 @@ void TaskGraph::assign_message_items(std::span<const double> items) {
   // succ_[from] lists arcs in insertion order, so re-pushing in global
   // insertion order reproduces the parallel layout exactly. The entries were
   // pushed by add_arc, so every inner vector already has the capacity.
-  for (auto& slots : succ_items_) {
-    slots.clear();
+  for (std::size_t v = 0; v < n_; ++v) {
+    succ_items_[v].clear();
   }
   for (std::size_t k = 0; k < arcs_.size(); ++k) {
     DSSLICE_REQUIRE(items[k] >= 0.0, "negative message size");

@@ -34,6 +34,12 @@ class TaskGraph {
   /// Creates a graph with `n` isolated nodes.
   explicit TaskGraph(std::size_t n);
 
+  // A moved-from graph is empty (node count 0), like a moved-from vector.
+  TaskGraph(const TaskGraph&) = default;
+  TaskGraph& operator=(const TaskGraph&) = default;
+  TaskGraph(TaskGraph&& other) noexcept;
+  TaskGraph& operator=(TaskGraph&& other) noexcept;
+
   /// Appends a node; returns its id.
   NodeId add_node();
 
@@ -42,9 +48,10 @@ class TaskGraph {
   void add_arc(NodeId from, NodeId to, double message_items = 0.0);
 
   /// Resets to `n` isolated nodes. Equivalent to *this = TaskGraph(n) except
-  /// that previously allocated adjacency storage is kept, so rebuilding a
-  /// graph of similar shape performs no heap allocation (batch-generation
-  /// hot path).
+  /// that previously allocated adjacency storage is kept — including the
+  /// per-node slots of a larger earlier graph, parked beyond the live node
+  /// count — so once a graph of the largest shape has been built, rebuilding
+  /// performs no heap allocation (batch-generation hot path).
   void reset(std::size_t n);
 
   /// Rewrites the message size of every arc, `items` parallel to arcs()
@@ -53,7 +60,7 @@ class TaskGraph {
   /// rebuilding the adjacency. Allocation-free.
   void assign_message_items(std::span<const double> items);
 
-  std::size_t node_count() const { return succ_.size(); }
+  std::size_t node_count() const { return n_; }
   std::size_t arc_count() const { return arcs_.size(); }
 
   std::span<const NodeId> successors(NodeId v) const;
@@ -84,7 +91,13 @@ class TaskGraph {
 
  private:
   void require_node(NodeId v) const;
+  /// Appends one live node with empty adjacency, reusing a parked slot when
+  /// one exists.
+  void open_slot();
 
+  // Per-node slots; only [0, n_) are live. Slots beyond n_ keep their
+  // capacity for a later, larger graph and are emptied when reopened.
+  std::size_t n_ = 0;
   std::vector<std::vector<NodeId>> succ_;
   std::vector<std::vector<NodeId>> pred_;
   // Message size per out-arc, parallel to succ_ entries.

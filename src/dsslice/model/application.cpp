@@ -28,7 +28,9 @@ Application::Application(Application&& other) noexcept
     : graph_(std::move(other.graph_)),
       tasks_(std::move(other.tasks_)),
       ete_deadline_(std::move(other.ete_deadline_)),
-      analysis_cache_(other.analysis_cache_.load(std::memory_order_acquire)) {}
+      analysis_cache_(other.analysis_cache_.load(std::memory_order_acquire)),
+      analysis_spare_(other.analysis_spare_.exchange(
+          nullptr, std::memory_order_acq_rel)) {}
 
 Application& Application::operator=(const Application& other) {
   if (this != &other) {
@@ -48,6 +50,9 @@ Application& Application::operator=(Application&& other) noexcept {
     ete_deadline_ = std::move(other.ete_deadline_);
     analysis_cache_.store(other.analysis_cache_.load(std::memory_order_acquire),
                           std::memory_order_release);
+    analysis_spare_.store(
+        other.analysis_spare_.exchange(nullptr, std::memory_order_acq_rel),
+        std::memory_order_release);
   }
   return *this;
 }
@@ -58,15 +63,27 @@ void Application::rebuild_swap(TaskGraph& graph, std::vector<Task>& tasks) {
   std::swap(graph_, graph);
   std::swap(tasks_, tasks);
   ete_deadline_.assign(tasks_.size(), kTimeInfinity);
-  analysis_cache_.store(nullptr, std::memory_order_release);
+  auto old = analysis_cache_.exchange(nullptr, std::memory_order_acq_rel);
+  if (old != nullptr && old.use_count() == 1) {
+    // No copy shares the analysis any more. The fence orders the last reads
+    // of a copy that released it before the rebuild's writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    analysis_spare_.store(std::move(old), std::memory_order_release);
+  }
 }
 
 const GraphAnalysis& Application::analysis() const {
   auto cached = analysis_cache_.load(std::memory_order_acquire);
   if (cached == nullptr) {
     DSSLICE_COUNT("analysis.cache.miss", 1);
-    auto built = std::make_shared<const GraphAnalysis>(graph_);
-    std::shared_ptr<const GraphAnalysis> expected;
+    // Each racing first call takes the spare at most once; the others build.
+    auto built = analysis_spare_.exchange(nullptr, std::memory_order_acq_rel);
+    if (built != nullptr) {
+      built->rebuild(graph_);
+    } else {
+      built = std::make_shared<GraphAnalysis>(graph_);
+    }
+    std::shared_ptr<GraphAnalysis> expected;
     if (analysis_cache_.compare_exchange_strong(expected, built,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {

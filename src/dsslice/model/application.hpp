@@ -20,10 +20,12 @@ class Application {
  public:
   Application(TaskGraph graph, std::vector<Task> tasks);
 
-  // The task graph is fixed at construction, so the memoized GraphAnalysis
-  // stays valid for the application's whole lifetime and copies may share
-  // it. The copy/move operations below exist only because the cache slot is
-  // a std::atomic (not copyable); they otherwise behave like the defaults.
+  // The task graph only changes through rebuild_swap, so the memoized
+  // GraphAnalysis stays valid until then and copies may share it. The
+  // copy/move operations below exist only because the cache slots are
+  // std::atomic (not copyable); they otherwise behave like the defaults,
+  // except that a copy never takes the spare analysis (recycled storage
+  // belongs to one application).
   Application(const Application& other);
   Application(Application&& other) noexcept;
   Application& operator=(const Application& other);
@@ -34,12 +36,14 @@ class Application {
 
   /// The shared graph analysis (topological order, CSR adjacency, reach /
   /// co-reach bitsets, parallel-set sizes), built lazily on first use and
-  /// memoized for the lifetime of the application. Thread-safe: concurrent
-  /// first calls race benignly (one result wins, the rest are discarded).
-  /// Requires an acyclic graph, like every consumer of the analysis.
-  /// Invalidation: the graph only changes through rebuild_swap, which
-  /// resets `analysis_cache_`; any future API that mutates the graph in
-  /// place must do the same.
+  /// memoized until the graph changes. The first call after rebuild_swap
+  /// rebuilds the spare analysis it parked, if any, in place (no heap
+  /// allocation once warm); otherwise it builds a new one. Thread-safe:
+  /// concurrent first calls race benignly (one result wins, the rest are
+  /// discarded). Requires an acyclic graph, like every consumer of the
+  /// analysis. Invalidation: the graph only changes through rebuild_swap,
+  /// which resets `analysis_cache_`; any future API that mutates the graph
+  /// in place must do the same.
   const GraphAnalysis& analysis() const;
 
   /// Rebuilds this application in place by *swapping* in new graph and task
@@ -47,7 +51,9 @@ class Application {
   /// can recycle its heap capacity (batch-generation hot path). Arrivals
   /// revert to the tasks' phasing, E-T-E deadlines reset to unset and the
   /// memoized analysis is dropped — the result is indistinguishable from a
-  /// freshly constructed Application(graph, tasks).
+  /// freshly constructed Application(graph, tasks). A dropped analysis that
+  /// no copy shares is parked as the spare for the next analysis() call;
+  /// references obtained from analysis() before the swap are invalidated.
   void rebuild_swap(TaskGraph& graph, std::vector<Task>& tasks);
 
   const Task& task(NodeId i) const;
@@ -89,7 +95,10 @@ class Application {
   std::vector<Task> tasks_;
   std::vector<Time> ete_deadline_;   // per node; infinity when not an anchor
   // Lazily-built memoized analysis; shared between copies (same graph).
-  mutable std::atomic<std::shared_ptr<const GraphAnalysis>> analysis_cache_;
+  mutable std::atomic<std::shared_ptr<GraphAnalysis>> analysis_cache_;
+  // An unshared analysis of a previous graph, kept by rebuild_swap so the
+  // next analysis() call can rebuild it in place instead of allocating.
+  mutable std::atomic<std::shared_ptr<GraphAnalysis>> analysis_spare_;
 };
 
 /// Disjoint union of two applications: b's tasks are appended after a's

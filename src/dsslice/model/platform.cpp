@@ -21,17 +21,29 @@ std::string to_string(MachineKind kind) {
 Platform Platform::shared_bus(std::vector<ProcessorClass> classes,
                               std::vector<ProcessorClassId> class_of,
                               Time per_item_delay) {
+  Platform platform;
+  platform.assign_shared_bus(classes, class_of, per_item_delay);
+  return platform;
+}
+
+void Platform::assign_shared_bus(std::span<const ProcessorClass> classes,
+                                 std::span<const ProcessorClassId> class_of,
+                                 Time per_item_delay) {
   DSSLICE_REQUIRE(!classes.empty(), "at least one processor class required");
   DSSLICE_REQUIRE(!class_of.empty(), "at least one processor required");
-  std::vector<Processor> procs;
-  procs.reserve(class_of.size());
-  for (std::size_t q = 0; q < class_of.size(); ++q) {
-    DSSLICE_REQUIRE(class_of[q] < classes.size(),
-                    "processor class index out of range");
-    procs.push_back(Processor{"p" + std::to_string(q), class_of[q]});
+  for (const ProcessorClassId e : class_of) {
+    DSSLICE_REQUIRE(e < classes.size(), "processor class index out of range");
   }
-  return Platform(std::move(classes), std::move(procs),
-                  std::make_shared<SharedBus>(per_item_delay));
+  classes_.assign(classes.begin(), classes.end());
+  processors_.resize(class_of.size());
+  for (std::size_t q = 0; q < class_of.size(); ++q) {
+    // Reset every field: a recycled slot may carry another platform's state.
+    processors_[q] = Processor{"p" + std::to_string(q), class_of[q]};
+  }
+  const auto* bus = dynamic_cast<const SharedBus*>(network_.get());
+  if (bus == nullptr || bus->per_item_delay() != per_item_delay) {
+    network_ = std::make_shared<SharedBus>(per_item_delay);
+  }
 }
 
 Platform Platform::identical(std::size_t m, Time per_item_delay) {

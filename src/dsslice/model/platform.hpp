@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,16 @@ class Platform {
   Platform(std::vector<ProcessorClass> classes, std::vector<Processor> procs,
            std::shared_ptr<const Interconnect> network);
 
+  /// Rebuilds this platform in place as shared_bus(classes, class_of,
+  /// per_item_delay) would build it, reusing the class and processor
+  /// storage. The current network is kept when it already is a SharedBus
+  /// with the same per-item delay: interconnects are immutable, so copies
+  /// taken earlier may keep sharing it. No heap allocation once the storage
+  /// has held as many classes and processors.
+  void assign_shared_bus(std::span<const ProcessorClass> classes,
+                         std::span<const ProcessorClassId> class_of,
+                         Time per_item_delay);
+
   std::size_t processor_count() const { return processors_.size(); }
   std::size_t class_count() const { return classes_.size(); }
 
@@ -60,6 +71,8 @@ class Platform {
   std::size_t processors_in_class(ProcessorClassId e) const;
 
  private:
+  Platform() = default;
+
   std::vector<ProcessorClass> classes_;
   std::vector<Processor> processors_;
   std::shared_ptr<const Interconnect> network_;

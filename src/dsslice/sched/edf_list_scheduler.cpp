@@ -1,7 +1,9 @@
 #include "dsslice/sched/edf_list_scheduler.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "dsslice/analysis/graph_analysis.hpp"
@@ -124,10 +126,17 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     }
   }
 
-  const auto fail = [&](NodeId v, std::string reason) {
+  // Writes the message into failure_reason piece by piece: the recycled
+  // result keeps that string's capacity, so a warm failure allocates only
+  // when its message outgrows every earlier one.
+  const auto fail = [&](NodeId v,
+                        std::initializer_list<std::string_view> reason) {
     result.success = false;
     result.failed_task = v;
-    result.failure_reason = std::move(reason);
+    result.failure_reason.clear();
+    for (const std::string_view part : reason) {
+      result.failure_reason += part;
+    }
   };
 
   bool missed = false;
@@ -262,16 +271,16 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     }
 
     if (!found) {
-      return fail(v, "task " + task.name +
-                         " has no eligible processor on this platform");
+      return fail(v, {"task ", task.name,
+                      " has no eligible processor on this platform"});
     }
 
     if (best_finish > window.deadline) {
       missed = true;
       if (options_.abort_on_miss) {
-        return fail(v, "task " + task.name + " misses its deadline (finish " +
-                           std::to_string(best_finish) + " > D " +
-                           std::to_string(window.deadline) + ")");
+        return fail(v, {"task ", task.name, " misses its deadline (finish ",
+                        std::to_string(best_finish), " > D ",
+                        std::to_string(window.deadline), ")"});
       }
       if (!result.failed_task.has_value()) {
         result.failed_task = v;
@@ -309,7 +318,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
       return;  // already failed (no eligible processor / aborted miss)
     }
     // Only possible for cyclic graphs, which Application::validate rejects.
-    return fail(0, "schedule incomplete: task graph has a cycle");
+    return fail(0, {"schedule incomplete: task graph has a cycle"});
   }
   result.success = !missed;
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dsslice/model/application.hpp"
 #include "dsslice/util/check.hpp"
 #include "test_util.hpp"
@@ -100,6 +102,29 @@ TEST(ApplicationValidate, ReportsUnpopulatedEligibleClass) {
   const auto problems = app.validate(plat);
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems.front().find("no processor"), std::string::npos);
+}
+
+TEST(Application, CopyKeepsItsAnalysisAcrossRebuildSwap) {
+  Application app = testing::make_diamond(1.0, 2.0, 3.0, 1.0, 20.0);
+  const GraphAnalysis* first = &app.analysis();
+  const Application copy = app;
+  const Application chain = testing::make_chain(6, 2.0, 30.0);
+  TaskGraph graph = chain.graph();
+  std::vector<Task> tasks = chain.tasks();
+  app.rebuild_swap(graph, tasks);
+
+  // The copy still shares the old analysis, so rebuild_swap must not
+  // recycle it: the copy keeps the same object with the diamond's facts.
+  EXPECT_NE(&app.analysis(), first);
+  EXPECT_EQ(app.analysis().node_count(), 6u);
+  const GraphAnalysis& kept = copy.analysis();
+  EXPECT_EQ(&kept, first);
+  ASSERT_EQ(kept.node_count(), 4u);
+  EXPECT_EQ(kept.arc_count(), 4u);
+  EXPECT_TRUE(kept.reaches(0, 3));
+  EXPECT_FALSE(kept.ordered(1, 2));
+  EXPECT_EQ(kept.parallel_set(1), std::vector<NodeId>{2});
+  EXPECT_EQ(copy.graph().node_count(), 4u);
 }
 
 }  // namespace

@@ -140,6 +140,69 @@ TEST(GraphAnalysis, DiamondFacts) {
   EXPECT_FALSE(a.ordered(1, 2));
 }
 
+// Every accessor of `a` equals the same accessor of `b`.
+void expect_same_analysis(const GraphAnalysis& a, const GraphAnalysis& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.word_count(), b.word_count());
+  ASSERT_EQ(a.arc_count(), b.arc_count());
+  const auto equal = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_TRUE(equal(a.topological_order(), b.topological_order()));
+  EXPECT_TRUE(equal(a.parallel_set_sizes(), b.parallel_set_sizes()));
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    EXPECT_TRUE(equal(a.successors(v), b.successors(v))) << v;
+    EXPECT_TRUE(equal(a.predecessors(v), b.predecessors(v))) << v;
+    EXPECT_TRUE(equal(a.successor_items(v), b.successor_items(v))) << v;
+    EXPECT_TRUE(equal(a.predecessor_items(v), b.predecessor_items(v))) << v;
+    EXPECT_TRUE(
+        equal(a.predecessor_arc_indices(v), b.predecessor_arc_indices(v)))
+        << v;
+    EXPECT_EQ(a.predecessor_offset(v), b.predecessor_offset(v)) << v;
+    EXPECT_TRUE(equal(a.reach_row(v), b.reach_row(v))) << v;
+    EXPECT_TRUE(equal(a.coreach_row(v), b.coreach_row(v))) << v;
+    EXPECT_EQ(a.descendant_count(v), b.descendant_count(v)) << v;
+    EXPECT_EQ(a.ancestor_count(v), b.ancestor_count(v)) << v;
+    EXPECT_EQ(a.parallel_set(v), b.parallel_set(v)) << v;
+  }
+}
+
+TEST(GraphAnalysis, RebuildEqualsFreshAnalysisAcrossWordCounts) {
+  // 130 nodes use three bitset words per row and 50 use one, so rebuilding
+  // 130 -> 50 -> 130 would expose stale reach bits or a stale tail mask.
+  const auto graph_of = [](std::size_t n, std::uint64_t index) {
+    GeneratorConfig cfg = testing::small_generator(11);
+    cfg.workload.min_tasks = n;
+    cfg.workload.max_tasks = n;
+    cfg.workload.min_depth = 8;
+    cfg.workload.max_depth = 12;
+    return generate_scenario_at(cfg, index).application.graph();
+  };
+  const TaskGraph first = graph_of(130, 0);
+  GraphAnalysis recycled(first);
+  const std::uint64_t before = GraphAnalysis::construction_count();
+  std::uint64_t index = 1;
+  for (const std::size_t n : {50u, 130u, 50u}) {
+    const TaskGraph g = graph_of(n, index++);
+    ASSERT_EQ(g.node_count(), n);
+    recycled.rebuild(g);
+    expect_same_analysis(recycled, GraphAnalysis(g));
+  }
+  // Each rebuild and each fresh construction counts once.
+  EXPECT_EQ(GraphAnalysis::construction_count(), before + 6);
+}
+
+TEST(GraphAnalysis, RebuildRejectsCyclicGraph) {
+  TaskGraph cyclic(3);
+  cyclic.add_arc(0, 1);
+  cyclic.add_arc(1, 2);
+  cyclic.add_arc(2, 0);
+  GraphAnalysis a(diamond());
+  EXPECT_THROW(a.rebuild(cyclic), ConfigError);
+  a.rebuild(diamond());
+  expect_same_analysis(a, GraphAnalysis(diamond()));
+}
+
 TEST(ApplicationAnalysisCache, BuiltOnceAndSharedByCopies) {
   const Application app = testing::make_diamond(1.0, 2.0, 3.0, 1.0, 20.0);
   const std::uint64_t before = GraphAnalysis::construction_count();
@@ -154,6 +217,23 @@ TEST(ApplicationAnalysisCache, BuiltOnceAndSharedByCopies) {
   const Application copy = app;
   EXPECT_EQ(&copy.analysis(), &first);
   EXPECT_EQ(GraphAnalysis::construction_count(), after_first);
+}
+
+TEST(ApplicationAnalysisCache, RebuildSwapRecyclesAnUnsharedAnalysis) {
+  Application app = testing::make_diamond(1.0, 2.0, 3.0, 1.0, 20.0);
+  const GraphAnalysis* first = &app.analysis();
+  const Application chain = testing::make_chain(6, 2.0, 30.0);
+  TaskGraph graph = chain.graph();
+  std::vector<Task> tasks = chain.tasks();
+  app.rebuild_swap(graph, tasks);
+
+  // The next call rebuilds the parked analysis in place: same object, one
+  // more build, contents of the new graph.
+  const std::uint64_t before = GraphAnalysis::construction_count();
+  const GraphAnalysis& rebuilt = app.analysis();
+  EXPECT_EQ(&rebuilt, first);
+  EXPECT_EQ(GraphAnalysis::construction_count(), before + 1);
+  expect_same_analysis(rebuilt, GraphAnalysis(chain.graph()));
 }
 
 TEST(ApplicationAnalysisCache, AnalysisMatchesGraph) {

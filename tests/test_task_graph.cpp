@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dsslice/graph/task_graph.hpp"
 #include "dsslice/util/check.hpp"
 
@@ -65,6 +67,44 @@ TEST(TaskGraph, ArcListPreservesInsertionOrder) {
   ASSERT_EQ(g.arcs().size(), 2u);
   EXPECT_EQ(g.arcs()[0], (Arc{2, 0, 1.0}));
   EXPECT_EQ(g.arcs()[1], (Arc{0, 1, 2.0}));
+}
+
+TEST(TaskGraph, ResetReusesSlotsAndStartsThemEmpty) {
+  TaskGraph g(60);
+  for (NodeId v = 1; v < 60; ++v) {
+    g.add_arc(v - 1, v, 1.0);
+  }
+  g.reset(40);
+  EXPECT_EQ(g.node_count(), 40u);
+  EXPECT_EQ(g.arc_count(), 0u);
+  EXPECT_THROW(g.successors(40), ConfigError);
+  g.add_arc(0, 39, 2.0);
+  g.reset(60);
+  ASSERT_EQ(g.node_count(), 60u);
+  EXPECT_EQ(g.arc_count(), 0u);
+  for (NodeId v = 0; v < 60; ++v) {
+    EXPECT_TRUE(g.successors(v).empty()) << v;
+    EXPECT_TRUE(g.predecessors(v).empty()) << v;
+    EXPECT_TRUE(g.successor_items(v).empty()) << v;
+  }
+  // add_node past a shrunken graph also reopens a parked slot empty.
+  g.reset(40);
+  EXPECT_EQ(g.add_node(), 40u);
+  EXPECT_TRUE(g.successors(40).empty());
+  EXPECT_TRUE(g.predecessors(40).empty());
+  EXPECT_EQ(g.output_nodes().size(), 41u);
+}
+
+TEST(TaskGraph, MovedFromGraphIsEmpty) {
+  TaskGraph g(3);
+  g.add_arc(0, 1);
+  TaskGraph h = std::move(g);
+  EXPECT_EQ(h.node_count(), 3u);
+  EXPECT_EQ(g.node_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  g = std::move(h);
+  EXPECT_EQ(g.node_count(), 3u);
+  EXPECT_EQ(h.node_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(g.has_arc(0, 1));
 }
 
 }  // namespace
