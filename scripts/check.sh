@@ -137,6 +137,36 @@ stream_smoke ./build
 echo "==> stream smoke [sanitize]"
 stream_smoke ./build-sanitize
 
+# Scenario-file smoke, under both presets: a generated scenario must load
+# back through the text codec as written and as a CRLF copy, with the same
+# analysis, and a copy whose task count is spelled "+1" must be refused as a
+# non-canonical integer with exit 1.
+scenario_smoke() {
+  local build="$1"
+  local tag="${build##*/}"
+  local out="$build/scenario-smoke"
+  local tools="$build/examples/scenario_tools"
+  mkdir -p "$out"
+  "$tools" --mode generate --seed 7 --out "$out/scenario.txt" > /dev/null
+  "$tools" --mode analyze --in "$out/scenario.txt" > "$out/analyze.txt"
+  sed 's/$/\r/' "$out/scenario.txt" > "$out/crlf.txt"
+  "$tools" --mode analyze --in "$out/crlf.txt" > "$out/analyze-crlf.txt"
+  cmp -s "$out/analyze.txt" "$out/analyze-crlf.txt" ||
+    { echo "scenario smoke [$tag]: the CRLF copy analyzes differently" >&2;
+      exit 1; }
+  sed 's/^tasks [0-9]*$/tasks +1/' "$out/scenario.txt" > "$out/plus.txt"
+  local status=0
+  "$tools" --mode analyze --in "$out/plus.txt" > /dev/null \
+    2> "$out/plus.err" || status=$?
+  [[ $status -eq 1 ]] && grep -q "not an unsigned integer: +1" "$out/plus.err" ||
+    { echo "scenario smoke [$tag]: a '+1' task count was not refused" \
+           "(exit $status)" >&2; exit 1; }
+}
+echo "==> scenario smoke [default]"
+scenario_smoke ./build
+echo "==> scenario smoke [sanitize]"
+scenario_smoke ./build-sanitize
+
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%, so it runs only on the
 # uninstrumented build; its document is diffed against the committed

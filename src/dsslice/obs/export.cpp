@@ -16,12 +16,14 @@ std::string format_double(double value) {
   return buf;
 }
 
-/// Exact serialization for reconcilable metric values: integral values as
-/// plain integers, everything else with 17 significant digits so parsing
-/// the text yields the identical double. The streaming sink
-/// (obs/stream.cpp) writes its cumulative values the same way, which is
-/// what lets tools/obs_tail --against compare stream and snapshot
-/// bit-for-bit.
+double ns_to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
+
+double ns_to_ms(std::uint64_t ns) {
+  return static_cast<double>(ns) / 1e6;
+}
+
+}  // namespace
+
 std::string format_metric_value(double value) {
   char buf[64];
   const double truncated = static_cast<double>(static_cast<long long>(value));
@@ -32,54 +34,6 @@ std::string format_metric_value(double value) {
     std::snprintf(buf, sizeof(buf), "%.17g", value);
   }
   return buf;
-}
-
-std::string format_fixed(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
-}
-
-double ns_to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
-
-double ns_to_ms(std::uint64_t ns) {
-  return static_cast<double>(ns) / 1e6;
-}
-
-}  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string to_chrome_trace_json(const TraceSnapshot& trace) {

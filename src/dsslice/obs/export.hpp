@@ -11,6 +11,7 @@
 
 #include "dsslice/obs/registry.hpp"
 #include "dsslice/report/table.hpp"
+#include "dsslice/util/string_util.hpp"
 
 namespace dsslice::obs {
 
@@ -32,8 +33,15 @@ Table counter_summary_table(const MetricsSnapshot& metrics);
 /// Complete human-readable summary (both tables plus drop/thread footer).
 std::string to_summary_text(const MetricsSnapshot& metrics);
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_escape(const std::string& text);
+/// Exact serialization for reconcilable metric values: integral values as
+/// plain integers, everything else with 17 significant digits so parsing
+/// the text yields the identical double. Both the snapshot export and the
+/// streaming sink (obs/stream.cpp) write values through it, which is what
+/// lets tools/obs_tail --against compare stream and snapshot bit-for-bit.
+std::string format_metric_value(double value);
+
+/// JSON string escaping, shared with the schedule export; defined in
+/// util/string_util.hpp.
+using dsslice::json_escape;
 
 }  // namespace dsslice::obs

@@ -8,6 +8,11 @@ namespace dsslice::obs {
 
 namespace {
 
+/// Deepest array/object nesting accepted. The parser recurses once per
+/// level, so a bound keeps a hostile file from overflowing the stack; the
+/// exporters nest three levels deep.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -60,9 +65,17 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          return fail("nesting deeper than " +
+                      std::to_string(kMaxNestingDepth) + " levels");
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = JsonValue::Type::kString;
         return parse_string(out.string);
@@ -289,6 +302,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

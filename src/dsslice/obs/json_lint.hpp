@@ -1,7 +1,8 @@
 // Minimal strict JSON parser used to validate exporter output — by the obs
 // tests (Chrome-trace round-trip) and by tools/trace_check in CI. Not a
 // general-purpose JSON library: no comments, no trailing commas, numbers
-// parsed as double, UTF-8 passed through unvalidated.
+// parsed as double, UTF-8 passed through unvalidated, and arrays and objects
+// nested at most 256 deep (a deeper document is an error, not a crash).
 #pragma once
 
 #include <map>

@@ -27,28 +27,6 @@ using detail::ThreadBuffer;
 
 using Clock = std::chrono::steady_clock;
 
-/// Serializes a metric value exactly: integral values (the common case —
-/// counts, byte totals, scenario counts) as plain integers, everything
-/// else with 17 significant digits so strtod round-trips to the identical
-/// double. This is what makes file-level reconciliation bit-exact.
-std::string format_exact(double value) {
-  char buf[64];
-  const double truncated = static_cast<double>(static_cast<long long>(value));
-  if (value == truncated && value > -9.007199254740992e15 &&
-      value < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  return buf;
-}
-
-std::string format_fixed(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
-}
-
 /// Span names are compile-time literals; virtually none need JSON
 /// escaping, and the per-span json_escape allocation is measurable at full
 /// ring throughput on small machines.
@@ -320,9 +298,9 @@ std::uint64_t StreamSink::Impl::write_deltas(
                      "\"name\":\"%s\",\"count\":%llu,\"total\":%s,"
                      "\"cum_count\":%llu,\"cum_total\":%s}\n",
                      static_cast<unsigned long long>(seq), escaped.c_str(),
-                     dc, format_exact(cum.total - prev_total).c_str(),
+                     dc, format_metric_value(cum.total - prev_total).c_str(),
                      static_cast<unsigned long long>(cum.count),
-                     format_exact(cum.total).c_str());
+                     format_metric_value(cum.total).c_str());
         break;
       }
       case EventKind::kGauge: {
@@ -331,9 +309,9 @@ std::uint64_t StreamSink::Impl::write_deltas(
                      "\"name\":\"%s\",\"count\":%llu,\"last\":%s,"
                      "\"min\":%s,\"max\":%s,\"cum_count\":%llu}\n",
                      static_cast<unsigned long long>(seq), escaped.c_str(),
-                     dc, format_exact(cum.last).c_str(),
-                     format_exact(cum.min_value).c_str(),
-                     format_exact(cum.max_value).c_str(),
+                     dc, format_metric_value(cum.last).c_str(),
+                     format_metric_value(cum.min_value).c_str(),
+                     format_metric_value(cum.max_value).c_str(),
                      static_cast<unsigned long long>(cum.count));
         break;
       }
@@ -406,15 +384,15 @@ void StreamSink::Impl::write_heartbeat(
     body += "{\"type\":\"heartbeat\",\"seq\":" + std::to_string(seq);
     body += ",\"wall_ms\":" + format_fixed(wall_ms, 3);
     body += ",\"sweep\":" + std::string(sweep ? "true" : "false");
-    body += ",\"scenarios_done\":" + format_exact(done);
-    body += ",\"scenarios_total\":" + format_exact(total);
+    body += ",\"scenarios_done\":" + format_metric_value(done);
+    body += ",\"scenarios_total\":" + format_metric_value(total);
     body += ",\"success_ratio\":" + format_fixed(success_ratio, 6);
     body += ",\"rate\":" + format_fixed(rate_inst, 1);
     body += ",\"rate_ewma\":" + format_fixed(rate_ewma, 1);
-    body += ",\"wave\":" + format_exact(wave);
-    body += ",\"waves_total\":" + format_exact(waves_total);
-    body += ",\"shards_done\":" + format_exact(shards_done);
-    body += ",\"shards_resumed\":" + format_exact(shards_resumed);
+    body += ",\"wave\":" + format_metric_value(wave);
+    body += ",\"waves_total\":" + format_metric_value(waves_total);
+    body += ",\"shards_done\":" + format_metric_value(shards_done);
+    body += ",\"shards_resumed\":" + format_metric_value(shards_resumed);
     body += ",\"checkpoint_age_ms\":" + format_fixed(checkpoint_age_ms, 1);
     body += ",\"eta_seconds\":" + format_fixed(eta_seconds, 1);
     body += ",\"spans_streamed\":" +

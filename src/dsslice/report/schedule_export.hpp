@@ -9,6 +9,7 @@
 #include "dsslice/model/platform.hpp"
 #include "dsslice/model/task.hpp"
 #include "dsslice/sched/schedule.hpp"
+#include "dsslice/util/string_util.hpp"
 
 namespace dsslice {
 
@@ -27,8 +28,5 @@ std::string schedule_to_csv(const Application& app,
 std::string schedule_to_json(const Application& app,
                              const DeadlineAssignment& assignment,
                              const Schedule& schedule);
-
-/// JSON string escaping helper (exposed for tests).
-std::string json_escape(const std::string& s);
 
 }  // namespace dsslice

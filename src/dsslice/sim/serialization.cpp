@@ -1,14 +1,11 @@
 #include "dsslice/sim/serialization.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "dsslice/util/check.hpp"
-#include "dsslice/util/string_util.hpp"
+#include "dsslice/util/text_codec.hpp"
 
 namespace dsslice {
 
@@ -16,136 +13,117 @@ namespace {
 
 constexpr int kFormatVersion = 1;
 
-/// Sanity bound on entity counts (classes, processors, tasks, arcs). A
-/// count beyond this is a corrupted or hostile file, not a real scenario;
-/// rejecting it up front avoids multi-gigabyte allocations.
-constexpr std::size_t kMaxEntityCount = 1'000'000;
+/// Sanity bound on entity counts and ids (classes, processors, tasks,
+/// arcs). A count beyond this is a corrupted or hostile file, not a real
+/// scenario; rejecting it up front avoids multi-gigabyte allocations.
+constexpr std::uint64_t kMaxEntityCount = 1'000'000;
 
-/// %.17g round-trips doubles exactly.
-std::string num(double x) {
-  std::ostringstream os;
-  os.precision(17);
-  os << x;
-  return os.str();
+/// Reads the `<magic> <version>` header line.
+void read_header(LineReader& reader, std::string_view magic) {
+  const Tokens header = reader.next();
+  reader.expect(header, magic, 1);
+  if (reader.to_u64(header[1]) != static_cast<std::uint64_t>(kFormatVersion)) {
+    reader.fail("unsupported format version " + std::string(header[1]));
+  }
 }
 
-/// Tokenized line reader with position tracking for error messages.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text,
-                      std::string context = "scenario")
-      : in_(text), context_(std::move(context)) {}
-
-  /// Next non-empty, non-comment line split on whitespace.
-  std::vector<std::string> next() {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_no_;
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) {
-        line = line.substr(0, hash);
-      }
-      std::istringstream ls(line);
-      std::vector<std::string> tokens;
-      std::string tok;
-      while (ls >> tok) {
-        tokens.push_back(tok);
-      }
-      if (!tokens.empty()) {
-        return tokens;
-      }
-    }
-    fail("unexpected end of input");
+/// A finite number — rejects NaN and ±inf (corrupted durations/values).
+double to_finite(const LineReader& reader, std::string_view tok,
+                 const std::string& what) {
+  const double v = reader.to_double(tok);
+  if (!std::isfinite(v)) {
+    reader.fail(what + " must be finite, got: " + std::string(tok));
   }
+  return v;
+}
 
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ConfigError(context_ + " parse error at line " +
-                      std::to_string(line_no_) + ": " + why);
+/// A finite, non-negative duration/time/size-like value.
+double to_nonneg(const LineReader& reader, std::string_view tok,
+                 const std::string& what) {
+  const double v = to_finite(reader, tok, what);
+  if (v < 0.0) {
+    reader.fail(what + " must be non-negative, got: " + std::string(tok));
   }
+  return v;
+}
 
-  void expect(const std::vector<std::string>& tokens,
-              const std::string& keyword, std::size_t arity) const {
-    if (tokens.empty() || tokens[0] != keyword ||
-        tokens.size() != arity + 1) {
-      fail("expected '" + keyword + "' with " + std::to_string(arity) +
-           " argument(s)");
-    }
+/// A time value where infinity is meaningful ("never"); rejects NaN and
+/// negative values.
+double to_time(const LineReader& reader, std::string_view tok,
+               const std::string& what) {
+  const double v = reader.to_double(tok);
+  if (std::isnan(v) || v < 0.0) {
+    reader.fail(what + " must be a non-negative time, got: " +
+                std::string(tok));
   }
+  return v;
+}
 
-  double to_double(const std::string& tok) const {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("not a number: " + tok);
-    }
-    return v;
+/// An entity count or id, bounded by kMaxEntityCount.
+std::size_t to_count(const LineReader& reader, std::string_view tok,
+                     const std::string& what) {
+  const std::uint64_t v = reader.to_u64(tok);
+  if (v > kMaxEntityCount) {
+    reader.fail(what + " " + std::string(tok) +
+                " exceeds the sanity bound of " +
+                std::to_string(kMaxEntityCount));
   }
+  return static_cast<std::size_t>(v);
+}
 
-  /// A finite number — rejects NaN and ±inf (corrupted durations/values).
-  double to_finite(const std::string& tok, const std::string& what) const {
-    const double v = to_double(tok);
-    if (!std::isfinite(v)) {
-      fail(what + " must be finite, got: " + tok);
-    }
-    return v;
+/// Reads a `<keyword> <count> <values...>` line whose count matches the
+/// values it carries into `out`, one `convert` per value.
+template <typename T, typename Convert>
+void read_list(LineReader& reader, const std::string& keyword,
+               const std::string& what, std::vector<T>& out,
+               Convert convert) {
+  const Tokens line = reader.next();
+  if (line.size() < 2 || line[0] != keyword) {
+    reader.fail("expected '" + keyword + " <count> <values...>'");
   }
-
-  /// A finite, non-negative duration/time/size-like value.
-  double to_nonneg(const std::string& tok, const std::string& what) const {
-    const double v = to_finite(tok, what);
-    if (v < 0.0) {
-      fail(what + " must be non-negative, got: " + tok);
-    }
-    return v;
+  const std::size_t count = to_count(reader, line[1], keyword + " count");
+  if (line.size() != 2 + count) {
+    reader.fail(keyword + " declares " + std::string(line[1]) +
+                " value(s) but carries " + std::to_string(line.size() - 2));
   }
-
-  /// A time value where infinity is meaningful ("never"); rejects NaN and
-  /// negative values.
-  double to_time(const std::string& tok, const std::string& what) const {
-    const double v = to_double(tok);
-    if (std::isnan(v) || v < 0.0) {
-      fail(what + " must be a non-negative time, got: " + tok);
-    }
-    return v;
+  out.reserve(count);
+  for (const std::string_view tok : line.subspan(2)) {
+    out.push_back(static_cast<T>(convert(reader, tok, what)));
   }
+}
 
-  std::size_t to_size(const std::string& tok) const {
-    const double v = to_double(tok);
-    if (std::isnan(v) || v < 0 ||
-        v != static_cast<double>(static_cast<std::size_t>(v))) {
-      fail("not a non-negative integer: " + tok);
-    }
-    return static_cast<std::size_t>(v);
+void write_failures(TextWriter& w, const std::vector<ProcessorFailure>& all) {
+  w << "failures " << all.size() << '\n';
+  for (const ProcessorFailure& f : all) {
+    w << "failure " << f.processor << ' ' << f.at << '\n';
   }
+}
 
-  /// An entity count with an upper sanity bound.
-  std::size_t to_count(const std::string& tok, const std::string& what) const {
-    const std::size_t v = to_size(tok);
-    if (v > kMaxEntityCount) {
-      fail(what + " count " + tok + " exceeds the sanity bound of " +
-           std::to_string(kMaxEntityCount));
-    }
-    return v;
+std::vector<ProcessorFailure> read_failures(LineReader& reader) {
+  Tokens line = reader.next();
+  reader.expect(line, "failures", 1);
+  const std::size_t count = to_count(reader, line[1], "failure count");
+  std::vector<ProcessorFailure> failures;
+  for (std::size_t k = 0; k < count; ++k) {
+    line = reader.next();
+    reader.expect(line, "failure", 2);
+    failures.push_back(ProcessorFailure{
+        static_cast<ProcessorId>(to_count(reader, line[1], "processor id")),
+        to_nonneg(reader, line[2], "failure time")});
   }
+  return failures;
+}
 
-  std::uint64_t to_u64(const std::string& tok) const {
-    if (tok.empty() || tok[0] == '-') {
-      fail("not an unsigned integer: " + tok);
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || errno == ERANGE) {
-      fail("not an unsigned integer: " + tok);
-    }
-    return static_cast<std::uint64_t>(v);
+/// Emits `<keyword> <k> <v...>` for one vector of the trace.
+template <typename T>
+void write_list(TextWriter& w, std::string_view keyword,
+                const std::vector<T>& values) {
+  w << keyword << ' ' << values.size();
+  for (const T v : values) {
+    w << ' ' << v;
   }
-
- private:
-  std::istringstream in_;
-  std::string context_;
-  int line_no_ = 0;
-};
+  w << '\n';
+}
 
 }  // namespace
 
@@ -156,94 +134,92 @@ std::string serialize_scenario(const Scenario& scenario) {
   DSSLICE_REQUIRE(bus != nullptr,
                   "only shared-bus platforms can be serialized");
 
-  std::ostringstream os;
-  os << "dsslice-scenario " << kFormatVersion << "\n";
-  os << "classes " << platform.class_count() << "\n";
+  std::string text;
+  TextWriter w(text);
+  w << "dsslice-scenario " << kFormatVersion << '\n';
+  w << "classes " << platform.class_count() << '\n';
   for (const ProcessorClass& e : platform.classes()) {
-    os << "class " << e.name << " " << num(e.speed_factor) << "\n";
+    w << "class " << e.name << ' ' << e.speed_factor << '\n';
   }
-  os << "processors " << platform.processor_count() << "\n";
+  w << "processors " << platform.processor_count() << '\n';
   for (const Processor& p : platform.processors()) {
-    os << "proc " << p.name << " " << p.klass;
+    w << "proc " << p.name << ' ' << p.klass;
     if (p.available_from != kTimeZero || p.available_until != kTimeInfinity) {
-      os << " " << num(p.available_from) << " " << num(p.available_until);
+      w << ' ' << p.available_from << ' ' << p.available_until;
     }
-    os << "\n";
+    w << '\n';
   }
-  os << "bus " << num(bus->per_item_delay()) << "\n";
-  os << "tasks " << app.task_count() << "\n";
+  w << "bus " << bus->per_item_delay() << '\n';
+  w << "tasks " << app.task_count() << '\n';
   for (NodeId v = 0; v < app.task_count(); ++v) {
     const Task& t = app.task(v);
-    os << "task " << t.name << " " << num(t.phasing) << " " << num(t.period);
+    w << "task " << t.name << ' ' << t.phasing << ' ' << t.period;
     for (const double c : t.wcet_by_class) {
-      os << " " << (c < 0.0 ? std::string("-") : num(c));
+      if (c < 0.0) {
+        w << " -";
+      } else {
+        w << ' ' << c;
+      }
     }
     // The mandatory/optional split travels as an optional trailing token so
     // precise scenarios serialize byte-identically to the pre-split format.
     if (t.has_optional_part()) {
-      os << " " << num(t.optional_fraction);
+      w << ' ' << t.optional_fraction;
     }
-    os << "\n";
+    w << '\n';
   }
-  os << "arcs " << app.graph().arc_count() << "\n";
+  w << "arcs " << app.graph().arc_count() << '\n';
   for (const Arc& a : app.graph().arcs()) {
-    os << "arc " << a.from << " " << a.to << " " << num(a.message_items)
-       << "\n";
+    w << "arc " << a.from << ' ' << a.to << ' ' << a.message_items << '\n';
   }
   for (const NodeId in : app.graph().input_nodes()) {
-    os << "arrival " << in << " " << num(app.input_arrival(in)) << "\n";
+    w << "arrival " << in << ' ' << app.input_arrival(in) << '\n';
   }
   for (const NodeId out : app.graph().output_nodes()) {
     if (app.has_ete_deadline(out)) {
-      os << "deadline " << out << " " << num(app.ete_deadline(out)) << "\n";
+      w << "deadline " << out << ' ' << app.ete_deadline(out) << '\n';
     }
   }
-  os << "end\n";
-  return os.str();
+  w << "end\n";
+  return text;
 }
 
 Scenario parse_scenario(const std::string& text) {
-  LineReader reader(text);
+  LineReader reader(text, "scenario");
+  read_header(reader, "dsslice-scenario");
 
-  auto header = reader.next();
-  reader.expect(header, "dsslice-scenario", 1);
-  if (reader.to_size(header[1]) != static_cast<std::size_t>(kFormatVersion)) {
-    reader.fail("unsupported format version " + header[1]);
-  }
-
-  auto line = reader.next();
+  Tokens line = reader.next();
   reader.expect(line, "classes", 1);
-  const std::size_t class_count = reader.to_count(line[1], "class");
+  const std::size_t class_count = to_count(reader, line[1], "class count");
   std::vector<ProcessorClass> classes;
   for (std::size_t k = 0; k < class_count; ++k) {
     line = reader.next();
     reader.expect(line, "class", 2);
-    const double speed = reader.to_finite(line[2], "speed_factor");
+    const double speed = to_finite(reader, line[2], "speed_factor");
     if (speed <= 0.0) {
-      reader.fail("speed_factor must be positive, got: " + line[2]);
+      reader.fail("speed_factor must be positive, got: " +
+                  std::string(line[2]));
     }
-    classes.push_back(ProcessorClass{line[1], speed});
+    classes.push_back(ProcessorClass{std::string(line[1]), speed});
   }
 
   line = reader.next();
   reader.expect(line, "processors", 1);
-  const std::size_t proc_count = reader.to_count(line[1], "processor");
+  const std::size_t proc_count = to_count(reader, line[1], "processor count");
   std::vector<Processor> procs;
   for (std::size_t q = 0; q < proc_count; ++q) {
     line = reader.next();
-    if (line.empty() || line[0] != "proc" ||
-        (line.size() != 3 && line.size() != 5)) {
-      reader.fail(
-          "expected 'proc <name> <class_index> [<from> <until>]'");
+    if (line[0] != "proc" || (line.size() != 3 && line.size() != 5)) {
+      reader.fail("expected 'proc <name> <class_index> [<from> <until>]'");
     }
-    const std::size_t klass = reader.to_size(line[2]);
+    const std::size_t klass = to_count(reader, line[2], "class index");
     if (klass >= class_count) {
       reader.fail("processor class index out of range");
     }
-    Processor p{line[1], static_cast<ProcessorClassId>(klass)};
+    Processor p{std::string(line[1]), static_cast<ProcessorClassId>(klass)};
     if (line.size() == 5) {
-      p.available_from = reader.to_nonneg(line[3], "availability start");
-      p.available_until = reader.to_time(line[4], "availability end");
+      p.available_from = to_nonneg(reader, line[3], "availability start");
+      p.available_until = to_time(reader, line[4], "availability end");
       if (p.available_until < p.available_from) {
         reader.fail("availability window ends before it starts");
       }
@@ -253,13 +229,13 @@ Scenario parse_scenario(const std::string& text) {
 
   line = reader.next();
   reader.expect(line, "bus", 1);
-  const double bus_delay = reader.to_nonneg(line[1], "bus per-item delay");
+  const double bus_delay = to_nonneg(reader, line[1], "bus per-item delay");
   Platform platform(std::move(classes), std::move(procs),
                     std::make_shared<SharedBus>(bus_delay));
 
   line = reader.next();
   reader.expect(line, "tasks", 1);
-  const std::size_t task_count = reader.to_count(line[1], "task");
+  const std::size_t task_count = to_count(reader, line[1], "task count");
   TaskGraph graph(task_count);
   std::vector<Task> tasks;
   for (std::size_t i = 0; i < task_count; ++i) {
@@ -271,22 +247,22 @@ Scenario parse_scenario(const std::string& text) {
                   " wcets> [<optional_fraction>]'");
     }
     Task t;
-    t.name = line[1];
-    t.phasing = reader.to_nonneg(line[2], "phasing");
-    t.period = reader.to_nonneg(line[3], "period");
+    t.name = std::string(line[1]);
+    t.phasing = to_nonneg(reader, line[2], "phasing");
+    t.period = to_nonneg(reader, line[3], "period");
     for (std::size_t e = 0; e < class_count; ++e) {
-      const std::string& tok = line[4 + e];
+      const std::string_view tok = line[4 + e];
       t.wcet_by_class.push_back(tok == "-" ? kIneligibleWcet
-                                           : reader.to_nonneg(tok, "wcet"));
+                                           : to_nonneg(reader, tok, "wcet"));
     }
     if (line.size() == 5 + class_count) {
       const double f =
-          reader.to_finite(line[4 + class_count], "optional_fraction");
+          to_finite(reader, line[4 + class_count], "optional_fraction");
       if (!valid_optional_fraction(f)) {
         reader.fail(
             "optional_fraction must be within [0, 1] — the optional part "
             "cannot be negative, NaN, or exceed the WCET, got: " +
-            line[4 + class_count]);
+            std::string(line[4 + class_count]));
       }
       t.optional_fraction = f;
     }
@@ -295,17 +271,17 @@ Scenario parse_scenario(const std::string& text) {
 
   line = reader.next();
   reader.expect(line, "arcs", 1);
-  const std::size_t arc_count = reader.to_count(line[1], "arc");
+  const std::size_t arc_count = to_count(reader, line[1], "arc count");
   for (std::size_t a = 0; a < arc_count; ++a) {
     line = reader.next();
     reader.expect(line, "arc", 3);
-    const std::size_t from = reader.to_size(line[1]);
-    const std::size_t to = reader.to_size(line[2]);
+    const std::size_t from = to_count(reader, line[1], "arc endpoint");
+    const std::size_t to = to_count(reader, line[2], "arc endpoint");
     if (from >= task_count || to >= task_count) {
       reader.fail("arc endpoint out of range");
     }
     graph.add_arc(static_cast<NodeId>(from), static_cast<NodeId>(to),
-                  reader.to_nonneg(line[3], "message_items"));
+                  to_nonneg(reader, line[3], "message_items"));
   }
 
   Application app(std::move(graph), std::move(tasks));
@@ -315,19 +291,19 @@ Scenario parse_scenario(const std::string& text) {
       break;
     }
     if (line.size() == 3 && line[0] == "arrival") {
-      const std::size_t node = reader.to_size(line[1]);
+      const std::size_t node = to_count(reader, line[1], "arrival node");
       if (node >= task_count) {
         reader.fail("arrival node out of range");
       }
       app.set_input_arrival(static_cast<NodeId>(node),
-                            reader.to_nonneg(line[2], "arrival"));
+                            to_nonneg(reader, line[2], "arrival"));
     } else if (line.size() == 3 && line[0] == "deadline") {
-      const std::size_t node = reader.to_size(line[1]);
+      const std::size_t node = to_count(reader, line[1], "deadline node");
       if (node >= task_count) {
         reader.fail("deadline node out of range");
       }
       app.set_ete_deadline(static_cast<NodeId>(node),
-                           reader.to_nonneg(line[2], "deadline"));
+                           to_nonneg(reader, line[2], "deadline"));
     } else {
       reader.fail("expected 'arrival', 'deadline' or 'end'");
     }
@@ -343,47 +319,34 @@ void save_scenario(const Scenario& scenario, const std::string& path) {
 }
 
 Scenario load_scenario(const std::string& path) {
-  std::ifstream in(path);
-  DSSLICE_REQUIRE(static_cast<bool>(in), "cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_scenario(buffer.str());
+  return parse_scenario(read_text_file(path, "scenario"));
 }
 
 std::string serialize_fault_spec(const FaultSpec& spec) {
   spec.validate();
-  std::ostringstream os;
-  os << "dsslice-faults " << kFormatVersion << "\n";
-  os << "seed " << spec.seed << "\n";
-  os << "overrun " << to_string(spec.scope) << " "
-     << num(spec.overrun_factor) << " " << num(spec.overrun_addend) << " "
-     << num(spec.overrun_probability) << " " << num(spec.hotspot_fraction)
-     << "\n";
-  os << "failures " << spec.failures.size() << "\n";
-  for (const ProcessorFailure& f : spec.failures) {
-    os << "failure " << f.processor << " " << num(f.at) << "\n";
-  }
-  os << "random-failure " << num(spec.random_failure_probability) << " "
-     << num(spec.random_failure_window.arrival) << " "
-     << num(spec.random_failure_window.deadline) << "\n";
-  os << "spike " << num(spec.spike_probability) << " "
-     << num(spec.spike_factor) << "\n";
-  os << "end\n";
-  return os.str();
+  std::string text;
+  TextWriter w(text);
+  w << "dsslice-faults " << kFormatVersion << '\n';
+  w << "seed " << spec.seed << '\n';
+  w << "overrun " << to_string(spec.scope) << ' ' << spec.overrun_factor
+    << ' ' << spec.overrun_addend << ' ' << spec.overrun_probability << ' '
+    << spec.hotspot_fraction << '\n';
+  write_failures(w, spec.failures);
+  w << "random-failure " << spec.random_failure_probability << ' '
+    << spec.random_failure_window.arrival << ' '
+    << spec.random_failure_window.deadline << '\n';
+  w << "spike " << spec.spike_probability << ' ' << spec.spike_factor << '\n';
+  w << "end\n";
+  return text;
 }
 
 FaultSpec parse_fault_spec(const std::string& text) {
   LineReader reader(text, "fault-spec");
-
-  auto header = reader.next();
-  reader.expect(header, "dsslice-faults", 1);
-  if (reader.to_size(header[1]) != static_cast<std::size_t>(kFormatVersion)) {
-    reader.fail("unsupported format version " + header[1]);
-  }
+  read_header(reader, "dsslice-faults");
 
   FaultSpec spec;
 
-  auto line = reader.next();
+  Tokens line = reader.next();
   reader.expect(line, "seed", 1);
   spec.seed = reader.to_u64(line[1]);
 
@@ -394,174 +357,68 @@ FaultSpec parse_fault_spec(const std::string& text) {
   } else if (line[1] == "hot-spot") {
     spec.scope = OverrunScope::kHotSpot;
   } else {
-    reader.fail("unknown overrun scope: " + line[1]);
+    reader.fail("unknown overrun scope: " + std::string(line[1]));
   }
-  spec.overrun_factor = reader.to_nonneg(line[2], "overrun_factor");
-  spec.overrun_addend = reader.to_finite(line[3], "overrun_addend");
-  spec.overrun_probability = reader.to_nonneg(line[4], "overrun_probability");
-  spec.hotspot_fraction = reader.to_nonneg(line[5], "hotspot_fraction");
+  spec.overrun_factor = to_nonneg(reader, line[2], "overrun_factor");
+  spec.overrun_addend = to_finite(reader, line[3], "overrun_addend");
+  spec.overrun_probability = to_nonneg(reader, line[4], "overrun_probability");
+  spec.hotspot_fraction = to_nonneg(reader, line[5], "hotspot_fraction");
 
-  line = reader.next();
-  reader.expect(line, "failures", 1);
-  const std::size_t failure_count = reader.to_count(line[1], "failure");
-  for (std::size_t k = 0; k < failure_count; ++k) {
-    line = reader.next();
-    reader.expect(line, "failure", 2);
-    spec.failures.push_back(ProcessorFailure{
-        static_cast<ProcessorId>(reader.to_size(line[1])),
-        reader.to_nonneg(line[2], "failure time")});
-  }
+  spec.failures = read_failures(reader);
 
   line = reader.next();
   reader.expect(line, "random-failure", 3);
   spec.random_failure_probability =
-      reader.to_nonneg(line[1], "random_failure_probability");
+      to_nonneg(reader, line[1], "random_failure_probability");
   spec.random_failure_window.arrival =
-      reader.to_nonneg(line[2], "random_failure_window start");
+      to_nonneg(reader, line[2], "random_failure_window start");
   spec.random_failure_window.deadline =
-      reader.to_nonneg(line[3], "random_failure_window end");
+      to_nonneg(reader, line[3], "random_failure_window end");
 
   line = reader.next();
   reader.expect(line, "spike", 2);
-  spec.spike_probability = reader.to_nonneg(line[1], "spike_probability");
-  spec.spike_factor = reader.to_nonneg(line[2], "spike_factor");
+  spec.spike_probability = to_nonneg(reader, line[1], "spike_probability");
+  spec.spike_factor = to_nonneg(reader, line[2], "spike_factor");
 
-  line = reader.next();
-  if (line.size() != 1 || line[0] != "end") {
-    reader.fail("expected 'end'");
-  }
-
+  reader.expect(reader.next(), "end", 0);
   spec.validate();
   return spec;
 }
 
-namespace {
-
-/// Emits `<keyword> <k> <v...>` for one numeric vector of the trace.
-template <typename T, typename Format>
-void write_vector(std::ostringstream& os, const std::string& keyword,
-                  const std::vector<T>& values, Format&& format) {
-  os << keyword << " " << values.size();
-  for (const T& v : values) {
-    os << " " << format(v);
-  }
-  os << "\n";
-}
-
-}  // namespace
-
 std::string serialize_fault_trace(const FaultTrace& trace) {
-  std::ostringstream os;
-  os << "dsslice-fault-trace " << kFormatVersion << "\n";
-  const auto as_num = [](double v) { return num(v); };
-  const auto as_id = [](std::size_t v) { return std::to_string(v); };
-  write_vector(os, "wcet-factor", trace.conditions.wcet_factor, as_num);
-  write_vector(os, "wcet-addend", trace.conditions.wcet_addend, as_num);
-  write_vector(os, "arc-delay-factor", trace.conditions.arc_delay_factor,
-               as_num);
-  write_vector(os, "processor-down", trace.conditions.processor_down_at,
-               as_num);
-  write_vector(os, "overrun-tasks", trace.overrun_tasks,
-               [](NodeId v) { return std::to_string(v); });
-  os << "failures " << trace.failures.size() << "\n";
-  for (const ProcessorFailure& f : trace.failures) {
-    os << "failure " << f.processor << " " << num(f.at) << "\n";
-  }
-  write_vector(os, "spiked-arcs", trace.spiked_arcs, as_id);
-  os << "end\n";
-  return os.str();
+  std::string text;
+  TextWriter w(text);
+  w << "dsslice-fault-trace " << kFormatVersion << '\n';
+  write_list(w, "wcet-factor", trace.conditions.wcet_factor);
+  write_list(w, "wcet-addend", trace.conditions.wcet_addend);
+  write_list(w, "arc-delay-factor", trace.conditions.arc_delay_factor);
+  write_list(w, "processor-down", trace.conditions.processor_down_at);
+  write_list(w, "overrun-tasks", trace.overrun_tasks);
+  write_failures(w, trace.failures);
+  write_list(w, "spiked-arcs", trace.spiked_arcs);
+  w << "end\n";
+  return text;
 }
 
 FaultTrace parse_fault_trace(const std::string& text) {
   LineReader reader(text, "fault-trace");
-
-  auto header = reader.next();
-  reader.expect(header, "dsslice-fault-trace", 1);
-  if (reader.to_size(header[1]) != static_cast<std::size_t>(kFormatVersion)) {
-    reader.fail("unsupported format version " + header[1]);
-  }
+  read_header(reader, "dsslice-fault-trace");
 
   FaultTrace trace;
-
-  // Reads `<keyword> <k> <v...>` into `out` via per-token `convert`.
-  const auto read_doubles = [&](const std::string& keyword,
-                                std::vector<double>& out,
-                                auto&& convert) {
-    const auto line = reader.next();
-    if (line.size() < 2 || line[0] != keyword) {
-      reader.fail("expected '" + keyword + " <count> <values...>'");
-    }
-    const std::size_t count = reader.to_count(line[1], keyword);
-    if (line.size() != 2 + count) {
-      reader.fail(keyword + " declares " + line[1] + " value(s) but carries " +
-                  std::to_string(line.size() - 2));
-    }
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      out.push_back(convert(line[2 + k]));
-    }
-  };
-
-  read_doubles("wcet-factor", trace.conditions.wcet_factor,
-               [&](const std::string& tok) {
-                 return reader.to_nonneg(tok, "wcet factor");
-               });
-  read_doubles("wcet-addend", trace.conditions.wcet_addend,
-               [&](const std::string& tok) {
-                 return reader.to_finite(tok, "wcet addend");
-               });
-  read_doubles("arc-delay-factor", trace.conditions.arc_delay_factor,
-               [&](const std::string& tok) {
-                 return reader.to_nonneg(tok, "arc delay factor");
-               });
+  read_list(reader, "wcet-factor", "wcet factor",
+            trace.conditions.wcet_factor, to_nonneg);
+  read_list(reader, "wcet-addend", "wcet addend",
+            trace.conditions.wcet_addend, to_finite);
+  read_list(reader, "arc-delay-factor", "arc delay factor",
+            trace.conditions.arc_delay_factor, to_nonneg);
   // Halt instants may legitimately be infinite ("never halts").
-  read_doubles("processor-down", trace.conditions.processor_down_at,
-               [&](const std::string& tok) {
-                 return reader.to_time(tok, "halt instant");
-               });
-
-  auto line = reader.next();
-  if (line.size() < 2 || line[0] != "overrun-tasks") {
-    reader.fail("expected 'overrun-tasks <count> <ids...>'");
-  }
-  std::size_t count = reader.to_count(line[1], "overrun task");
-  if (line.size() != 2 + count) {
-    reader.fail("overrun-tasks declares " + line[1] +
-                " id(s) but carries " + std::to_string(line.size() - 2));
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    trace.overrun_tasks.push_back(
-        static_cast<NodeId>(reader.to_count(line[2 + k], "task id")));
-  }
-
-  line = reader.next();
-  reader.expect(line, "failures", 1);
-  const std::size_t failure_count = reader.to_count(line[1], "failure");
-  for (std::size_t k = 0; k < failure_count; ++k) {
-    line = reader.next();
-    reader.expect(line, "failure", 2);
-    trace.failures.push_back(ProcessorFailure{
-        static_cast<ProcessorId>(reader.to_size(line[1])),
-        reader.to_nonneg(line[2], "failure time")});
-  }
-
-  line = reader.next();
-  if (line.size() < 2 || line[0] != "spiked-arcs") {
-    reader.fail("expected 'spiked-arcs <count> <ids...>'");
-  }
-  count = reader.to_count(line[1], "spiked arc");
-  if (line.size() != 2 + count) {
-    reader.fail("spiked-arcs declares " + line[1] + " id(s) but carries " +
-                std::to_string(line.size() - 2));
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    trace.spiked_arcs.push_back(reader.to_count(line[2 + k], "arc id"));
-  }
-
-  line = reader.next();
-  if (line.size() != 1 || line[0] != "end") {
-    reader.fail("expected 'end'");
-  }
+  read_list(reader, "processor-down", "halt instant",
+            trace.conditions.processor_down_at, to_time);
+  read_list(reader, "overrun-tasks", "task id", trace.overrun_tasks,
+            to_count);
+  trace.failures = read_failures(reader);
+  read_list(reader, "spiked-arcs", "arc id", trace.spiked_arcs, to_count);
+  reader.expect(reader.next(), "end", 0);
   return trace;
 }
 

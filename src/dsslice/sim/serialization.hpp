@@ -56,9 +56,19 @@
 //   spiked-arcs <k> <id...>
 //   end
 //
+// All three formats are written and read by the line codec in
+// util/text_codec.hpp, and only the writer's canonical spellings are read
+// back: integers (counts, ids, the version, the seed) as plain decimal
+// digits (no sign, no leading zero, no 0x, no exponent or fraction) and
+// doubles in the std::from_chars general grammar, filling the whole token
+// (an optional '-', decimal digits with an optional '.' and exponent, or
+// inf / nan; no '+', no hex). The writer spells doubles as %.17g, so every
+// value round-trips bit-exactly. Tokens may be separated by any blanks,
+// lines may end in CRLF, and '#' starts a comment.
+//
 // All parsers reject NaN / infinite durations (except the explicitly
-// infinite halt instants above), negative times and counts beyond a sanity
-// bound with a ConfigError naming the offending line.
+// infinite halt instants above), negative times, and counts and ids beyond
+// a sanity bound of 1'000'000 with a ConfigError naming the offending line.
 #pragma once
 
 #include <string>

@@ -1,17 +1,13 @@
 #include "dsslice/sweep/checkpoint.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
-#include <charconv>
-#include <concepts>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <span>
 #include <string_view>
 
 #include "dsslice/util/check.hpp"
+#include "dsslice/util/text_codec.hpp"
 
 namespace dsslice {
 
@@ -23,158 +19,54 @@ constexpr int kFormatVersion = 1;
 /// not a real sweep; rejecting it up front avoids huge allocations.
 constexpr std::uint64_t kMaxShardCount = 1'000'000;
 
-/// Tokens on the format's longest line: "hist lo hi underflow overflow"
-/// followed by the bin counts.
-constexpr std::size_t kMaxTokens = 5 + LinearHistogram::kBinCount;
-
 /// Serialized size to reserve per completed shard: a shard's lines run to
 /// ~700 bytes with small bin counts, so a checkpoint rarely regrows.
 constexpr std::size_t kShardTextHint = 1024;
 
-/// Appends the format's spellings to one string: text as is, integers in
-/// decimal, and doubles as their raw IEEE-754 bit pattern in 16 lowercase
-/// hex digits — exact round-trip by construction (decimal formatting is not
-/// trusted for Welford state).
-class TextWriter {
- public:
-  explicit TextWriter(std::string& out) : out_(out) {}
-
-  TextWriter& operator<<(std::string_view text) {
-    out_ += text;
-    return *this;
-  }
-  TextWriter& operator<<(char c) {
-    out_ += c;
-    return *this;
-  }
-  TextWriter& operator<<(std::integral auto value) {
-    char buf[24];
-    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
-    out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
-    return *this;
-  }
-  TextWriter& operator<<(double x) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-    char buf[16];
-    for (int i = 15; i >= 0; --i) {
-      buf[i] = kDigits[bits & 0xf];
-      bits >>= 4;
-    }
-    out_.append(buf, sizeof buf);
-    return *this;
-  }
-
- private:
-  std::string& out_;
+/// A double as its raw IEEE-754 bit pattern in 16 lowercase hex digits —
+/// exact round-trip by construction (decimal formatting is not trusted for
+/// Welford state).
+struct HexBits {
+  double value;
 };
 
-using Tokens = std::span<const std::string_view>;
+TextWriter& operator<<(TextWriter& w, HexBits x) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(x.value);
+  char buf[16];
+  for (int i = 15; i >= 0; --i) {
+    buf[i] = kDigits[bits & 0xf];
+    bits >>= 4;
+  }
+  return w << std::string_view(buf, sizeof buf);
+}
 
-/// Tokenizing line reader over the whole text, with position tracking for
-/// error messages. Tokens are views into the text and into one fixed array,
-/// so reading a line allocates nothing.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
-
-  /// The whitespace-separated tokens of the next line that has any, after
-  /// dropping a '#' comment. Valid until the next call. A line with more
-  /// than kMaxTokens tokens yields kMaxTokens + 1, an arity no line has.
-  Tokens next() {
-    while (pos_ < text_.size()) {
-      ++line_no_;
-      std::size_t eol = text_.find('\n', pos_);
-      if (eol == std::string_view::npos) {
-        eol = text_.size();
-      }
-      std::string_view line = text_.substr(pos_, eol - pos_);
-      pos_ = eol + 1;
-      line = line.substr(0, line.find('#'));
-      std::size_t count = 0;
-      std::size_t i = 0;
-      while (count < tokens_.size()) {
-        while (i < line.size() && is_space(line[i])) {
-          ++i;
-        }
-        if (i == line.size()) {
-          break;
-        }
-        const std::size_t begin = i;
-        while (i < line.size() && !is_space(line[i])) {
-          ++i;
-        }
-        tokens_[count++] = line.substr(begin, i - begin);
-      }
-      if (count != 0) {
-        return Tokens(tokens_.data(), count);
-      }
+/// Exactly 16 lowercase hex digits, as HexBits spells a double.
+double to_hex_double(const LineReader& reader, std::string_view tok) {
+  if (tok.size() != 16) {
+    reader.fail("not a 16-hex-digit bit pattern: " + std::string(tok));
+  }
+  std::uint64_t bits = 0;
+  for (const char c : tok) {
+    std::uint64_t digit = 0;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      reader.fail("not a 16-hex-digit bit pattern: " + std::string(tok));
     }
-    fail("unexpected end of input");
+    bits = bits << 4 | digit;
   }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ConfigError("sweep checkpoint parse error at line " +
-                      std::to_string(line_no_) + ": " + why);
-  }
-
-  void expect(Tokens tokens, std::string_view keyword,
-              std::size_t arity) const {
-    if (tokens.size() != arity + 1 || tokens[0] != keyword) {
-      fail("expected '" + std::string(keyword) + "' with " +
-           std::to_string(arity) + " argument(s)");
-    }
-  }
-
-  /// Decimal digits as the writer spells them: no sign, no leading zero.
-  std::uint64_t to_u64(std::string_view tok) const {
-    std::uint64_t v = 0;
-    const char* last = tok.data() + tok.size();
-    const std::from_chars_result r = std::from_chars(tok.data(), last, v);
-    if (r.ec != std::errc{} || r.ptr != last ||
-        (tok.size() > 1 && tok[0] == '0')) {
-      fail("not an unsigned integer: " + std::string(tok));
-    }
-    return v;
-  }
-
-  /// Exactly 16 lowercase hex digits, as the writer spells a double.
-  double to_hex_double(std::string_view tok) const {
-    if (tok.size() != 16) {
-      fail("not a 16-hex-digit bit pattern: " + std::string(tok));
-    }
-    std::uint64_t bits = 0;
-    for (const char c : tok) {
-      std::uint64_t digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint64_t>(c - 'a' + 10);
-      } else {
-        fail("not a 16-hex-digit bit pattern: " + std::string(tok));
-      }
-      bits = bits << 4 | digit;
-    }
-    return std::bit_cast<double>(bits);
-  }
-
- private:
-  /// The characters std::isspace matches in the "C" locale, bar '\n'.
-  static bool is_space(char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int line_no_ = 0;
-  std::array<std::string_view, kMaxTokens + 1> tokens_;
-};
+  return std::bit_cast<double>(bits);
+}
 
 void write_stat(TextWriter& w, std::string_view name,
                 const RunningStats& stats) {
   const RunningStatsState s = stats.state();
-  w << "stat " << name << ' ' << s.n << ' ' << s.mean << ' ' << s.m2 << ' '
-    << s.sum << ' ' << s.min << ' ' << s.max << '\n';
+  w << "stat " << name << ' ' << s.n << ' ' << HexBits{s.mean} << ' '
+    << HexBits{s.m2} << ' ' << HexBits{s.sum} << ' ' << HexBits{s.min} << ' '
+    << HexBits{s.max} << '\n';
 }
 
 RunningStats read_stat(LineReader& reader, std::string_view name) {
@@ -185,11 +77,11 @@ RunningStats read_stat(LineReader& reader, std::string_view name) {
   }
   RunningStatsState s;
   s.n = static_cast<std::size_t>(reader.to_u64(tokens[2]));
-  s.mean = reader.to_hex_double(tokens[3]);
-  s.m2 = reader.to_hex_double(tokens[4]);
-  s.sum = reader.to_hex_double(tokens[5]);
-  s.min = reader.to_hex_double(tokens[6]);
-  s.max = reader.to_hex_double(tokens[7]);
+  s.mean = to_hex_double(reader, tokens[3]);
+  s.m2 = to_hex_double(reader, tokens[4]);
+  s.sum = to_hex_double(reader, tokens[5]);
+  s.min = to_hex_double(reader, tokens[6]);
+  s.max = to_hex_double(reader, tokens[7]);
   return RunningStats::from_state(s);
 }
 
@@ -201,8 +93,8 @@ void write_aggregate(TextWriter& w, const SweepAggregate& a) {
   write_stat(w, "makespan", a.makespan);
   write_stat(w, "slicing_passes", a.slicing_passes);
   write_stat(w, "task_count", a.task_count);
-  w << "hist " << a.laxity.lo() << ' ' << a.laxity.hi() << ' '
-    << a.laxity.underflow() << ' ' << a.laxity.overflow();
+  w << "hist " << HexBits{a.laxity.lo()} << ' ' << HexBits{a.laxity.hi()}
+    << ' ' << a.laxity.underflow() << ' ' << a.laxity.overflow();
   for (std::size_t b = 0; b < LinearHistogram::kBinCount; ++b) {
     w << ' ' << a.laxity.bin(b);
   }
@@ -226,8 +118,8 @@ SweepAggregate read_aggregate(LineReader& reader) {
   a.task_count = read_stat(reader, "task_count");
   tokens = reader.next();
   reader.expect(tokens, "hist", 4 + LinearHistogram::kBinCount);
-  const double lo = reader.to_hex_double(tokens[1]);
-  const double hi = reader.to_hex_double(tokens[2]);
+  const double lo = to_hex_double(reader, tokens[1]);
+  const double hi = to_hex_double(reader, tokens[2]);
   if (!(lo < hi)) {
     reader.fail("histogram range is empty");
   }
@@ -269,27 +161,30 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config) {
   TextWriter out(text);
   out << "dsslice-sweep-config-v1"
       << " m=" << p.processor_count << " classes=" << p.min_class_count << ','
-      << p.max_class_count << " bus=" << p.bus_delay_per_item
-      << " dev=" << p.class_deviation
+      << p.max_class_count << " bus=" << HexBits{p.bus_delay_per_item}
+      << " dev=" << HexBits{p.class_deviation}
       << " cmodel=" << static_cast<int>(p.class_model)
       << " tasks=" << w.min_tasks << ',' << w.max_tasks << " depth="
       << w.min_depth << ',' << w.max_depth << " degree=" << w.min_degree << ','
       << w.max_degree << " locality=" << static_cast<int>(w.edge_locality)
-      << " cmean=" << w.mean_execution_time << " etd=" << w.etd
-      << " inel=" << w.ineligible_probability << " olr=" << w.olr
-      << " spread=" << w.olr_spread << " ccr=" << w.ccr
-      << " opt=" << w.min_optional_fraction << ',' << w.max_optional_fraction
+      << " cmean=" << HexBits{w.mean_execution_time}
+      << " etd=" << HexBits{w.etd}
+      << " inel=" << HexBits{w.ineligible_probability}
+      << " olr=" << HexBits{w.olr} << " spread=" << HexBits{w.olr_spread}
+      << " ccr=" << HexBits{w.ccr}
+      << " opt=" << HexBits{w.min_optional_fraction} << ','
+      << HexBits{w.max_optional_fraction}
       << " intmsg=" << (w.integral_messages ? 1 : 0)
       << " seed=" << config.generator.base_seed
       << " technique=" << static_cast<int>(config.technique)
-      << " kg=" << mp.k_global << " kl=" << mp.k_local
-      << " tf=" << mp.threshold_factor << " to=";
+      << " kg=" << HexBits{mp.k_global} << " kl=" << HexBits{mp.k_local}
+      << " tf=" << HexBits{mp.threshold_factor} << " to=";
   if (mp.threshold_override.has_value()) {
-    out << *mp.threshold_override;
+    out << HexBits{*mp.threshold_override};
   } else {
     out << "none";
   }
-  out << " kr=" << mp.k_resource
+  out << " kr=" << HexBits{mp.k_resource}
       << " tps=" << (mp.temporal_parallel_sets ? 1 : 0)
       << " wcet=" << static_cast<int>(config.wcet_strategy)
       << " placement=" << static_cast<int>(config.scheduler.placement)
@@ -331,7 +226,7 @@ std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint) {
 }
 
 SweepCheckpoint parse_sweep_checkpoint(const std::string& text) {
-  LineReader reader(text);
+  LineReader reader(text, "sweep checkpoint");
   Tokens tokens = reader.next();
   reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
   if (reader.to_u64(tokens[1]) != static_cast<std::uint64_t>(kFormatVersion)) {
@@ -415,29 +310,7 @@ std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
 }
 
 SweepCheckpoint load_sweep_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ConfigError("cannot read sweep checkpoint: " + path);
-  }
-  // One read into a buffer sized from the file; the extra byte lets that
-  // read reach end-of-file. The loop only repeats if the file grew since.
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  std::string text(ec ? 0 : static_cast<std::size_t>(size) + 1, '\0');
-  std::size_t filled = 0;
-  while (in) {
-    if (filled == text.size()) {
-      text.resize(std::max<std::size_t>(2 * text.size(), 4096));
-    }
-    in.read(text.data() + filled,
-            static_cast<std::streamsize>(text.size() - filled));
-    filled += static_cast<std::size_t>(in.gcount());
-  }
-  if (in.bad()) {
-    throw ConfigError("read failed for sweep checkpoint: " + path);
-  }
-  text.resize(filled);
-  return parse_sweep_checkpoint(text);
+  return parse_sweep_checkpoint(read_text_file(path, "sweep checkpoint"));
 }
 
 }  // namespace dsslice

@@ -8,8 +8,9 @@
 // restores the completed shards, computes the missing ones, and folds
 // exactly the same sequence.
 //
-// The file is the repo's usual line-oriented text format with a version
-// header ("dsslice-sweep-checkpoint 1"). Doubles are stored as 16-hex-digit
+// The file is the repo's usual line-oriented text format, written and read
+// by the shared codec in util/text_codec.hpp, with a version header
+// ("dsslice-sweep-checkpoint 1"). Doubles are stored as 16-hex-digit
 // raw bit patterns, not decimals: Welford state must round-trip to the last
 // bit or the resumed aggregates drift from the uninterrupted ones.
 //

@@ -1,16 +1,20 @@
 #include "dsslice/util/string_util.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 namespace dsslice {
 
 std::string format_fixed(double value, int digits) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(digits);
-  os << value;
-  return os.str();
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", digits, value);
+  if (n < static_cast<int>(sizeof buf)) {
+    return std::string(buf, static_cast<std::size_t>(n));
+  }
+  std::string out(static_cast<std::size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, value);
+  return out;
 }
 
 std::string format_percent(double ratio, int digits) {
@@ -63,6 +67,40 @@ std::string trim(const std::string& s) {
     --end;
   }
   return s.substr(begin, end - begin);
+}
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace dsslice

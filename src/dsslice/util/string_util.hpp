@@ -6,7 +6,8 @@
 
 namespace dsslice {
 
-/// Formats a double with `digits` decimal places (fixed notation).
+/// Formats a double with `digits` decimal places (fixed notation), as
+/// printf's "%.*f" does.
 std::string format_fixed(double value, int digits);
 
 /// Formats a ratio in [0,1] as a percentage string, e.g. "42.3%".
@@ -25,5 +26,9 @@ std::vector<std::string> split(const std::string& s, char delim);
 
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string& s);
+
+/// Escapes a string for embedding in a JSON string literal (quotes,
+/// backslashes, control characters), per RFC 8259.
+std::string json_escape(const std::string& text);
 
 }  // namespace dsslice

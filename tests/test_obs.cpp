@@ -305,6 +305,65 @@ TEST(ObsJsonLint, RejectsMalformedDocuments) {
   EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
+// The parser recurses once per nesting level, so a deep document must come
+// back as an error instead of overflowing the stack: 100,000 '[' bytes
+// once crashed every entry point.
+TEST(ObsJsonLint, RejectsDeepNestingWithoutCrashing) {
+  const std::string deep(100000, '[');
+  const obs::JsonParseResult strict = obs::parse_json(deep);
+  EXPECT_FALSE(strict.ok);
+  EXPECT_NE(strict.error.find("nesting"), std::string::npos) << strict.error;
+  EXPECT_FALSE(obs::parse_json(deep + std::string(deep.size(), ']')).ok);
+  EXPECT_FALSE(obs::parse_streaming_json(deep).ok);
+  EXPECT_FALSE(obs::parse_streaming_json(deep + "\n" + deep).ok);
+  std::vector<obs::JsonValue> lines;
+  std::string error;
+  EXPECT_FALSE(obs::parse_jsonl("{}\n" + deep + "\n", lines, error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // Up to the bound, nesting still parses.
+  EXPECT_TRUE(
+      obs::parse_json(std::string(256, '[') + std::string(256, ']')).ok);
+  EXPECT_FALSE(
+      obs::parse_json(std::string(257, '[') + std::string(257, ']')).ok);
+}
+
+// Seeded mutation fuzz over exporter output: every entry point returns on
+// every mutant of a Chrome trace and a metrics JSONL, with no crash and no
+// exception (under the sanitize preset, no UB either).
+TEST(ObsJsonLint, SeededMutantsReturnWithoutCrashing) {
+  obs::TraceSnapshot trace;
+  trace.spans = {{"obs.test.fuzz \"quoted\"", 1000, 251234, 0, 0},
+                 {"obs.test.fuzz.child", 2000, 2067, 1, 1}};
+  obs::MetricsSnapshot metrics;
+  metrics.spans["obs.test.fuzz.span"] = {3, 180597, 67, 180000, {}};
+  metrics.counters["obs.test.fuzz.counter"] = {1, 7.0};
+  metrics.gauges["obs.test.fuzz.gauge"] = {3, 2.5, -0.125, 1e21};
+  metrics.thread_count = 2;
+  static constexpr const char* kWords[] = {
+      "[",    "]",     "{",     "}",    "\"",         ":",  ",",
+      "\\",   "\\u00", "\\uZZ", "null", "true",       "-",  "1e999",
+      "-0.5", "1.e3",  "[[[[[[[[[[[[[[[[", "\"\\u0000\"", "\n"};
+  for (const auto& [pinned, seed] :
+       {std::pair{obs::to_chrome_trace_json(trace), 0x7EACEULL},
+        std::pair{obs::to_metrics_jsonl(metrics), 0x3E7C5ULL}}) {
+    int accepted = 0;
+    testing::for_each_mutant(
+        pinned, seed, 2000, kWords, [&accepted](const std::string& text, int) {
+          std::vector<obs::JsonValue> values;
+          std::string error;
+          const bool jsonl = obs::parse_jsonl(text, values, error);
+          accepted += obs::parse_json(text).ok || jsonl ? 1 : 0;
+          bool completed = false;
+          obs::parse_streaming_json(text, &completed);
+          values.clear();
+          bool truncated = false;
+          obs::parse_streaming_jsonl(text, values, error, &truncated);
+        });
+    // The mutants reach past the first byte: some are still documents.
+    EXPECT_GT(accepted, 20) << pinned;
+  }
+}
+
 // Instrumentation must never perturb results: the same scenario scheduled
 // with recording off and with recording on yields bit-identical schedules.
 TEST(ObsEquivalence, SchedulersUnchangedByRecording) {

@@ -205,18 +205,9 @@ TEST(SweepCheckpoint, EdgeValuesRoundTripBitExactly) {
 // by hand still loads to the same checkpoint.
 TEST(SweepCheckpoint, ParseAcceptsCrlfTabsAndComments) {
   const std::string text = serialize_sweep_checkpoint(sample_checkpoint());
-  std::string edited = "# annotated by hand\r\n\r\n";
-  std::size_t begin = 0;
-  for (std::size_t eol; (eol = text.find('\n', begin)) != std::string::npos;
-       begin = eol + 1) {
-    std::string line = text.substr(begin, eol - begin);
-    for (char& c : line) {
-      c = c == ' ' ? '\t' : c;
-    }
-    edited += " \t" + line + "  # note\r\n \t\r\n";
-  }
-  ASSERT_EQ(begin, text.size());
-  EXPECT_EQ(serialize_sweep_checkpoint(parse_sweep_checkpoint(edited)), text);
+  EXPECT_EQ(serialize_sweep_checkpoint(
+                parse_sweep_checkpoint(testing::hand_edited(text))),
+            text);
 }
 
 /// `text` with the `index`-th space-separated token of the first line that
@@ -277,85 +268,14 @@ TEST(SweepCheckpoint, ParseRejectsOverlongLines) {
 // exception (or, under the sanitize preset, any UB) fails the test.
 TEST(SweepCheckpoint, SeededMutantsParseOrThrowConfigError) {
   const std::string pinned = serialize_sweep_checkpoint(edge_checkpoint());
-  static constexpr char kAlphabet[] = "0123456789abcdefABx+- \t\r\n#";
   static constexpr const char* kWords[] = {
       "0", "1", "2", "3", "7", "01", "+1", "18446744073709551615",
       "18446744073709551616", "0000000000000000", "7ff8000000000001",
       "fff0000000000000", "shard", "stat", "hist", "end"};
-  Xoshiro256 rng(0xC0DECULL);
-  const auto below = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng.next() % n);
-  };
-  // Lines are drawn first and a byte within the line second, so the short
-  // structural lines (counts, shard indices) are hit as often as the long
-  // hist lines.
-  const auto random_line = [&](const std::string& text) {
-    std::vector<std::size_t> starts = {0};
-    for (std::size_t i = 0; i + 1 < text.size(); ++i) {
-      if (text[i] == '\n') {
-        starts.push_back(i + 1);
-      }
-    }
-    const std::size_t begin = starts[below(starts.size())];
-    const std::size_t eol = text.find('\n', begin);
-    return std::pair{begin, eol == std::string::npos ? text.size() : eol + 1};
-  };
-  int parsed = 0;
   constexpr int kMutants = 2000;
-  for (int m = 0; m < kMutants; ++m) {
-    std::string text = pinned;
-    const std::size_t edits = 1 + below(3);
-    for (std::size_t e = 0; e < edits && !text.empty(); ++e) {
-      const auto [line, line_end] = random_line(text);
-      const std::size_t at = line + below(line_end - line);
-      switch (below(7)) {
-        case 0:  // flip one bit
-          text[at] = static_cast<char>(text[at] ^ (1 << below(8)));
-          break;
-        case 1:  // overwrite with a byte the format gives meaning to
-          text[at] = kAlphabet[below(sizeof kAlphabet - 1)];
-          break;
-        case 2:  // insert a byte
-          text.insert(at, 1, kAlphabet[below(sizeof kAlphabet - 1)]);
-          break;
-        case 3:  // delete a run of bytes
-          text.erase(at, 1 + below(8));
-          break;
-        case 4: {  // splice: copy this line before or over another one
-          const std::string copy = text.substr(line, line_end - line);
-          const auto [to, to_end] = random_line(text);
-          text.replace(to, below(2) == 0 ? 0 : to_end - to, copy);
-          break;
-        }
-        case 5: {  // replace the token around `at` with a boundary word
-          const auto blank = [](char c) { return c == ' ' || c == '\n'; };
-          std::size_t begin = at;
-          while (begin > 0 && !blank(text[begin - 1])) {
-            --begin;
-          }
-          std::size_t end = at;
-          while (end < text.size() && !blank(text[end])) {
-            ++end;
-          }
-          text.replace(begin, end - begin, kWords[below(std::size(kWords))]);
-          break;
-        }
-        default:  // truncate
-          text.resize(at);
-          break;
-      }
-    }
-    try {
-      const SweepCheckpoint cp = parse_sweep_checkpoint(text);
-      ++parsed;
-      const std::string again = serialize_sweep_checkpoint(cp);
-      EXPECT_EQ(serialize_sweep_checkpoint(parse_sweep_checkpoint(again)),
-                again)
-          << "mutant " << m;
-    } catch (const ConfigError&) {
-      // rejected with a line number: the contract for hostile input
-    }
-  }
+  const int parsed = testing::parse_or_reject_mutants(
+      pinned, 0xC0DECULL, kMutants, kWords, parse_sweep_checkpoint,
+      serialize_sweep_checkpoint);
   // The mutants must reach past the first checks: some still parse (77 of
   // the 2000 at this seed).
   EXPECT_GT(parsed, kMutants / 40);
