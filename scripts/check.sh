@@ -167,6 +167,45 @@ scenario_smoke ./build
 echo "==> scenario smoke [sanitize]"
 scenario_smoke ./build-sanitize
 
+# Figure smoke, under both presets: Fig. 2 at 8 graphs per point has 7 rows
+# (one per m) of 4 metric cells. Each of its 56 task sets must be generated
+# and analysed once and evaluated under all 4 metrics, so these counter
+# totals are exact.
+figure_smoke() {
+  local build="$1"
+  local tag="${build##*/}"
+  local out="$build/figure-smoke"
+  mkdir -p "$out"
+  "$build/bench/fig2_system_size" --graphs 8 --threads 2 \
+    --metrics "$out/metrics.jsonl" > "$out/stdout.txt"
+  "$build/tools/trace_check" --jsonl "$out/metrics.jsonl"
+  local pair counter want got
+  for pair in gen.scenarios=56 analysis.builds=56 batch.scenarios=224 \
+              sched.list.runs=224; do
+    counter="${pair%=*}"
+    want="${pair#*=}"
+    got="$(grep -o "\"name\":\"$counter\",\"count\":[0-9]*,\"total\":[0-9]*" \
+             "$out/metrics.jsonl" | grep -o '[0-9]*$' || true)"
+    [[ "$got" == "$want" ]] ||
+      { echo "figure smoke [$tag]: $counter total is ${got:-missing}," \
+             "expected $want" >&2; exit 1; }
+  done
+}
+echo "==> figure smoke [default]"
+figure_smoke ./build
+echo "==> figure smoke [sanitize]"
+figure_smoke ./build-sanitize
+
+# Race detector (tsan preset, ThreadSanitizer): the thread pool, the sweep
+# engine's shards and per-thread arenas, figure rows whose pool workers
+# write per-cell outcome slots, and the StreamSink ring drain. The preset
+# builds dsslice_tests only.
+echo "==> tsan [concurrent suites]"
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+./build-tsan/tests/dsslice_tests \
+  --gtest_filter='Sweeps.*:SweepEngine.*:ThreadPool.*:ObsStream.*'
+
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%, so it runs only on the
 # uninstrumented build; its document is diffed against the committed

@@ -14,8 +14,10 @@ namespace dsslice {
 /// Runs config.generator.graph_count task sets as one sweep shard on the
 /// calling thread (run_sweep_shard over [0, graph_count)) and returns its
 /// aggregate: bit-identical to a checkpoint-free run_sweep with a single
-/// shard. Safe to call from a pool worker; parallelism comes from running
-/// several experiments at once (see sim/sweeps.hpp). Publishes no
+/// shard. Safe to call from a pool worker. A figure (sim/sweeps.hpp) does
+/// not call it per cell: it evaluates cells that share a generator config
+/// on one scenario stream, with the same per-scenario step and fold order,
+/// so each cell still equals run_experiment(cell config). Publishes no
 /// sweep.progress.* metrics, so concurrent experiments never overwrite a
 /// sweep's live progress. Throws ConfigError for an invalid config.
 SweepAggregate run_experiment(const ExperimentConfig& config);

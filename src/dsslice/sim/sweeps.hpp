@@ -46,9 +46,15 @@ struct SeriesSpec {
   ConfigFactory factory;
 };
 
-/// Runs |xs| × |specs| experiments on the pool, one (series, x) cell per
-/// task; each cell is a single-threaded run_experiment, so the factories
-/// may be called concurrently. Results do not depend on the pool size.
+/// Evaluates |xs| × |specs| (series, x) cells on the pool. Every cell's
+/// config is built and validated up front on the calling thread (the
+/// factories are never called concurrently). Cells whose GeneratorConfigs
+/// are exactly equal (every field, doubles by bit pattern) form a row that
+/// shares one scenario stream: the pool runs one task per (row, graph
+/// chunk), which generates and analyses each scenario once and evaluates it
+/// under every cell of the row. Each cell then folds its outcomes in
+/// scenario order, so its aggregate is bit-identical to
+/// run_experiment(cell config) at any pool size.
 SweepResult run_sweep(const std::string& x_label, std::vector<double> xs,
                       const std::vector<SeriesSpec>& specs, ThreadPool& pool,
                       bool verbose = false);

@@ -18,7 +18,8 @@ namespace dsslice {
 namespace {
 
 /// Per-thread arena: one scenario batch (generator storage + scratch) and
-/// one evaluation scratch, reused across every shard the thread runs.
+/// one evaluation scratch, reused across every shard and figure row the
+/// thread runs.
 /// Arenas self-register so sweep_arena_grow_events() can see the growth
 /// counters of live threads; a dying thread flushes its count into the
 /// retired tally (the obs registry's live+retired idiom).
@@ -35,8 +36,8 @@ class SweepArena {
   BatchSliceKernel kernel;
 
   /// Counts capacity growths of the scratch buffers that no workspace
-  /// accounts for itself (the estimate vectors). Called between shards —
-  /// after the first shard these capacities are warm and stable.
+  /// accounts for itself (the estimate vectors). Called after every
+  /// evaluation — once warm these capacities are stable.
   void note_extra_capacity() {
     extra_grow_ += scratch.est.capacity() > est_cap_ ? 1 : 0;
     est_cap_ = std::max(est_cap_, scratch.est.capacity());
@@ -110,38 +111,45 @@ std::uint64_t sweep_arena_grow_events() {
   return total;
 }
 
+void generate_arena_scenario(const GeneratorConfig& generator,
+                             std::uint64_t index) {
+  local_arena().batch.generate(generator, index, SweepOptions::gen_chunk);
+}
+
+GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
+                                     bool use_batch_kernel) {
+  SweepArena& arena = local_arena();
+  const Scenario& scenario = arena.batch[0];
+  GraphOutcome outcome;
+  // Slicing techniques route the generated scenario through the SoA batch
+  // kernel, then join back into the scheduler half. The kernel's
+  // bit-identity contract makes the outcome indistinguishable from the
+  // scalar path.
+  if (use_batch_kernel && is_slicing(config.technique)) {
+    BatchSliceConfig kernel_config;
+    kernel_config.metric = metric_of(config.technique);
+    kernel_config.params = config.metric_params;
+    kernel_config.wcet_strategy = config.wcet_strategy;
+    arena.kernel.run(arena.batch.scenarios(), kernel_config);
+    outcome = evaluate_scheduled(config, scenario, arena.kernel.assignment(0),
+                                 arena.kernel.outcome_min_laxity(0),
+                                 arena.kernel.stats(0).passes, &arena.scratch);
+  } else {
+    outcome = evaluate_generated(config, scenario, &arena.scratch);
+  }
+  arena.note_extra_capacity();
+  return outcome;
+}
+
 SweepAggregate run_sweep_shard(const ExperimentConfig& config,
                                std::size_t first, std::size_t last,
                                bool use_batch_kernel) {
   DSSLICE_SPAN("sweep.shard");
-  // Slicing techniques route each generated scenario through the SoA batch
-  // kernel, then join back into the scheduler half. The kernel's
-  // bit-identity contract makes the aggregates indistinguishable from the
-  // scalar path.
-  const bool kernel_path = use_batch_kernel && is_slicing(config.technique);
-  BatchSliceConfig kernel_config;
-  if (kernel_path) {
-    kernel_config.metric = metric_of(config.technique);
-    kernel_config.params = config.metric_params;
-    kernel_config.wcet_strategy = config.wcet_strategy;
-  }
-
-  SweepArena& arena = local_arena();
   SweepAggregate aggregate;
   for (std::size_t k = first; k < last; ++k) {
-    arena.batch.generate(config.generator, k, SweepOptions::gen_chunk);
-    const Scenario& scenario = arena.batch[0];
-    if (kernel_path) {
-      arena.kernel.run(arena.batch.scenarios(), kernel_config);
-      aggregate.add(evaluate_scheduled(
-          config, scenario, arena.kernel.assignment(0),
-          arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
-          &arena.scratch));
-    } else {
-      aggregate.add(evaluate_generated(config, scenario, &arena.scratch));
-    }
+    generate_arena_scenario(config.generator, k);
+    aggregate.add(evaluate_arena_scenario(config, use_batch_kernel));
   }
-  arena.note_extra_capacity();
   DSSLICE_COUNT("sweep.shards_completed", 1);
   return aggregate;
 }

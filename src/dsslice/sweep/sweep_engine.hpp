@@ -11,7 +11,8 @@
 //     scenario per call (larger generator chunks bought no throughput and
 //     cost resident memory). After warm-up the whole path is
 //     allocation-free (sweep_arena_grow_events() is the counter the benches
-//     gate on);
+//     gate on). That per-scenario step (generate_arena_scenario +
+//     evaluate_arena_scenario) is also what every figure row runs;
 //   - each shard folds its outcomes into its own SweepAggregate; the final
 //     result folds per-shard aggregates in shard-index order, so thread
 //     count and completion order cannot perturb a single bit;
@@ -81,12 +82,30 @@ SweepReport run_sweep(const ExperimentConfig& config,
 SweepReport run_sweep(const ExperimentConfig& config,
                       const SweepOptions& options);
 
-/// One shard of a sweep: evaluates scenarios [first, last) on the calling
-/// thread with its arena and folds their outcomes in index order. run_sweep
-/// runs every shard through this function, so a sweep whose single shard
-/// covers [0, n) returns exactly run_sweep_shard(config, 0, n). Records the
-/// sweep.shard span and sweep.shards_completed counter, but none of
-/// run_sweep's progress metrics. The config must be valid.
+/// The engine's per-scenario step, on the calling thread's arena (one per
+/// thread, reused by every shard and figure row the thread runs).
+/// generate_arena_scenario draws scenario `index` of `generator`'s stream
+/// (seed derive_seed(base_seed, index)) into the arena, replacing the one
+/// it held. The generator config must be valid.
+void generate_arena_scenario(const GeneratorConfig& generator,
+                             std::uint64_t index);
+
+/// Evaluates the arena's current scenario under `config`: through the batch
+/// slicing kernel and evaluate_scheduled for a slicing technique when
+/// use_batch_kernel is set, through evaluate_generated otherwise. This is
+/// the one evaluation driver: run_sweep_shard folds its outcomes directly,
+/// and a figure row (sim/sweeps.hpp) evaluates one generated scenario under
+/// every cell that shares its generator config. `config.generator` must be
+/// the stream the scenario was drawn from. Allocation-free once warm.
+GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
+                                     bool use_batch_kernel = true);
+
+/// One shard of a sweep: generates and evaluates scenarios [first, last)
+/// on the calling thread's arena and folds their outcomes in index order.
+/// run_sweep runs every shard through this function, so a sweep whose
+/// single shard covers [0, n) returns exactly run_sweep_shard(config, 0, n).
+/// Records the sweep.shard span and sweep.shards_completed counter, but
+/// none of run_sweep's progress metrics. The config must be valid.
 SweepAggregate run_sweep_shard(const ExperimentConfig& config,
                                std::size_t first, std::size_t last,
                                bool use_batch_kernel = true);

@@ -108,8 +108,12 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
+  // The lanes read this frame until they finish. A lane's last touch of it
+  // is the unlock after counting itself done, and the caller only returns
+  // once it holds the same mutex and sees every lane counted, so no lane
+  // can still be reading the frame when it goes out of scope.
   const std::size_t lanes = std::min(pool.size(), chunks);
-  std::atomic<std::size_t> done_lanes{0};
+  std::size_t done_lanes = 0;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -131,15 +135,15 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
           }
         }
       }
-      if (done_lanes.fetch_add(1) + 1 == lanes) {
-        std::lock_guard lock(done_mutex);
+      const std::lock_guard lock(done_mutex);
+      if (++done_lanes == lanes) {
         done_cv.notify_all();
       }
     });
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return done_lanes.load() == lanes; });
+  done_cv.wait(lock, [&] { return done_lanes == lanes; });
   if (first_error) {
     std::rethrow_exception(first_error);
   }

@@ -42,7 +42,6 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  std::vector<std::jthread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
@@ -50,6 +49,10 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
   std::exception_ptr pending_error_;
+  // Declared last so it is destroyed first: the jthreads join while the
+  // members above, which a worker may still touch after its last task
+  // (it notifies cv_idle_), are alive.
+  std::vector<std::jthread> workers_;
 };
 
 /// Runs body(i) for i in [0, count) across the pool, blocking until done.

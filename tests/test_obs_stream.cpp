@@ -469,10 +469,11 @@ TEST(ObsStream, SweepAggregatesBitIdenticalWithAndWithoutSink) {
   EXPECT_EQ(streamed.scenarios(), plain.scenarios());
 }
 
-// A figure sweep runs its cells concurrently as bare sweep shards. None of
-// them may publish sweep.progress.* — per-sweep totals written by parallel
-// cells would overwrite each other and the heartbeat would report more
-// scenarios done than scheduled — so the status file shows a plain tick.
+// A figure sweep runs its (row, graph chunk) work items concurrently. None
+// of them may publish sweep.progress.* — per-sweep totals written by
+// parallel items would overwrite each other and the heartbeat would report
+// more scenarios done than scheduled — so the status file shows a plain
+// tick.
 TEST(ObsStream, FigureSweepPublishesNoSweepProgress) {
   ObsGuard guard;
   TempFile status("figure.status.json");
@@ -498,9 +499,11 @@ TEST(ObsStream, FigureSweepPublishesNoSweepProgress) {
   for (const auto& [name, gauge] : snapshot.gauges) {
     EXPECT_NE(name.rfind("sweep.progress.", 0), 0u) << name;
   }
-  // 2 sizes x 4 metrics, one shard per cell.
-  ASSERT_EQ(snapshot.counters.count("sweep.shards_completed"), 1u);
-  EXPECT_EQ(snapshot.counters.at("sweep.shards_completed").total, 8.0);
+  // 2 sizes x 4 metrics: one row per size, each one 8-graph work item, and
+  // no engine shard.
+  EXPECT_EQ(snapshot.counters.count("sweep.shards_completed"), 0u);
+  ASSERT_EQ(snapshot.spans.count("sim.figure.row_chunk"), 1u);
+  EXPECT_EQ(snapshot.spans.at("sim.figure.row_chunk").count, 2u);
 
   const std::string heartbeat = slurp(status.path());
   EXPECT_NE(heartbeat.find("\"type\":\"heartbeat\""), std::string::npos)

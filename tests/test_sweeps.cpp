@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 
+#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/sim/sweeps.hpp"
 #include "test_util.hpp"
 
@@ -158,6 +161,139 @@ TEST(Sweeps, CellsInParallelMatchSequentialBitForBit) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(b.mean_min_laxity[j]),
                 std::bit_cast<std::uint64_t>(a.mean_min_laxity[j]))
           << a.name << " x=" << serial.x[j];
+    }
+  }
+}
+
+// A figure generates (and analyses) each task set once per row of cells
+// that share a generator config, not once per cell.
+TEST(Sweeps, FigureRowsGenerateEachScenarioOnce) {
+  ThreadPool pool(3);
+  const ExperimentConfig base = tiny_base();
+  const std::uint64_t graphs = base.generator.graph_count;
+
+  std::uint64_t before = GraphAnalysis::construction_count();
+  sweep_system_size(base, {2, 3, 4}, pool);
+  EXPECT_EQ(GraphAnalysis::construction_count() - before, 3 * graphs)
+      << "Fig. 2: four metrics share each m";
+
+  before = GraphAnalysis::construction_count();
+  sweep_wcet_olr(base, {0.6, 1.0}, pool);
+  EXPECT_EQ(GraphAnalysis::construction_count() - before, 2 * graphs)
+      << "Fig. 5: three WCET strategies share each OLR";
+
+  // Series that differ in ccr draw different task sets: no sharing.
+  std::vector<SeriesSpec> specs;
+  for (const double ccr : {0.1, 0.5}) {
+    specs.push_back({"ccr", [base, ccr](double x) {
+                       ExperimentConfig c = base;
+                       c.generator.workload.olr = x;
+                       c.generator.workload.ccr = ccr;
+                       return c;
+                     }});
+  }
+  before = GraphAnalysis::construction_count();
+  run_sweep("OLR", {0.6, 1.0}, specs, pool);
+  EXPECT_EQ(GraphAnalysis::construction_count() - before, 2 * 2 * graphs);
+}
+
+// Two series that differ in any one generator field, by as little as the
+// sign of a zero, must not share a scenario stream.
+TEST(Sweeps, RowKeyIsExactOnEveryGeneratorField) {
+  ThreadPool pool(2);
+  ExperimentConfig base = tiny_base();
+  base.generator.graph_count = 3;
+  using G = GeneratorConfig;
+  using Mutation = std::function<void(G&)>;
+  const std::vector<std::pair<std::string, Mutation>> fields = {
+      {"none", [](G&) {}},
+      {"processor_count", [](G& g) { g.platform.processor_count = 4; }},
+      {"min_class_count", [](G& g) { g.platform.min_class_count = 2; }},
+      {"max_class_count", [](G& g) { g.platform.max_class_count = 2; }},
+      {"bus_delay_per_item", [](G& g) { g.platform.bus_delay_per_item = 2.0; }},
+      {"class_deviation", [](G& g) { g.platform.class_deviation = 0.3; }},
+      {"class_model",
+       [](G& g) { g.platform.class_model = ClassModel::kUnrelated; }},
+      {"min_tasks", [](G& g) { g.workload.min_tasks = 13; }},
+      {"max_tasks", [](G& g) { g.workload.max_tasks = 20; }},
+      {"min_depth", [](G& g) { g.workload.min_depth = 5; }},
+      {"max_depth", [](G& g) { g.workload.max_depth = 5; }},
+      {"min_degree", [](G& g) { g.workload.min_degree = 2; }},
+      {"max_degree", [](G& g) { g.workload.max_degree = 2; }},
+      {"edge_locality",
+       [](G& g) { g.workload.edge_locality = EdgeLocality::kAnyEarlierLevel; }},
+      {"mean_execution_time",
+       [](G& g) { g.workload.mean_execution_time = 25.0; }},
+      {"etd", [](G& g) { g.workload.etd = 0.5; }},
+      {"ineligible_probability",
+       [](G& g) { g.workload.ineligible_probability = 0.1; }},
+      {"olr", [](G& g) { g.workload.olr = 1.0; }},
+      {"olr_spread", [](G& g) { g.workload.olr_spread = 0.2; }},
+      {"ccr", [](G& g) { g.workload.ccr = 0.2; }},
+      {"min_optional_fraction -0.0",
+       [](G& g) { g.workload.min_optional_fraction = -0.0; }},
+      {"max_optional_fraction",
+       [](G& g) { g.workload.max_optional_fraction = 0.3; }},
+      {"integral_messages", [](G& g) { g.workload.integral_messages = false; }},
+      {"graph_count", [](G& g) { g.graph_count = 4; }},
+      {"base_seed", [](G& g) { g.base_seed += 1; }},
+  };
+  for (const auto& [name, mutate] : fields) {
+    ExperimentConfig changed = base;
+    mutate(changed.generator);
+    const std::vector<SeriesSpec> specs{
+        {"base", [base](double) { return base; }},
+        {"changed", [changed](double) { return changed; }},
+    };
+    const std::uint64_t expected =
+        name == "none" ? base.generator.graph_count
+                       : base.generator.graph_count +
+                             changed.generator.graph_count;
+    const std::uint64_t before = GraphAnalysis::construction_count();
+    run_sweep("x", {0.0}, specs, pool);
+    EXPECT_EQ(GraphAnalysis::construction_count() - before, expected) << name;
+  }
+}
+
+// Every cell of a shared row equals run_experiment on the cell's own config:
+// the slicing techniques (batch kernel + evaluate_scheduled), the WCET
+// strategies and a non-slicing baseline (evaluate_generated) in one row.
+TEST(Sweeps, SharedRowsMatchRunExperimentBitForBit) {
+  const ExperimentConfig base = tiny_base();
+  std::vector<SeriesSpec> specs = metric_series(base);
+  for (SeriesSpec& spec : wcet_series(base)) {
+    specs.push_back(std::move(spec));
+  }
+  specs.push_back({"KAO-ED", [base](double) {
+                     ExperimentConfig c = base;
+                     c.technique = DistributionTechnique::kKaoED;
+                     return c;
+                   }});
+  std::vector<SeriesSpec> swept;
+  for (const SeriesSpec& spec : specs) {
+    swept.push_back({spec.name, [spec](double x) {
+                       ExperimentConfig c = spec.factory(x);
+                       c.generator.workload.olr = x;
+                       return c;
+                     }});
+  }
+  const std::vector<double> xs = {0.6, 1.0};
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const SweepResult sweep = run_sweep("OLR", xs, swept, pool);
+    ASSERT_EQ(sweep.series.size(), swept.size());
+    for (std::size_t s = 0; s < swept.size(); ++s) {
+      for (std::size_t j = 0; j < xs.size(); ++j) {
+        const SweepAggregate cell = run_experiment(swept[s].factory(xs[j]));
+        const Series& series = sweep.series[s];
+        EXPECT_EQ(series.success_ratio[j], cell.success_ratio())
+            << series.name << " x=" << xs[j] << " threads=" << threads;
+        EXPECT_EQ(series.ci95[j], cell.success.ci95_halfwidth())
+            << series.name << " x=" << xs[j] << " threads=" << threads;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(series.mean_min_laxity[j]),
+                  std::bit_cast<std::uint64_t>(cell.min_laxity.mean()))
+            << series.name << " x=" << xs[j] << " threads=" << threads;
+      }
     }
   }
 }
