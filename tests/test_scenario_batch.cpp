@@ -4,6 +4,7 @@
 // scratch-managed buffer.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,94 @@ TEST(ScenarioBatch, MatchesPinnedGeneratorDigest) {
     text += bits(batch[i]);
   }
   EXPECT_EQ(testing::fnv1a(text), 0x567f6803731e13c4ULL);
+}
+
+// Serialized bits of scenarios [0, count) plus every node's successor and
+// predecessor order and the analysis' topological order: serialization
+// alone lists arcs in insertion order, so it would miss an adjacency
+// reordering that the slicing and scheduling walks depend on.
+std::uint64_t structure_digest(const GeneratorConfig& cfg, std::size_t count) {
+  ScenarioBatch batch;
+  batch.generate(cfg, 0, count);
+  std::string text;
+  const auto append = [&text](char tag, std::span<const NodeId> ids) {
+    text += tag;
+    for (const NodeId id : ids) {
+      text += ' ';
+      text += std::to_string(id);
+    }
+    text += '\n';
+  };
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Application& app = batch[i].application;
+    text += bits(batch[i]);
+    for (NodeId v = 0; v < app.task_count(); ++v) {
+      append('s', app.graph().successors(v));
+      append('p', app.graph().predecessors(v));
+    }
+    append('t', app.analysis().topological_order());
+  }
+  return testing::fnv1a(text);
+}
+
+// Generator pins for the branches the paper-default pin above does not
+// reach. Each digest was recorded on the per-node adjacency generator that
+// preceded the flat arc-list one; a change that moves any generated bit or
+// neighbour order fails here.
+TEST(ScenarioBatch, GeneratorBranchesMatchPinnedDigests) {
+  struct Pin {
+    const char* name;
+    void (*configure)(GeneratorConfig&);
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"any-earlier-level",
+       [](GeneratorConfig& c) {
+         c.workload.edge_locality = EdgeLocality::kAnyEarlierLevel;
+       },
+       0xe10da831c2fdfdbaULL},
+      {"unrelated-classes",
+       [](GeneratorConfig& c) {
+         c.platform.class_model = ClassModel::kUnrelated;
+       },
+       0xc20be2f7b6d4b929ULL},
+      {"saturated-degree-3",
+       [](GeneratorConfig& c) {
+         c.workload.min_degree = 3;
+         c.workload.max_degree = 3;
+       },
+       0xb910e55659ac087dULL},
+      {"real-valued-messages",
+       [](GeneratorConfig& c) { c.workload.integral_messages = false; },
+       0x91d2ac1ac7223903ULL},
+      {"ccr-zero", [](GeneratorConfig& c) { c.workload.ccr = 0.0; },
+       0xcb818269f73a0ca8ULL},
+      {"olr-spread",
+       [](GeneratorConfig& c) { c.workload.olr_spread = 0.3; },
+       0x0e83824d50df6a27ULL},
+      {"optional-fractions",
+       [](GeneratorConfig& c) {
+         c.workload.min_optional_fraction = 0.1;
+         c.workload.max_optional_fraction = 0.5;
+       },
+       0x710dc22d9b4becffULL},
+      {"wide-100-150",
+       [](GeneratorConfig& c) {
+         c.workload.min_tasks = 100;
+         c.workload.max_tasks = 150;
+         c.workload.olr = 0.6;
+         c.platform.processor_count = 4;
+       },
+       0xd78d10f49dc0744dULL},
+  };
+  for (const Pin& pin : pins) {
+    GeneratorConfig cfg;
+    cfg.base_seed = 20251017;
+    pin.configure(cfg);
+    cfg.validate();
+    EXPECT_EQ(structure_digest(cfg, 16), pin.digest)
+        << pin.name << ": 0x" << std::hex << structure_digest(cfg, 16);
+  }
 }
 
 TEST(ScenarioBatch, BatchSizeDoesNotAffectScenarioBits) {
