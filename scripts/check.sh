@@ -198,13 +198,14 @@ figure_smoke ./build-sanitize
 
 # Race detector (tsan preset, ThreadSanitizer): the thread pool, the sweep
 # engine's shards and per-thread arenas, figure rows whose pool workers
-# write per-cell outcome slots, and the StreamSink ring drain. The preset
-# builds dsslice_tests only.
+# write per-cell outcome slots, the StreamSink ring drain, and pool workers
+# reading one shared application's graph and lazily built analysis. The
+# preset builds dsslice_tests only.
 echo "==> tsan [concurrent suites]"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 ./build-tsan/tests/dsslice_tests \
-  --gtest_filter='Sweeps.*:SweepEngine.*:ThreadPool.*:ObsStream.*'
+  --gtest_filter='Sweeps.*:SweepEngine.*:ThreadPool.*:ObsStream.*:TaskGraph.*:GraphAnalysis.*:ApplicationAnalysisCache.*'
 
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%, so it runs only on the

@@ -1,6 +1,5 @@
 #include "dsslice/analysis/graph_analysis.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "dsslice/obs/trace.hpp"
@@ -11,6 +10,14 @@ namespace dsslice {
 namespace {
 
 std::atomic<std::uint64_t> g_construction_count{0};
+
+std::size_t row_popcount(const std::uint64_t* row, std::size_t words) {
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < words; ++k) {
+    count += static_cast<std::size_t>(std::popcount(row[k]));
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -25,70 +32,22 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   words_ = (n_ + 63) / 64;
   tail_mask_ = n_ % 64 == 0 ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << (n_ % 64)) - 1;
-  const auto& arcs = g.arcs();
-  const std::size_t arc_count = arcs.size();
-
-  // Successor CSR, preserving TaskGraph's per-node order, with the arc
-  // payloads (message sizes) flattened alongside so hot paths never fall
-  // back to per-arc linear searches.
-  succ_off_.resize(n_ + 1);
-  succ_data_.resize(arc_count);
-  succ_items_.resize(arc_count);
-  std::size_t next = 0;
-  for (NodeId v = 0; v < n_; ++v) {
-    succ_off_[v] = next;
-    const auto succ = g.successors(v);
-    const auto items = g.successor_items(v);
-    DSSLICE_CHECK(next + succ.size() <= arc_count, "successor without an arc");
-    std::copy(succ.begin(), succ.end(), succ_data_.data() + next);
-    std::copy(items.begin(), items.end(), succ_items_.data() + next);
-    next += succ.size();
-  }
-  succ_off_[n_] = next;
-
-  // Predecessor CSR from one counting pass over arcs(). TaskGraph appends
-  // each arc to its target's predecessor list in insertion order, so
-  // bucketing the arcs by target in that order reproduces predecessors(v)
-  // exactly — and records each entry's arc index without a lookup.
-  pred_off_.assign(n_ + 1, 0);
-  for (const Arc& arc : arcs) {
-    ++pred_off_[arc.to + 1];
-  }
-  for (NodeId v = 0; v < n_; ++v) {
-    pred_off_[v + 1] += pred_off_[v];
-  }
-  work_.assign(pred_off_.begin(), pred_off_.end() - 1);  // fill cursors
-  pred_data_.resize(arc_count);
-  pred_items_.resize(arc_count);
-  pred_arc_.resize(arc_count);
-  for (std::size_t k = 0; k < arc_count; ++k) {
-    const std::size_t at = work_[arcs[k].to]++;
-    pred_data_[at] = arcs[k].from;
-    pred_items_[at] = arcs[k].message_items;
-    pred_arc_[at] = static_cast<std::uint32_t>(k);
-  }
-  for (NodeId v = 0; v < n_; ++v) {
-    const auto expected = g.predecessors(v);
-    const auto built = predecessors(v);
-    DSSLICE_CHECK(std::equal(expected.begin(), expected.end(), built.begin(),
-                             built.end()),
-                  "predecessor without an arc");
-  }
 
   // Kahn topological order — same FIFO discipline (ascending seed scan,
   // first in first out) as algorithms::topological_order, so the orders are
   // identical. topo_ is its own queue: [head, tail) is ready, not expanded.
   topo_.resize(n_);
+  in_left_.resize(n_);
   std::size_t tail = 0;
   for (NodeId v = 0; v < n_; ++v) {
-    work_[v] = pred_off_[v + 1] - pred_off_[v];
-    if (work_[v] == 0) {
+    in_left_[v] = g.in_degree(v);
+    if (in_left_[v] == 0) {
       topo_[tail++] = v;
     }
   }
   for (std::size_t head = 0; head < tail; ++head) {
-    for (const NodeId w : successors(topo_[head])) {
-      if (--work_[w] == 0) {
+    for (const NodeId w : g.successors(topo_[head])) {
+      if (--in_left_[w] == 0) {
         topo_[tail++] = w;
       }
     }
@@ -102,42 +61,33 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   parallel_size_.resize(n_);
 
   // Reverse sweep: reach_row(u) = ∪ over successors s of (reach_row(s) ∪ {s}).
+  // Row u is final once its successors are merged, so its popcount is u's
+  // descendant count.
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     const NodeId u = *it;
     std::uint64_t* ru = reach_.data() + u * words_;
-    for (const NodeId s : successors(u)) {
+    for (const NodeId s : g.successors(u)) {
       const std::uint64_t* rs = reach_.data() + s * words_;
       for (std::size_t k = 0; k < words_; ++k) {
         ru[k] |= rs[k];
       }
       ru[s / 64] |= std::uint64_t{1} << (s % 64);
     }
+    descendants_[u] = row_popcount(ru, words_);
   }
   // Forward sweep: coreach_row(v) = ∪ over predecessors u of
-  // (coreach_row(u) ∪ {u}).
+  // (coreach_row(u) ∪ {u}), then v's ancestor count and |Ψ_v|.
   for (const NodeId v : topo_) {
     std::uint64_t* cv = coreach_.data() + v * words_;
-    for (const NodeId u : predecessors(v)) {
+    for (const NodeId u : g.predecessors(v)) {
       const std::uint64_t* cu = coreach_.data() + u * words_;
       for (std::size_t k = 0; k < words_; ++k) {
         cv[k] |= cu[k];
       }
       cv[u / 64] |= std::uint64_t{1} << (u % 64);
     }
-  }
-
-  for (NodeId v = 0; v < n_; ++v) {
-    std::size_t desc = 0;
-    std::size_t anc = 0;
-    const std::uint64_t* rv = reach_.data() + v * words_;
-    const std::uint64_t* cv = coreach_.data() + v * words_;
-    for (std::size_t k = 0; k < words_; ++k) {
-      desc += static_cast<std::size_t>(std::popcount(rv[k]));
-      anc += static_cast<std::size_t>(std::popcount(cv[k]));
-    }
-    descendants_[v] = desc;
-    ancestors_[v] = anc;
-    parallel_size_[v] = n_ - 1 - desc - anc;
+    ancestors_[v] = row_popcount(cv, words_);
+    parallel_size_[v] = n_ - 1 - descendants_[v] - ancestors_[v];
   }
 }
 

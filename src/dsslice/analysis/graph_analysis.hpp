@@ -11,10 +11,10 @@
 // and is memoized on Application (see Application::analysis()), so repeated
 // metric/slicing/recovery calls on the same application are pure lookups.
 //
-// Contents:
+// Contents (derived from the graph's own CSR adjacency, which stays the one
+// copy: the analysis holds no reference to the graph, so it cannot dangle,
+// and consumers scan TaskGraph::successors / predecessors directly):
 //  * topological order (identical to algorithms::topological_order);
-//  * CSR (compressed sparse row) adjacency in both directions — spans with
-//    no per-call bounds checks, flat memory for cache-friendly scans;
 //  * reachability rows: bit v of reach_row(u) ⇔ u ≺ v (strict);
 //  * co-reachability rows: bit u of coreach_row(v) ⇔ u ≺ v (strict) —
 //    the transpose of reach, built in one forward sweep;
@@ -58,39 +58,6 @@ class GraphAnalysis {
 
   /// Kahn topological order (bit-identical to algorithms::topological_order).
   std::span<const NodeId> topological_order() const { return topo_; }
-
-  /// CSR adjacency: same contents/order as TaskGraph::successors /
-  /// predecessors, but flat and without per-call node checks.
-  std::span<const NodeId> successors(NodeId v) const {
-    return {succ_data_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
-  }
-  std::span<const NodeId> predecessors(NodeId v) const {
-    return {pred_data_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
-  }
-
-  /// Message sizes aligned with the CSR adjacency: successor_items(v)[k] is
-  /// the payload of the arc v → successors(v)[k] (and symmetrically for
-  /// predecessors). Replaces TaskGraph::message_items' per-call linear
-  /// search on the scheduler hot paths.
-  std::span<const double> successor_items(NodeId v) const {
-    return {succ_items_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
-  }
-  std::span<const double> predecessor_items(NodeId v) const {
-    return {pred_items_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
-  }
-
-  /// For each in-arc predecessors(v)[k], the index of that arc in
-  /// TaskGraph::arcs() — lets per-arc side tables (e.g. injected message
-  /// delay factors) be flattened onto the predecessor CSR once per run.
-  std::span<const std::uint32_t> predecessor_arc_indices(NodeId v) const {
-    return {pred_arc_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
-  }
-
-  /// Global base index of v's predecessor edges inside the flat CSR arrays
-  /// (predecessors(v)[k] lives at flat index predecessor_offset(v) + k).
-  std::size_t predecessor_offset(NodeId v) const { return pred_off_[v]; }
-  /// Total number of arcs (== TaskGraph::arc_count()).
-  std::size_t arc_count() const { return pred_data_.size(); }
 
   /// True iff v is reachable from u via one or more arcs (irreflexive).
   bool reaches(NodeId u, NodeId v) const {
@@ -163,21 +130,13 @@ class GraphAnalysis {
   std::size_t words_ = 0;
   std::uint64_t tail_mask_ = 0;  // valid bits of the last row word
   std::vector<NodeId> topo_;
-  std::vector<std::size_t> succ_off_;
-  std::vector<NodeId> succ_data_;
-  std::vector<std::size_t> pred_off_;
-  std::vector<NodeId> pred_data_;
-  std::vector<double> succ_items_;
-  std::vector<double> pred_items_;
-  std::vector<std::uint32_t> pred_arc_;
   std::vector<std::uint64_t> reach_;
   std::vector<std::uint64_t> coreach_;
   std::vector<std::size_t> descendants_;
   std::vector<std::size_t> ancestors_;
   std::vector<std::size_t> parallel_size_;
-  // Per-node counter shared by the build passes: the predecessor fill
-  // cursor, then Kahn's remaining in-degree.
-  std::vector<std::size_t> work_;
+  // Kahn's remaining in-degree per node.
+  std::vector<std::size_t> in_left_;
 };
 
 }  // namespace dsslice

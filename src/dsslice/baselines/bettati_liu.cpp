@@ -33,7 +33,7 @@ DeadlineAssignment distribute_bettati_liu(const Application& app,
       governing[v] = app.ete_deadline(v);
       continue;
     }
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       governing[v] = std::min(governing[v], governing[w]);
     }
   }

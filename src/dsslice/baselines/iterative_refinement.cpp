@@ -35,7 +35,7 @@ DeadlineAssignment distribute_iterative(const Application& app,
       governing[v] = app.ete_deadline(v);
       continue;
     }
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       governing[v] = std::min(governing[v], governing[w]);
     }
   }

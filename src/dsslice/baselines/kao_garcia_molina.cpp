@@ -34,7 +34,7 @@ DeadlineAssignment distribute_kao(const Application& app,
   std::vector<Time> est(n, kTimeZero);
   for (const NodeId v : topo) {
     Time bound = g.is_input(v) ? app.input_arrival(v) : kTimeZero;
-    for (const NodeId u : analysis.predecessors(v)) {
+    for (const NodeId u : g.predecessors(v)) {
       bound = std::max(bound, est[u] + est_wcet[u]);
     }
     est[v] = bound;
@@ -57,7 +57,7 @@ DeadlineAssignment distribute_kao(const Application& app,
     }
     double best_level = 0.0;
     std::size_t best_hops = 0;
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       governing[v] = std::min(governing[v], governing[w]);
       if (level[w] > best_level) {
         best_level = level[w];

@@ -185,6 +185,7 @@ template <MetricKind Kind>
 void BatchSliceKernel::peel_scenario(std::size_t k,
                                      const DeadlineMetric& metric) {
   const Application& app = *apps_[k];
+  const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   const std::size_t n = app.task_count();
   const std::span<const NodeId> topo = analysis.topological_order();
@@ -221,8 +222,8 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
   reserve_grow(sink_bits_, words, word_hint);
   sink_bits_.assign(words, 0);
   for (NodeId v = 0; v < n; ++v) {
-    const std::size_t in_deg = analysis.predecessors(v).size();
-    const std::size_t out_deg = analysis.successors(v).size();
+    const std::size_t in_deg = g.predecessors(v).size();
+    const std::size_t out_deg = g.successors(v).size();
     up_count_[v] = static_cast<std::uint32_t>(in_deg);
     us_count_[v] = static_cast<std::uint32_t>(out_deg);
     arrival_[v] = in_deg == 0 ? app.input_arrival(v) : -kTimeInfinity;
@@ -288,7 +289,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
   for (std::size_t pos = n; pos-- > 0;) {
     const NodeId v = topo[pos];
     Time l = deadline_[v];
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       l = std::min(l, lw_[w].latest - lw_[w].weight);
     }
     lw_[v].latest = l;
@@ -313,7 +314,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
           batch_path_value<Kind>(latest_v - best_start, best_sum, best_count);
       valid = true;
     }
-    for (const NodeId u : analysis.predecessors(v)) {
+    for (const NodeId u : g.predecessors(v)) {
       const NodeDp& du = dp_[u];
       const Time cand_start = du.start;
       const double cand_sum = du.sum + weight_v;
@@ -356,7 +357,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
         const std::size_t pos = wi * 64 + static_cast<std::size_t>(bit);
         const NodeId v = topo[pos];
         Time l = deadline_[v];
-        for (const NodeId w : analysis.successors(v)) {
+        for (const NodeId w : g.successors(v)) {
           if (bit_test(unassigned_node_, w)) {
             l = std::min(l, lw_[w].latest - lw_[w].weight);
           }
@@ -366,7 +367,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
           // The projected score at v reads L(v); the latest-finish of every
           // unassigned predecessor reads it too.
           bit_set(dirty_fwd_, static_cast<std::uint32_t>(pos));
-          for (const NodeId u : analysis.predecessors(v)) {
+          for (const NodeId u : g.predecessors(v)) {
             if (bit_test(unassigned_node_, u)) {
               const std::uint32_t p = pos_of_[u];
               // Same-word marks go straight into the live snapshot (the
@@ -417,7 +418,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
                                               best_count);
           valid = true;
         }
-        for (const NodeId u : analysis.predecessors(v)) {
+        for (const NodeId u : g.predecessors(v)) {
           if (!bit_test(unassigned_node_, u)) {
             continue;
           }
@@ -449,7 +450,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
                                     best_count != dv.count;
         dv = NodeDp{best_start, best_sum, best_score, best_count, best_prev};
         if (inputs_changed) {
-          for (const NodeId s : analysis.successors(v)) {
+          for (const NodeId s : g.successors(v)) {
             if (bit_test(unassigned_node_, s)) {
               const std::uint32_t p = pos_of_[s];
               if ((p >> 6) == wi) {
@@ -547,7 +548,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
     // assigned becomes a Π-sink.
     for (const NodeId v : path_nodes_) {
       const Window& w = assignment.windows[v];
-      for (const NodeId u : analysis.predecessors(v)) {
+      for (const NodeId u : g.predecessors(v)) {
         --us_count_[u];
         if (bit_test(unassigned_node_, u)) {
           deadline_[u] = std::min(deadline_[u], w.arrival);
@@ -557,7 +558,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
           }
         }
       }
-      for (const NodeId s : analysis.successors(v)) {
+      for (const NodeId s : g.successors(v)) {
         --up_count_[s];
         if (bit_test(unassigned_node_, s)) {
           arrival_[s] = std::max(arrival_[s], w.deadline);

@@ -18,7 +18,8 @@ bool better(const PathCandidate& a, const PathCandidate& b) {
 
 }  // namespace
 
-bool CriticalPathSearch::find(const GraphAnalysis& analysis,
+bool CriticalPathSearch::find(const TaskGraph& g,
+                              const GraphAnalysis& analysis,
                               const AnchorState& anchors,
                               std::span<const double> weights,
                               const DeadlineMetric& metric,
@@ -38,7 +39,7 @@ bool CriticalPathSearch::find(const GraphAnalysis& analysis,
       continue;
     }
     Time l = anchors.deadline_anchor(v);
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       if (!anchors.assigned(w)) {
         l = std::min(l, latest_[w] - weights[w]);
       }
@@ -71,7 +72,7 @@ bool CriticalPathSearch::find(const GraphAnalysis& analysis,
       }
     };
 
-    const auto preds = analysis.predecessors(v);
+    const auto preds = g.predecessors(v);
     bool pi_source = true;
     for (const NodeId u : preds) {
       if (!anchors.assigned(u)) {
@@ -95,7 +96,7 @@ bool CriticalPathSearch::find(const GraphAnalysis& analysis,
     dp_[v] = best;
 
     bool pi_sink = true;
-    for (const NodeId w : analysis.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       if (!anchors.assigned(w)) {
         pi_sink = false;
         break;
@@ -140,7 +141,7 @@ std::optional<CriticalPath> find_critical_path(
   const GraphAnalysis analysis(g);
   CriticalPathSearch search;
   CriticalPath path;
-  if (!search.find(analysis, anchors, weights, metric, path)) {
+  if (!search.find(g, analysis, anchors, weights, metric, path)) {
     return std::nullopt;
   }
   return path;

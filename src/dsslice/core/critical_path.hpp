@@ -96,9 +96,9 @@ class CriticalPathSearch {
  public:
   /// Finds the most critical remaining path into `out` (reusing its node
   /// vector). Returns false when no unassigned task remains.
-  bool find(const GraphAnalysis& analysis, const AnchorState& anchors,
-            std::span<const double> weights, const DeadlineMetric& metric,
-            CriticalPath& out);
+  bool find(const TaskGraph& g, const GraphAnalysis& analysis,
+            const AnchorState& anchors, std::span<const double> weights,
+            const DeadlineMetric& metric, CriticalPath& out);
 
  private:
   using Entry = PathCandidate;

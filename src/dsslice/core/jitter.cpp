@@ -37,7 +37,7 @@ std::vector<JitterBound> precedence_release_jitter(const Application& app,
   for (const NodeId v : analysis.topological_order()) {
     Time earliest = g.is_input(v) ? app.input_arrival(v) : kTimeZero;
     Time latest = earliest;
-    for (const NodeId u : analysis.predecessors(v)) {
+    for (const NodeId u : g.predecessors(v)) {
       // Best case: predecessor released earliest, ran its fastest class,
       // and is co-located (zero communication).
       earliest = std::max(earliest,

@@ -15,7 +15,8 @@ namespace {
 /// computed over the cached topological order. Arithmetic is identical to
 /// graph::average_parallelism (same per-node max/add sequence), but no
 /// topological sort is rerun and the level buffer is reusable.
-double average_parallelism_cached(const GraphAnalysis& a,
+double average_parallelism_cached(const TaskGraph& g,
+                                  const GraphAnalysis& a,
                                   std::span<const double> est_wcet,
                                   std::vector<double>& level) {
   const std::size_t n = a.node_count();
@@ -27,7 +28,7 @@ double average_parallelism_cached(const GraphAnalysis& a,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId v = *it;
     double best_succ = 0.0;
-    for (const NodeId w : a.successors(v)) {
+    for (const NodeId w : g.successors(v)) {
       best_succ = std::max(best_succ, level[w]);
     }
     level[v] = est_wcet[v] + best_succ;
@@ -161,13 +162,15 @@ void DeadlineMetric::weights_span_into(const Application& app,
 
   const double threshold = effective_threshold(est_wcet);
   const double m = static_cast<double>(processor_count);
+  const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   MetricWorkspace local;
   MetricWorkspace& ws = workspace != nullptr ? *workspace : local;
 
   if (kind_ == MetricKind::kAdaptG) {
     // ĉ_i = c̄_i (1 + k_G ξ / m) for c̄_i ≥ c_thres (Eq. 6).
-    const double xi = average_parallelism_cached(analysis, est_wcet, ws.level);
+    const double xi =
+        average_parallelism_cached(g, analysis, est_wcet, ws.level);
     const double surplus = 1.0 + params_.k_global * xi / m;
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (est_wcet[i] >= threshold) {
@@ -216,7 +219,7 @@ void DeadlineMetric::weights_span_into(const Application& app,
     est_start.assign(out.size(), kTimeZero);
     lft_finish.assign(out.size(), kTimeInfinity);
     for (const NodeId v : topo) {
-      const auto preds = analysis.predecessors(v);
+      const auto preds = g.predecessors(v);
       Time start = preds.empty() ? app.input_arrival(v) : kTimeZero;
       for (const NodeId u : preds) {
         start = std::max(start, est_start[u] + est_wcet[u]);
@@ -225,7 +228,7 @@ void DeadlineMetric::weights_span_into(const Application& app,
     }
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
       const NodeId v = *it;
-      const auto succs = analysis.successors(v);
+      const auto succs = g.successors(v);
       Time finish = succs.empty() && app.has_ete_deadline(v)
                         ? app.ete_deadline(v)
                         : kTimeInfinity;

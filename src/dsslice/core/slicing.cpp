@@ -81,12 +81,14 @@ void run_slicing_into(DeadlineAssignment& assignment, const Application& app,
 
   DSSLICE_SPAN(slicing_span_name(metric.kind()));
 
-  // The memoized analysis supplies the topological order, CSR adjacency and
-  // (for ADAPT-L) the parallel sets; nothing graph-structural is recomputed
-  // in this run. Requires an acyclic graph, as slicing always has.
+  // The graph's CSR supplies the adjacency and the memoized analysis the
+  // topological order and (for ADAPT-L) the parallel sets; nothing
+  // graph-structural is recomputed in this run. Requires an acyclic graph,
+  // as slicing always has.
+  const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   for (NodeId v = 0; v < n; ++v) {
-    if (analysis.successors(v).empty()) {
+    if (g.successors(v).empty()) {
       DSSLICE_REQUIRE(app.has_ete_deadline(v),
                       "output task without an E-T-E deadline");
     }
@@ -114,7 +116,7 @@ void run_slicing_into(DeadlineAssignment& assignment, const Application& app,
 
   // Steps 2–14: peel critical paths until no task remains.
   CriticalPath& path = ws.path;
-  while (ws.search.find(analysis, anchors, weights, metric, path)) {
+  while (ws.search.find(g, analysis, anchors, weights, metric, path)) {
     if (local_stats.passes == 0) {
       local_stats.first_path_metric = path.metric_value;
       local_stats.first_path_length = path.nodes.size();
@@ -168,12 +170,12 @@ void run_slicing_into(DeadlineAssignment& assignment, const Application& app,
     // Steps 5–12: propagate anchors to unassigned neighbours of the spine.
     for (const NodeId v : path.nodes) {
       const Window& w = anchors.window(v);
-      for (const NodeId u : analysis.predecessors(v)) {
+      for (const NodeId u : g.predecessors(v)) {
         if (!anchors.assigned(u)) {
           anchors.tighten_deadline(u, w.arrival);
         }
       }
-      for (const NodeId s : analysis.successors(v)) {
+      for (const NodeId s : g.successors(v)) {
         if (!anchors.assigned(s)) {
           anchors.tighten_arrival(s, w.deadline);
         }

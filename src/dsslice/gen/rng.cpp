@@ -1,9 +1,5 @@
 #include "dsslice/gen/rng.hpp"
 
-#include <bit>
-
-#include "dsslice/util/check.hpp"
-
 namespace dsslice {
 
 std::uint64_t SplitMix64::next() {
@@ -23,49 +19,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) {
     s_[0] = 0x9E3779B97F4A7C15ULL;
   }
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::next_double() {
-  // 53 top bits → uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256::uniform(double lo, double hi) {
-  DSSLICE_REQUIRE(lo <= hi, "uniform range inverted");
-  return lo + (hi - lo) * next_double();
-}
-
-std::int64_t Xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) {
-  DSSLICE_REQUIRE(lo <= hi, "uniform_int range inverted");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>(next());
-  }
-  // Unbiased bounded sampling by rejection.
-  const std::uint64_t limit = (~std::uint64_t{0} / span) * span;
-  std::uint64_t x;
-  do {
-    x = next();
-  } while (x >= limit);
-  return lo + static_cast<std::int64_t>(x % span);
-}
-
-bool Xoshiro256::bernoulli(double p) {
-  DSSLICE_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
-  return next_double() < p;
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {

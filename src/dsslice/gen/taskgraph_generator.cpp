@@ -1,6 +1,7 @@
 #include "dsslice/gen/taskgraph_generator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
 
@@ -32,15 +33,24 @@ void draw_level_sizes(std::size_t n, std::size_t depth, Xoshiro256& rng,
   }
 }
 
-/// Draws the layered precedence structure: each task beyond level 0 picks
-/// 1–3 predecessors from the previous level (preferring predecessors that
-/// still have spare out-degree); level-ℓ tasks without successors are then
-/// wired forward so only the last level contains output tasks.
-void draw_structure_into(TaskGraph& g, const WorkloadConfig& cfg,
-                         std::size_t n, std::size_t depth, Xoshiro256& rng,
-                         GeneratorScratch& scratch) {
+/// Draws the layered precedence structure into scratch.arcs: each task
+/// beyond level 0 picks 1–3 predecessors from the previous level (preferring
+/// predecessors that still have spare out-degree); level-ℓ tasks without
+/// successors are then wired forward so only the last level contains output
+/// tasks. Degrees are tracked in the scratch's own arrays; the graph is
+/// built once from the finished arc list.
+void draw_structure(const WorkloadConfig& cfg, std::size_t n,
+                    std::size_t depth, Xoshiro256& rng,
+                    GeneratorScratch& scratch) {
   draw_level_sizes(n, depth, rng, scratch);
-  g.reset(n);
+  scratch.arcs.clear();
+  scratch.fill(scratch.out_degree, n, std::size_t{0});
+  scratch.fill(scratch.in_degree, n, std::size_t{0});
+  const auto add_arc = [&scratch](NodeId u, NodeId v) {
+    scratch.push(scratch.arcs, Arc{u, v, 0.0});
+    ++scratch.out_degree[u];
+    ++scratch.in_degree[v];
+  };
 
   // Node ids are consecutive by level, so the previous level is the id
   // range [prev_start, start) and "any earlier level" is [0, start) — the
@@ -61,7 +71,7 @@ void draw_structure_into(TaskGraph& g, const WorkloadConfig& cfg,
       // spare out-capacity so out-degrees also stay in the configured band.
       scratch.with_capacity.clear();
       for (NodeId u = prev_start; u < start; ++u) {
-        if (g.out_degree(u) < cfg.max_degree) {
+        if (scratch.out_degree[u] < cfg.max_degree) {
           scratch.push(scratch.with_capacity, u);
         }
       }
@@ -73,7 +83,9 @@ void draw_structure_into(TaskGraph& g, const WorkloadConfig& cfg,
       const NodeId anchor = scratch.with_capacity.empty()
                                 ? prev_start + static_cast<NodeId>(a)
                                 : scratch.with_capacity[a];
-      g.add_arc(anchor, v);
+      // v's in-arcs are exactly the arcs drawn from here on.
+      const std::size_t first_in = scratch.arcs.size();
+      add_arc(anchor, v);
 
       // Remaining predecessors per the edge-locality mode.
       const bool any_earlier =
@@ -86,56 +98,63 @@ void draw_structure_into(TaskGraph& g, const WorkloadConfig& cfg,
         const auto j = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(pool_size) - 1));
         const NodeId u = pool_base + static_cast<NodeId>(j);
-        if (!g.has_arc(u, v)) {
-          g.add_arc(u, v);
+        const auto in_arcs = std::span(scratch.arcs).subspan(first_in);
+        if (std::none_of(in_arcs.begin(), in_arcs.end(),
+                         [u](const Arc& arc) { return arc.from == u; })) {
+          add_arc(u, v);
         }
       }
     }
     // Every previous-level task must have at least one successor (only the
-    // final level may contain output tasks).
+    // final level may contain output tasks). Such a u has no out-arc yet,
+    // so no current-level task is already its successor.
     for (NodeId u = prev_start; u < start; ++u) {
-      if (g.out_degree(u) != 0) {
+      if (scratch.out_degree[u] != 0) {
         continue;
       }
-      // Prefer a current-level task with spare in-capacity.
+      // Prefer a current-level task with spare in-capacity, else any.
       scratch.candidates.clear();
       for (NodeId v = start; v < end; ++v) {
-        if (g.in_degree(v) < cfg.max_degree && !g.has_arc(u, v)) {
+        if (scratch.in_degree[v] < cfg.max_degree) {
           scratch.push(scratch.candidates, v);
         }
       }
-      if (scratch.candidates.empty()) {
-        for (NodeId v = start; v < end; ++v) {
-          if (!g.has_arc(u, v)) {
-            scratch.push(scratch.candidates, v);
-          }
-        }
-      }
-      DSSLICE_CHECK(!scratch.candidates.empty(),
-                    "level with no attachable successor");
+      const bool any = scratch.candidates.empty();
+      const std::size_t count =
+          any ? static_cast<std::size_t>(end - start)
+              : scratch.candidates.size();
       const auto j = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(scratch.candidates.size()) - 1));
-      g.add_arc(u, scratch.candidates[j]);
+          0, static_cast<std::int64_t>(count) - 1));
+      add_arc(u, any ? start + static_cast<NodeId>(j) : scratch.candidates[j]);
     }
   }
 }
 
-/// Draws a message size whose expectation matches the configured CCR.
-double draw_message_items(const WorkloadConfig& cfg, Xoshiro256& rng) {
+/// Draws every arc's message size, in arc order, with an expectation that
+/// matches the configured CCR.
+void draw_message_items(const WorkloadConfig& cfg, Xoshiro256& rng,
+                        std::span<Arc> arcs) {
   const double mean_items = cfg.ccr * cfg.mean_execution_time;
   if (mean_items <= 0.0) {
-    return 0.0;
-  }
-  if (cfg.integral_messages) {
-    // Uniform over {1, ..., 2·mean-1} keeps the mean at `mean_items` for
-    // integral means >= 1 (paper: mean 2 ⇒ sizes in {1, 2, 3}).
-    const auto mean = static_cast<std::int64_t>(std::llround(mean_items));
-    if (mean <= 1) {
-      return 1.0;
+    for (Arc& arc : arcs) {
+      arc.message_items = 0.0;
     }
-    return static_cast<double>(rng.uniform_int(1, 2 * mean - 1));
+    return;
   }
-  return rng.uniform(0.0, 2.0 * mean_items);
+  if (!cfg.integral_messages) {
+    for (Arc& arc : arcs) {
+      arc.message_items = rng.uniform(0.0, 2.0 * mean_items);
+    }
+    return;
+  }
+  // Uniform over {1, ..., 2·mean-1} keeps the mean at `mean_items` for
+  // integral means >= 1 (paper: mean 2 ⇒ sizes in {1, 2, 3}).
+  const auto mean = static_cast<std::int64_t>(std::llround(mean_items));
+  for (Arc& arc : arcs) {
+    arc.message_items =
+        mean <= 1 ? 1.0
+                  : static_cast<double>(rng.uniform_int(1, 2 * mean - 1));
+  }
 }
 
 }  // namespace
@@ -167,14 +186,10 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
   DSSLICE_REQUIRE(depth <= n, "graph depth exceeds task count");
 
   // Structure draws first, then message sizes per CCR in arc-insertion
-  // order — the same total draw order the former two-graph build used, over
-  // a single recycled graph.
-  draw_structure_into(scr.graph, config, n, depth, rng, scr);
-  scr.fill(scr.message_items, scr.graph.arc_count(), 0.0);
-  for (std::size_t k = 0; k < scr.message_items.size(); ++k) {
-    scr.message_items[k] = draw_message_items(config, rng);
-  }
-  scr.graph.assign_message_items(scr.message_items);
+  // order, into the scratch arc list; the graph is built from it once.
+  draw_structure(config, n, depth, rng, scr);
+  draw_message_items(config, rng, scr.arcs);
+  scr.graph.assign(n, scr.arcs);
 
   // Classes that actually have processors: eligibility must keep at least
   // one of these per task or the task could never be scheduled.
@@ -192,7 +207,9 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
   scr.resize_task_slots(n);
   for (NodeId i = 0; i < n; ++i) {
     Task& t = scr.tasks[i];
-    t.name = "t" + std::to_string(i);  // SSO: no heap for generated names
+    // "t<i>" fits the small-string buffer: no heap for generated names.
+    char name[16] = {'t'};
+    t.name.assign(name, std::to_chars(name + 1, name + sizeof name, i).ptr);
     // Reset recycled-slot state the loops below do not overwrite.
     t.phasing = kTimeZero;
     t.period = kTimeZero;
@@ -240,13 +257,12 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
   // E-T-E deadline from the OLR over the average accumulated workload
   // (mean WCET across eligible classes, summed over all tasks).
   double avg_workload = 0.0;
-  for (NodeId i = 0; i < n; ++i) {
-    const Task& t = app.task(i);
+  for (const Task& t : app.tasks()) {
     double sum = 0.0;
     std::size_t k = 0;
-    for (ProcessorClassId e = 0; e < class_count; ++e) {
-      if (t.eligible(e)) {
-        sum += t.wcet(e);
+    for (const double wcet : t.wcet_by_class) {
+      if (wcet >= 0.0) {  // eligible
+        sum += wcet;
         ++k;
       }
     }

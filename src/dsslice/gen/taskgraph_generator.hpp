@@ -29,7 +29,8 @@ struct Scenario {
 /// generator-side counterpart of sched/SchedulerWorkspace. One instance per
 /// worker thread lets consecutive generate_scenario_into calls recycle the
 /// DAG-layout temporaries (level sizes, capacity-filtered candidate pools,
-/// per-task WCET snapshots) instead of reallocating them per scenario.
+/// the drawn arc list and degrees, per-task WCET snapshots) instead of
+/// reallocating them per scenario.
 ///
 /// grow_events() follows the PR 3 contract: it counts every capacity growth
 /// of a scratch-managed buffer, so tests can warm a scratch on a batch,
@@ -98,18 +99,20 @@ class GeneratorScratch {
   std::vector<NodeId> candidates;         // successor-wiring pool
   std::vector<ProcessorClassId> populated;  // classes with processors
   std::vector<double> drawn_wcet;         // pre-ineligibility WCET snapshot
-  std::vector<double> message_items;      // per-arc message draws, arc order
+  std::vector<Arc> arcs;                  // drawn arcs, insertion order
+  std::vector<std::size_t> out_degree;    // per node, arcs drawn so far
+  std::vector<std::size_t> in_degree;
 
-  // Deep storage recycled between generate_application_into calls: the
-  // structure is drawn into `graph` (TaskGraph::reset keeps every per-node
-  // adjacency slot, including those beyond a smaller graph's node count)
-  // and the task slots into `tasks` (per-task wcet_by_class capacity
-  // survives), then Application::rebuild_swap trades them for the target's
-  // previous storage. The adjacency capacity and the platform staging
-  // buffers are not counted by grow_events(); they stop growing once the
-  // largest shapes of a stream have been drawn (into both graphs that
-  // rebuild_swap alternates), and tests/test_alloc_free.cpp checks that a
-  // warm scenario makes no heap allocation at all.
+  // Deep storage recycled between generate_application_into calls: `arcs`
+  // is handed to `graph` once per draw (TaskGraph::assign returns the
+  // graph's previous arc storage into it) and the task slots go into
+  // `tasks` (per-task wcet_by_class capacity survives), then
+  // Application::rebuild_swap trades them for the target's previous
+  // storage. The graph's CSR capacity and the platform staging buffers are
+  // not counted by grow_events(); they stop growing once the largest shapes
+  // of a stream have been drawn (into both graphs that rebuild_swap
+  // alternates), and tests/test_alloc_free.cpp checks that a warm scenario
+  // makes no heap allocation at all.
   TaskGraph graph;
   std::vector<Task> tasks;
   std::vector<Task> spare_tasks;

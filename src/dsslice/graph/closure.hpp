@@ -48,8 +48,8 @@ class TransitiveClosure {
   /// Convenience: |Ψ_i| for every node.
   std::vector<std::size_t> all_parallel_set_sizes() const;
 
-  /// The underlying shared analysis (topological order, CSR adjacency,
-  /// reach/co-reach bitsets).
+  /// The underlying shared analysis (topological order, reach/co-reach
+  /// bitsets).
   const GraphAnalysis& analysis() const { return analysis_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "dsslice/graph/task_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "dsslice/util/check.hpp"
@@ -8,120 +9,155 @@
 namespace dsslice {
 
 TaskGraph::TaskGraph(std::size_t n)
-    : n_(n), succ_(n), pred_(n), succ_items_(n) {}
+    : n_(n), succ_off_(n + 1, 0), pred_off_(n + 1, 0) {}
 
-TaskGraph::TaskGraph(TaskGraph&& other) noexcept
-    : n_(std::exchange(other.n_, 0)),
-      succ_(std::move(other.succ_)),
-      pred_(std::move(other.pred_)),
-      succ_items_(std::move(other.succ_items_)),
-      arcs_(std::move(other.arcs_)) {}
+TaskGraph::TaskGraph(std::size_t n, std::vector<Arc> arcs) {
+  assign(n, arcs);
+}
+
+TaskGraph::TaskGraph(TaskGraph&& other) noexcept {
+  *this = std::move(other);
+}
 
 TaskGraph& TaskGraph::operator=(TaskGraph&& other) noexcept {
   n_ = std::exchange(other.n_, 0);
-  succ_ = std::move(other.succ_);
-  pred_ = std::move(other.pred_);
-  succ_items_ = std::move(other.succ_items_);
   arcs_ = std::move(other.arcs_);
+  succ_off_ = std::move(other.succ_off_);
+  succ_ = std::move(other.succ_);
+  succ_items_ = std::move(other.succ_items_);
+  pred_off_ = std::move(other.pred_off_);
+  pred_ = std::move(other.pred_);
+  pred_items_ = std::move(other.pred_items_);
+  pred_arc_ = std::move(other.pred_arc_);
   return *this;
 }
 
-void TaskGraph::open_slot() {
-  if (n_ < succ_.size()) {
-    succ_[n_].clear();
-    pred_[n_].clear();
-    succ_items_[n_].clear();
-  } else {
-    succ_.emplace_back();
-    pred_.emplace_back();
-    succ_items_.emplace_back();
+void TaskGraph::node_out_of_range() {
+  detail::check_failed("precondition", "v < node_count()", __FILE__, __LINE__,
+                       "node id out of range");
+}
+
+const char* TaskGraph::arc_error(std::size_t n, const Arc& arc) {
+  if (arc.from >= n || arc.to >= n) {
+    return "node id out of range";
   }
-  ++n_;
+  if (arc.from == arc.to) {
+    return "self-loop arcs are not allowed";
+  }
+  if (!(arc.message_items >= 0.0)) {
+    return "negative message size";
+  }
+  return nullptr;
 }
 
 NodeId TaskGraph::add_node() {
-  open_slot();
-  return static_cast<NodeId>(n_ - 1);
-}
-
-void TaskGraph::require_node(NodeId v) const {
-  DSSLICE_REQUIRE(v < n_, "node id out of range");
+  if (succ_off_.empty()) {
+    succ_off_.push_back(0);
+    pred_off_.push_back(0);
+  }
+  succ_off_.push_back(succ_off_.back());
+  pred_off_.push_back(pred_off_.back());
+  return static_cast<NodeId>(n_++);
 }
 
 void TaskGraph::add_arc(NodeId from, NodeId to, double message_items) {
-  require_node(from);
-  require_node(to);
-  DSSLICE_REQUIRE(from != to, "self-loop arcs are not allowed");
-  DSSLICE_REQUIRE(message_items >= 0.0, "negative message size");
+  const Arc arc{from, to, message_items};
+  const char* error = arc_error(n_, arc);
+  DSSLICE_REQUIRE(error == nullptr, error);
   DSSLICE_REQUIRE(!has_arc(from, to), "parallel arcs are not allowed");
-  succ_[from].push_back(to);
-  succ_items_[from].push_back(message_items);
-  pred_[to].push_back(from);
-  arcs_.push_back(Arc{from, to, message_items});
+  arcs_.push_back(arc);
+  build_csr();
 }
 
-void TaskGraph::reset(std::size_t n) {
-  n_ = 0;
-  while (n_ < n) {
-    open_slot();
+void TaskGraph::assign(std::size_t n, std::vector<Arc>& arcs) {
+  DSSLICE_REQUIRE(arcs.size() < std::numeric_limits<std::uint32_t>::max(),
+                  "too many arcs");
+  n_ = n;
+  arcs_.swap(arcs);
+  arcs.clear();
+  const char* error = nullptr;
+  for (const Arc& arc : arcs_) {
+    if ((error = arc_error(n_, arc)) != nullptr) {
+      break;
+    }
   }
-  arcs_.clear();
+  if (error == nullptr) {
+    build_csr();
+    // Parallel arcs share a successor list, so one scan per list finds them.
+    for (NodeId v = 0; v < n_ && error == nullptr; ++v) {
+      const auto succ = successors(v);
+      for (std::size_t k = 1; k < succ.size(); ++k) {
+        const auto earlier = succ.first(k);
+        if (std::find(earlier.begin(), earlier.end(), succ[k]) !=
+            earlier.end()) {
+          error = "parallel arcs are not allowed";
+          break;
+        }
+      }
+    }
+  }
+  if (error != nullptr) {
+    *this = TaskGraph();
+    DSSLICE_REQUIRE(error == nullptr, error);
+  }
 }
 
-void TaskGraph::assign_message_items(std::span<const double> items) {
-  DSSLICE_REQUIRE(items.size() == arcs_.size(),
-                  "one message size per arc required");
-  // succ_[from] lists arcs in insertion order, so re-pushing in global
-  // insertion order reproduces the parallel layout exactly. The entries were
-  // pushed by add_arc, so every inner vector already has the capacity.
+void TaskGraph::build_csr() {
+  const auto m = static_cast<std::uint32_t>(arcs_.size());
+  succ_off_.assign(n_ + 1, 0);
+  pred_off_.assign(n_ + 1, 0);
+  for (const Arc& arc : arcs_) {
+    ++succ_off_[arc.from];
+    ++pred_off_[arc.to];
+  }
+  // Inclusive prefix sums: off[v] becomes one past the end of v's bucket.
+  std::uint32_t succ_end = 0;
+  std::uint32_t pred_end = 0;
   for (std::size_t v = 0; v < n_; ++v) {
-    succ_items_[v].clear();
+    succ_end = succ_off_[v] += succ_end;
+    pred_end = pred_off_[v] += pred_end;
   }
-  for (std::size_t k = 0; k < arcs_.size(); ++k) {
-    DSSLICE_REQUIRE(items[k] >= 0.0, "negative message size");
-    arcs_[k].message_items = items[k];
-    succ_items_[arcs_[k].from].push_back(items[k]);
+  succ_off_[n_] = m;
+  pred_off_[n_] = m;
+  succ_.resize(m);
+  succ_items_.resize(m);
+  pred_.resize(m);
+  pred_items_.resize(m);
+  pred_arc_.resize(m);
+  // Filling each bucket from its end in reverse arc order keeps insertion
+  // order within the bucket and leaves off[v] at the bucket's start.
+  for (std::uint32_t k = m; k-- > 0;) {
+    const Arc& arc = arcs_[k];
+    const std::uint32_t s = --succ_off_[arc.from];
+    succ_[s] = arc.to;
+    succ_items_[s] = arc.message_items;
+    const std::uint32_t p = --pred_off_[arc.to];
+    pred_[p] = arc.from;
+    pred_items_[p] = arc.message_items;
+    pred_arc_[p] = k;
   }
-}
-
-std::span<const NodeId> TaskGraph::successors(NodeId v) const {
-  require_node(v);
-  return succ_[v];
-}
-
-std::span<const NodeId> TaskGraph::predecessors(NodeId v) const {
-  require_node(v);
-  return pred_[v];
-}
-
-std::span<const double> TaskGraph::successor_items(NodeId v) const {
-  require_node(v);
-  return succ_items_[v];
 }
 
 bool TaskGraph::has_arc(NodeId from, NodeId to) const {
-  require_node(from);
   require_node(to);
-  const auto& out = succ_[from];
+  const auto out = successors(from);
   return std::find(out.begin(), out.end(), to) != out.end();
 }
 
 std::optional<double> TaskGraph::message_items(NodeId from, NodeId to) const {
-  require_node(from);
   require_node(to);
-  const auto& out = succ_[from];
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] == to) {
-      return succ_items_[from][i];
-    }
+  const auto out = successors(from);
+  const auto it = std::find(out.begin(), out.end(), to);
+  if (it == out.end()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return successor_items(from)[static_cast<std::size_t>(it - out.begin())];
 }
 
 std::vector<NodeId> TaskGraph::input_nodes() const {
   std::vector<NodeId> out;
   for (NodeId v = 0; v < node_count(); ++v) {
-    if (pred_[v].empty()) {
+    if (is_input(v)) {
       out.push_back(v);
     }
   }
@@ -131,7 +167,7 @@ std::vector<NodeId> TaskGraph::input_nodes() const {
 std::vector<NodeId> TaskGraph::output_nodes() const {
   std::vector<NodeId> out;
   for (NodeId v = 0; v < node_count(); ++v) {
-    if (succ_[v].empty()) {
+    if (is_output(v)) {
       out.push_back(v);
     }
   }

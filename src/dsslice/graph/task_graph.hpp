@@ -4,9 +4,13 @@
 // precedence constraints annotated with a message size (data items
 // transferred from producer to consumer — zero for pure control precedence).
 //
-// Storage is adjacency lists in both directions for O(out-degree) /
-// O(in-degree) neighbourhood scans, which the slicing algorithm's
-// breadth-first passes rely on.
+// Storage is the arc list in insertion order plus compressed sparse row
+// (CSR) adjacency in both directions, built from it in one counting pass:
+// per-node offsets into flat neighbour-id and message-size arrays, and for
+// each in-arc its index in arcs(). Each node's neighbours keep arc insertion
+// order. This is the library's only copy of the adjacency: GraphAnalysis
+// derives its order and reachability from it, and the slicing algorithm's
+// breadth-first passes and the schedulers scan it in place.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +37,9 @@ class TaskGraph {
   TaskGraph() = default;
   /// Creates a graph with `n` isolated nodes.
   explicit TaskGraph(std::size_t n);
+  /// Creates a graph with `n` nodes and `arcs` in insertion order; checked
+  /// like assign().
+  TaskGraph(std::size_t n, std::vector<Arc> arcs);
 
   // A moved-from graph is empty (node count 0), like a moved-from vector.
   TaskGraph(const TaskGraph&) = default;
@@ -44,27 +51,54 @@ class TaskGraph {
   NodeId add_node();
 
   /// Adds the arc from → to. Parallel arcs and self-loops are rejected;
-  /// cycles are detected lazily by algorithms::topological_order.
+  /// cycles are detected lazily by algorithms::topological_order. Rebuilds
+  /// the CSR, O(n + |A|): for ad-hoc graphs — builders hand their arcs over
+  /// at once through assign() or the (n, arcs) constructor.
   void add_arc(NodeId from, NodeId to, double message_items = 0.0);
 
-  /// Resets to `n` isolated nodes. Equivalent to *this = TaskGraph(n) except
-  /// that previously allocated adjacency storage is kept — including the
-  /// per-node slots of a larger earlier graph, parked beyond the live node
-  /// count — so once a graph of the largest shape has been built, rebuilding
-  /// performs no heap allocation (batch-generation hot path).
-  void reset(std::size_t n);
-
-  /// Rewrites the message size of every arc, `items` parallel to arcs()
-  /// (insertion order). Lets the generator draw the layered structure and
-  /// annotate message sizes in two passes over a single graph instead of
-  /// rebuilding the adjacency. Allocation-free.
-  void assign_message_items(std::span<const double> items);
+  /// Replaces the graph by `n` nodes and the arcs in `arcs` (insertion
+  /// order), each checked as add_arc checks it, and builds the CSR in one
+  /// counting pass. `arcs` receives the graph's previous arc storage,
+  /// cleared, so a caller that draws every graph into the same vector
+  /// recycles both buffers: once they have held the largest shape, assign
+  /// performs no heap allocation (batch-generation hot path). On a rejected
+  /// arc it throws ConfigError and leaves the graph empty.
+  void assign(std::size_t n, std::vector<Arc>& arcs);
 
   std::size_t node_count() const { return n_; }
   std::size_t arc_count() const { return arcs_.size(); }
 
-  std::span<const NodeId> successors(NodeId v) const;
-  std::span<const NodeId> predecessors(NodeId v) const;
+  /// v's direct successors / predecessors in arc insertion order.
+  std::span<const NodeId> successors(NodeId v) const {
+    require_node(v);
+    return {succ_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
+  }
+  std::span<const NodeId> predecessors(NodeId v) const {
+    require_node(v);
+    return {pred_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
+  }
+
+  /// Message sizes parallel to the adjacency: successor_items(v)[k] is the
+  /// payload of the arc v → successors(v)[k], and symmetrically for
+  /// predecessors — O(1) access for consumers that walk the adjacency.
+  std::span<const double> successor_items(NodeId v) const {
+    require_node(v);
+    return {succ_items_.data() + succ_off_[v],
+            succ_off_[v + 1] - succ_off_[v]};
+  }
+  std::span<const double> predecessor_items(NodeId v) const {
+    require_node(v);
+    return {pred_items_.data() + pred_off_[v],
+            pred_off_[v + 1] - pred_off_[v]};
+  }
+
+  /// For each in-arc predecessors(v)[k], the index of that arc in arcs() —
+  /// lets per-arc side tables (e.g. injected message delay factors) be
+  /// flattened onto the predecessor CSR once per run.
+  std::span<const std::uint32_t> predecessor_arc_indices(NodeId v) const {
+    require_node(v);
+    return {pred_arc_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
+  }
 
   std::size_t out_degree(NodeId v) const { return successors(v).size(); }
   std::size_t in_degree(NodeId v) const { return predecessors(v).size(); }
@@ -73,10 +107,6 @@ class TaskGraph {
 
   /// Message size on an existing arc; nullopt when the arc does not exist.
   std::optional<double> message_items(NodeId from, NodeId to) const;
-
-  /// Message sizes of v's out-arcs, parallel to successors(v) — O(1) access
-  /// for consumers that walk the adjacency (no per-arc linear search).
-  std::span<const double> successor_items(NodeId v) const;
 
   /// All arcs in insertion order.
   const std::vector<Arc>& arcs() const { return arcs_; }
@@ -90,19 +120,31 @@ class TaskGraph {
   bool is_output(NodeId v) const { return out_degree(v) == 0; }
 
  private:
-  void require_node(NodeId v) const;
-  /// Appends one live node with empty adjacency, reusing a parked slot when
-  /// one exists.
-  void open_slot();
+  void require_node(NodeId v) const {
+    if (v >= n_) [[unlikely]] {
+      node_out_of_range();
+    }
+  }
+  [[noreturn]] static void node_out_of_range();
+  /// Why `arc` cannot be an arc of a graph with `n` nodes (range,
+  /// self-loop, message size), or nullptr when it can.
+  static const char* arc_error(std::size_t n, const Arc& arc);
+  /// Rebuilds both CSR directions from arcs_ (one counting pass).
+  void build_csr();
 
-  // Per-node slots; only [0, n_) are live. Slots beyond n_ keep their
-  // capacity for a later, larger graph and are emptied when reopened.
   std::size_t n_ = 0;
-  std::vector<std::vector<NodeId>> succ_;
-  std::vector<std::vector<NodeId>> pred_;
-  // Message size per out-arc, parallel to succ_ entries.
-  std::vector<std::vector<double>> succ_items_;
   std::vector<Arc> arcs_;
+  // CSR: v's out-arcs are [succ_off_[v], succ_off_[v + 1]) of succ_ and
+  // succ_items_, its in-arcs the same range of pred_off_ over pred_,
+  // pred_items_ and pred_arc_. The offsets hold n + 1 entries, or none in
+  // a default-constructed or moved-from graph.
+  std::vector<std::uint32_t> succ_off_;
+  std::vector<NodeId> succ_;
+  std::vector<double> succ_items_;
+  std::vector<std::uint32_t> pred_off_;
+  std::vector<NodeId> pred_;
+  std::vector<double> pred_items_;
+  std::vector<std::uint32_t> pred_arc_;
 };
 
 }  // namespace dsslice

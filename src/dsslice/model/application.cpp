@@ -21,24 +21,24 @@ Application::Application(TaskGraph graph, std::vector<Task> tasks)
 Application::Application(const Application& other)
     : graph_(other.graph_),
       tasks_(other.tasks_),
-      ete_deadline_(other.ete_deadline_),
-      analysis_cache_(other.analysis_cache_.load(std::memory_order_acquire)) {}
+      ete_deadline_(other.ete_deadline_) {
+  share_analysis(other);
+}
 
 Application::Application(Application&& other) noexcept
     : graph_(std::move(other.graph_)),
       tasks_(std::move(other.tasks_)),
       ete_deadline_(std::move(other.ete_deadline_)),
-      analysis_cache_(other.analysis_cache_.load(std::memory_order_acquire)),
-      analysis_spare_(other.analysis_spare_.exchange(
-          nullptr, std::memory_order_acq_rel)) {}
+      analysis_(other.analysis_.exchange(nullptr, std::memory_order_acq_rel)),
+      analysis_owner_(std::move(other.analysis_owner_)),
+      analysis_spare_(std::move(other.analysis_spare_)) {}
 
 Application& Application::operator=(const Application& other) {
   if (this != &other) {
     graph_ = other.graph_;
     tasks_ = other.tasks_;
     ete_deadline_ = other.ete_deadline_;
-    analysis_cache_.store(other.analysis_cache_.load(std::memory_order_acquire),
-                          std::memory_order_release);
+    share_analysis(other);
   }
   return *this;
 }
@@ -48,13 +48,24 @@ Application& Application::operator=(Application&& other) noexcept {
     graph_ = std::move(other.graph_);
     tasks_ = std::move(other.tasks_);
     ete_deadline_ = std::move(other.ete_deadline_);
-    analysis_cache_.store(other.analysis_cache_.load(std::memory_order_acquire),
-                          std::memory_order_release);
-    analysis_spare_.store(
-        other.analysis_spare_.exchange(nullptr, std::memory_order_acq_rel),
+    analysis_.store(
+        other.analysis_.exchange(nullptr, std::memory_order_acq_rel),
         std::memory_order_release);
+    analysis_owner_ = std::move(other.analysis_owner_);
+    analysis_spare_ = std::move(other.analysis_spare_);
   }
   return *this;
+}
+
+void Application::share_analysis(const Application& other) {
+  std::shared_ptr<GraphAnalysis> shared;
+  {
+    const std::lock_guard<std::mutex> lock(other.analysis_mutex_);
+    shared = other.analysis_owner_;
+  }
+  const std::lock_guard<std::mutex> lock(analysis_mutex_);
+  analysis_owner_ = std::move(shared);
+  analysis_.store(analysis_owner_.get(), std::memory_order_release);
 }
 
 void Application::rebuild_swap(TaskGraph& graph, std::vector<Task>& tasks) {
@@ -63,38 +74,36 @@ void Application::rebuild_swap(TaskGraph& graph, std::vector<Task>& tasks) {
   std::swap(graph_, graph);
   std::swap(tasks_, tasks);
   ete_deadline_.assign(tasks_.size(), kTimeInfinity);
-  auto old = analysis_cache_.exchange(nullptr, std::memory_order_acq_rel);
-  if (old != nullptr && old.use_count() == 1) {
+  const std::lock_guard<std::mutex> lock(analysis_mutex_);
+  analysis_.store(nullptr, std::memory_order_relaxed);
+  if (analysis_owner_ != nullptr && analysis_owner_.use_count() == 1) {
     // No copy shares the analysis any more. The fence orders the last reads
     // of a copy that released it before the rebuild's writes.
     std::atomic_thread_fence(std::memory_order_acquire);
-    analysis_spare_.store(std::move(old), std::memory_order_release);
+    analysis_spare_ = std::move(analysis_owner_);
   }
+  analysis_owner_.reset();
 }
 
 const GraphAnalysis& Application::analysis() const {
-  auto cached = analysis_cache_.load(std::memory_order_acquire);
-  if (cached == nullptr) {
-    DSSLICE_COUNT("analysis.cache.miss", 1);
-    // Each racing first call takes the spare at most once; the others build.
-    auto built = analysis_spare_.exchange(nullptr, std::memory_order_acq_rel);
-    if (built != nullptr) {
-      built->rebuild(graph_);
-    } else {
-      built = std::make_shared<GraphAnalysis>(graph_);
-    }
-    std::shared_ptr<GraphAnalysis> expected;
-    if (analysis_cache_.compare_exchange_strong(expected, built,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-      cached = std::move(built);
-    } else {
-      cached = std::move(expected);  // another thread won the race
-    }
-  } else {
+  if (const GraphAnalysis* cached = analysis_.load(std::memory_order_acquire)) {
     DSSLICE_COUNT("analysis.cache.hit", 1);
+    return *cached;
   }
-  return *cached;
+  const std::lock_guard<std::mutex> lock(analysis_mutex_);
+  if (const GraphAnalysis* cached = analysis_.load(std::memory_order_relaxed)) {
+    return *cached;  // a concurrent first call built it
+  }
+  DSSLICE_COUNT("analysis.cache.miss", 1);
+  std::shared_ptr<GraphAnalysis> built = std::move(analysis_spare_);
+  if (built != nullptr) {
+    built->rebuild(graph_);
+  } else {
+    built = std::make_shared<GraphAnalysis>(graph_);
+  }
+  analysis_owner_ = std::move(built);
+  analysis_.store(analysis_owner_.get(), std::memory_order_release);
+  return *analysis_owner_;
 }
 
 const Task& Application::task(NodeId i) const {
@@ -228,7 +237,6 @@ void Application::validate_or_throw(const Platform& platform) const {
 
 Application merge_applications(const Application& a, const Application& b) {
   const auto offset = static_cast<NodeId>(a.task_count());
-  TaskGraph graph(a.task_count() + b.task_count());
   std::vector<Task> tasks;
   tasks.reserve(a.task_count() + b.task_count());
   for (NodeId v = 0; v < a.task_count(); ++v) {
@@ -237,12 +245,12 @@ Application merge_applications(const Application& a, const Application& b) {
   for (NodeId v = 0; v < b.task_count(); ++v) {
     tasks.push_back(b.task(v));
   }
-  for (const Arc& arc : a.graph().arcs()) {
-    graph.add_arc(arc.from, arc.to, arc.message_items);
-  }
+  std::vector<Arc> arcs = a.graph().arcs();
+  arcs.reserve(arcs.size() + b.graph().arc_count());
   for (const Arc& arc : b.graph().arcs()) {
-    graph.add_arc(arc.from + offset, arc.to + offset, arc.message_items);
+    arcs.push_back(Arc{arc.from + offset, arc.to + offset, arc.message_items});
   }
+  TaskGraph graph(tasks.size(), std::move(arcs));
   Application merged(std::move(graph), std::move(tasks));
   for (const NodeId in : a.graph().input_nodes()) {
     merged.set_input_arrival(in, a.input_arrival(in));
@@ -270,7 +278,7 @@ NodeId ApplicationBuilder::add_task(std::string name,
   Pending p;
   p.task = Task{std::move(name), std::move(wcet_by_class), phasing, period};
   tasks_.push_back(std::move(p));
-  return graph_.add_node();
+  return static_cast<NodeId>(tasks_.size() - 1);
 }
 
 NodeId ApplicationBuilder::add_uniform_task(std::string name, double wcet,
@@ -281,12 +289,12 @@ NodeId ApplicationBuilder::add_uniform_task(std::string name, double wcet,
   p.uniform = true;
   p.uniform_wcet = wcet;
   tasks_.push_back(std::move(p));
-  return graph_.add_node();
+  return static_cast<NodeId>(tasks_.size() - 1);
 }
 
 void ApplicationBuilder::add_precedence(NodeId from, NodeId to,
                                         double message_items) {
-  graph_.add_arc(from, to, message_items);
+  arcs_.push_back(Arc{from, to, message_items});
 }
 
 void ApplicationBuilder::add_chain(const std::vector<NodeId>& chain,
@@ -318,7 +326,8 @@ Application ApplicationBuilder::build(std::size_t class_count) {
     }
     tasks.push_back(std::move(p.task));
   }
-  Application app(std::move(graph_), std::move(tasks));
+  TaskGraph graph(tasks.size(), std::move(arcs_));
+  Application app(std::move(graph), std::move(tasks));
   for (const auto& [node, arrival] : arrivals_) {
     app.set_input_arrival(node, arrival);
   }
@@ -329,7 +338,7 @@ Application ApplicationBuilder::build(std::size_t class_count) {
   tasks_.clear();
   arrivals_.clear();
   deadlines_.clear();
-  graph_ = TaskGraph();
+  arcs_.clear();
   return app;
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,10 +23,10 @@ class Application {
 
   // The task graph only changes through rebuild_swap, so the memoized
   // GraphAnalysis stays valid until then and copies may share it. The
-  // copy/move operations below exist only because the cache slots are
-  // std::atomic (not copyable); they otherwise behave like the defaults,
-  // except that a copy never takes the spare analysis (recycled storage
-  // belongs to one application).
+  // copy/move operations below exist only because the cache holds an
+  // atomic and a mutex (not copyable); they otherwise behave like the
+  // defaults, except that a copy never takes the spare analysis (recycled
+  // storage belongs to one application).
   Application(const Application& other);
   Application(Application&& other) noexcept;
   Application& operator=(const Application& other);
@@ -34,16 +35,17 @@ class Application {
   const TaskGraph& graph() const { return graph_; }
   std::size_t task_count() const { return tasks_.size(); }
 
-  /// The shared graph analysis (topological order, CSR adjacency, reach /
+  /// The shared graph analysis (topological order, reach /
   /// co-reach bitsets, parallel-set sizes), built lazily on first use and
   /// memoized until the graph changes. The first call after rebuild_swap
   /// rebuilds the spare analysis it parked, if any, in place (no heap
   /// allocation once warm); otherwise it builds a new one. Thread-safe:
-  /// concurrent first calls race benignly (one result wins, the rest are
-  /// discarded). Requires an acyclic graph, like every consumer of the
-  /// analysis. Invalidation: the graph only changes through rebuild_swap,
-  /// which resets `analysis_cache_`; any future API that mutates the graph
-  /// in place must do the same.
+  /// a built analysis is one acquire load away; the first call builds it
+  /// under a mutex, and concurrent first calls wait for that build.
+  /// Requires an acyclic graph, like every consumer of the analysis.
+  /// Invalidation: the graph only changes through rebuild_swap, which
+  /// resets the cache; any future API that mutates the graph in place must
+  /// do the same.
   const GraphAnalysis& analysis() const;
 
   /// Rebuilds this application in place by *swapping* in new graph and task
@@ -91,14 +93,21 @@ class Application {
   void validate_or_throw(const Platform& platform) const;
 
  private:
+  /// Takes `other`'s memoized analysis (never its spare).
+  void share_analysis(const Application& other);
+
   TaskGraph graph_;
   std::vector<Task> tasks_;
   std::vector<Time> ete_deadline_;   // per node; infinity when not an anchor
-  // Lazily-built memoized analysis; shared between copies (same graph).
-  mutable std::atomic<std::shared_ptr<GraphAnalysis>> analysis_cache_;
-  // An unshared analysis of a previous graph, kept by rebuild_swap so the
-  // next analysis() call can rebuild it in place instead of allocating.
-  mutable std::atomic<std::shared_ptr<GraphAnalysis>> analysis_spare_;
+  // Lazily-built memoized analysis: `analysis_` publishes it (null until
+  // built), `analysis_owner_` keeps it alive and is shared between copies
+  // (same graph). `analysis_spare_` is an unshared analysis of a previous
+  // graph, kept by rebuild_swap so the next analysis() call can rebuild it
+  // in place instead of allocating. The mutex guards both shared_ptrs.
+  mutable std::atomic<const GraphAnalysis*> analysis_{nullptr};
+  mutable std::mutex analysis_mutex_;
+  mutable std::shared_ptr<GraphAnalysis> analysis_owner_;
+  mutable std::shared_ptr<GraphAnalysis> analysis_spare_;
 };
 
 /// Disjoint union of two applications: b's tasks are appended after a's
@@ -127,6 +136,8 @@ class ApplicationBuilder {
   NodeId add_uniform_task(std::string name, double wcet,
                           Time phasing = kTimeZero, Time period = kTimeZero);
 
+  /// Adds the arc from → to. build() hands every arc to the graph at once
+  /// and rejects malformed ones there (TaskGraph::assign).
   void add_precedence(NodeId from, NodeId to, double message_items = 0.0);
 
   /// Declares a chain t1 ≺ t2 ≺ ... with a shared message size.
@@ -147,8 +158,8 @@ class ApplicationBuilder {
     bool uniform = false;
     double uniform_wcet = 0.0;
   };
-  TaskGraph graph_;
   std::vector<Pending> tasks_;
+  std::vector<Arc> arcs_;
   std::vector<std::pair<NodeId, Time>> arrivals_;
   std::vector<std::pair<NodeId, Time>> deadlines_;
 };

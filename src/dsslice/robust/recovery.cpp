@@ -50,6 +50,7 @@ std::vector<Window> redistribute_slack(const Application& app,
   // The re-slice path runs once per deadline miss / processor failure, so it
   // leans on the application's memoized analysis instead of recomputing the
   // topological order on every invocation.
+  const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   const std::span<const NodeId> order = analysis.topological_order();
 
@@ -67,7 +68,7 @@ std::vector<Window> redistribute_slack(const Application& app,
       continue;
     }
     Time s = view.now;
-    for (const NodeId u : analysis.predecessors(v)) {
+    for (const NodeId u : g.predecessors(v)) {
       s = std::max(s, est_finish[u]);
     }
     est_start[v] = s;
@@ -80,7 +81,7 @@ std::vector<Window> redistribute_slack(const Application& app,
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
     Time l = app.has_ete_deadline(v) ? app.ete_deadline(v) : kTimeInfinity;
-    for (const NodeId s : analysis.successors(v)) {
+    for (const NodeId s : g.successors(v)) {
       l = std::min(l, lft[s] - est_wcet[s]);
     }
     lft[v] = l;

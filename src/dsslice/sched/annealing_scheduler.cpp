@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
@@ -28,8 +27,8 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
                                       const DeadlineAssignment& assignment,
                                       const Platform& platform,
                                       std::span<const ProcessorId> mapping) {
-  const GraphAnalysis& ga = app.analysis();
-  const std::size_t n = ga.node_count();
+  const TaskGraph& g = app.graph();
+  const std::size_t n = g.node_count();
   const std::size_t m = platform.processor_count();
   DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
   DSSLICE_REQUIRE(mapping.size() == n, "mapping size mismatch");
@@ -54,7 +53,7 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
   ws.ready.reset(assignment.windows);
   ws.size(ws.pred_count, n);
   for (NodeId v = 0; v < n; ++v) {
-    ws.pred_count[v] = ga.predecessors(v).size();
+    ws.pred_count[v] = g.predecessors(v).size();
     if (ws.pred_count[v] == 0) {
       ws.ready.push(v);
     }
@@ -68,8 +67,8 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
     const double c = app.task(v).wcet(platform.class_of(p));
     Time bound =
         std::max(assignment.windows[v].arrival, schedule.processor_available(p));
-    const auto preds = ga.predecessors(v);
-    const auto pitems = ga.predecessor_items(v);
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
     for (std::size_t k = 0; k < preds.size(); ++k) {
       const ScheduledTask& pe = schedule.entry(preds[k]);
       const Time d = shared_bus != nullptr
@@ -88,7 +87,7 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
       }
     }
     schedule.place(v, p, bound, finish);
-    for (const NodeId s : ga.successors(v)) {
+    for (const NodeId s : g.successors(v)) {
       if (--ws.pred_count[s] == 0) {
         ws.ready.push(s);
       }

@@ -32,6 +32,7 @@ struct SearchState {
   const DeadlineAssignment& assignment;
   const Platform& platform;
   const BnbOptions& options;
+  const TaskGraph& g;
   const GraphAnalysis& ga;
   SchedulerWorkspace& ws;
 
@@ -46,6 +47,7 @@ struct SearchState {
         assignment(da),
         platform(p),
         options(o),
+        g(a.graph()),
         ga(a.analysis()),
         ws(w),
         remaining(a.task_count()) {
@@ -69,7 +71,7 @@ struct SearchState {
     ws.size(ws.bnb_ready_pool, n + 1);
     ws.size(ws.bnb_option_pool, n + 1);
     for (NodeId v = 0; v < n; ++v) {
-      ws.preds_left[v] = ga.predecessors(v).size();
+      ws.preds_left[v] = g.predecessors(v).size();
     }
   }
 
@@ -84,7 +86,7 @@ struct SearchState {
         continue;
       }
       Time start = assignment.windows[v].arrival;
-      for (const NodeId u : ga.predecessors(v)) {
+      for (const NodeId u : g.predecessors(v)) {
         start = std::max(start, ws.lb_finish[u]);
       }
       ws.lb_finish[v] = start + ws.min_wcet[v];
@@ -137,8 +139,8 @@ struct SearchState {
 
     for (const NodeId v : ready) {
       const Task& task = app.task(v);
-      const auto preds = ga.predecessors(v);
-      const auto pitems = ga.predecessor_items(v);
+      const auto preds = g.predecessors(v);
+      const auto pitems = g.predecessor_items(v);
       // Distinct processor options: collapse symmetric processors.
       options_list.clear();
       for (ProcessorId p = 0; p < platform.processor_count(); ++p) {
@@ -179,7 +181,7 @@ struct SearchState {
         ws.bnb_placed_on[v] = o.proc;
         const Time saved_avail = ws.bnb_avail[o.proc];
         ws.bnb_avail[o.proc] = o.finishing;
-        for (const NodeId s : ga.successors(v)) {
+        for (const NodeId s : g.successors(v)) {
           --ws.preds_left[s];
         }
         --remaining;
@@ -194,7 +196,7 @@ struct SearchState {
         // Undo.
         ws.bnb_scheduled[v] = 0;
         ws.bnb_avail[o.proc] = saved_avail;
-        for (const NodeId s : ga.successors(v)) {
+        for (const NodeId s : g.successors(v)) {
           ++ws.preds_left[s];
         }
         ++remaining;

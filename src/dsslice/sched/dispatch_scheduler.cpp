@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
 #include "dsslice/util/check.hpp"
@@ -102,8 +101,8 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
                     static_cast<double>(queue_peak));
     }
   } obs_tally;
-  const GraphAnalysis& ga = app.analysis();
-  const std::size_t n = ga.node_count();
+  const TaskGraph& g = app.graph();
+  const std::size_t n = g.node_count();
   const std::size_t m = platform.processor_count();
   DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
   if (conditions != nullptr) {
@@ -114,7 +113,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
                         conditions->wcet_addend.size() == n,
                     "wcet_addend size mismatch");
     DSSLICE_REQUIRE(conditions->arc_delay_factor.empty() ||
-                        conditions->arc_delay_factor.size() == ga.arc_count(),
+                        conditions->arc_delay_factor.size() == g.arc_count(),
                     "arc_delay_factor size mismatch");
     DSSLICE_REQUIRE(conditions->processor_down_at.empty() ||
                         conditions->processor_down_at.size() == m,
@@ -141,7 +140,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   ws.fill(ws.busy_until, m, kTimeZero);
   std::size_t remaining = n;
   for (NodeId v = 0; v < n; ++v) {
-    ws.preds_left[v] = ga.predecessors(v).size();
+    ws.preds_left[v] = g.predecessors(v).size();
   }
 
   // Per-processor timing: the *planned* availability window comes from the
@@ -199,7 +198,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   };
 
   // Per-arc message-delay multipliers come pre-flattened in graph arc order;
-  // GraphAnalysis::predecessor_arc_indices maps each in-edge straight to its
+  // TaskGraph::predecessor_arc_indices maps each in-edge straight to its
   // factor — no hash map on the hot path.
   const double* arc_factor =
       conditions != nullptr && !conditions->arc_delay_factor.empty()
@@ -232,9 +231,9 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   // SharedBus delay inlined (0 co-located, items × per-item otherwise).
   const auto data_ready = [&](NodeId v, ProcessorId p) {
     Time ready = kTimeZero;
-    const auto preds = ga.predecessors(v);
-    const auto pitems = ga.predecessor_items(v);
-    const auto parcs = ga.predecessor_arc_indices(v);
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
+    const auto parcs = g.predecessor_arc_indices(v);
     for (std::size_t k = 0; k < preds.size(); ++k) {
       const NodeId u = preds[k];
       Time d = shared_bus != nullptr
@@ -263,9 +262,9 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     dr_cross1 = dr_cross2 = kNoBound;
     dr_cross1_proc = 0;
     ws.fill(ws.local_pred_bound, m, kNoBound);
-    const auto preds = ga.predecessors(v);
-    const auto pitems = ga.predecessor_items(v);
-    const auto parcs = ga.predecessor_arc_indices(v);
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
+    const auto parcs = g.predecessor_arc_indices(v);
     for (std::size_t k = 0; k < preds.size(); ++k) {
       const NodeId u = preds[k];
       const ProcessorId up = ws.proc_of[u];
@@ -611,7 +610,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
               "task " + app.task(v).name + " missed its deadline";
         }
       }
-      for (const NodeId s : ga.successors(v)) {
+      for (const NodeId s : g.successors(v)) {
         if (--ws.preds_left[s] == 0) {
           release(s);
         }

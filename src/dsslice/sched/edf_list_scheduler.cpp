@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/insertion_scheduler.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
@@ -56,8 +55,8 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
   DSSLICE_REQUIRE(resources == nullptr ||
                       resources->task_count() == app.task_count(),
                   "resource model size mismatch");
-  const GraphAnalysis& ga = app.analysis();
-  const std::size_t n = ga.node_count();
+  const TaskGraph& g = app.graph();
+  const std::size_t n = g.node_count();
   const std::size_t m = platform.processor_count();
   DSSLICE_REQUIRE(assignment.windows.size() == n,
                   "assignment size mismatch");
@@ -120,7 +119,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
   ws.ready.reset(assignment.windows);
   ws.size(ws.pred_count, n);
   for (NodeId v = 0; v < n; ++v) {
-    ws.pred_count[v] = ga.predecessors(v).size();
+    ws.pred_count[v] = g.predecessors(v).size();
     if (ws.pred_count[v] == 0) {
       ws.ready.push(v);
     }
@@ -153,8 +152,8 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
       }
     }
 
-    const auto preds = ga.predecessors(v);
-    const auto pitems = ga.predecessor_items(v);
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
     const std::size_t np = preds.size();
 
     // Shared-bus fast path (nominal mode): the data-availability bound on
@@ -305,7 +304,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
       ws.bus.occupy(t.start, t.finish - t.start);
       result.bus_transfers.push_back(t);
     }
-    for (const NodeId s : ga.successors(v)) {
+    for (const NodeId s : g.successors(v)) {
       if (--ws.pred_count[s] == 0) {
         ws.ready.push(s);
       }

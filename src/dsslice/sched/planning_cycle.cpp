@@ -74,7 +74,6 @@ ExpandedApplication expand_planning_cycle(const Application& app) {
     total += invocations[i];
   }
 
-  TaskGraph expanded_graph(total);
   std::vector<Task> expanded_tasks(total);
   std::vector<ExpandedTask> origin(total);
   for (NodeId i = 0; i < app.task_count(); ++i) {
@@ -89,15 +88,17 @@ ExpandedApplication expand_planning_cycle(const Application& app) {
       origin[e] = ExpandedTask{i, k};
     }
   }
+  std::vector<Arc> expanded_arcs;
   for (const Arc& a : g.arcs()) {
     DSSLICE_CHECK(invocations[a.from] == invocations[a.to],
                   "equal periods imply equal invocation counts");
     for (std::size_t k = 0; k < invocations[a.from]; ++k) {
-      expanded_graph.add_arc(first[a.from] + static_cast<NodeId>(k),
-                             first[a.to] + static_cast<NodeId>(k),
-                             a.message_items);
+      expanded_arcs.push_back(Arc{first[a.from] + static_cast<NodeId>(k),
+                                  first[a.to] + static_cast<NodeId>(k),
+                                  a.message_items});
     }
   }
+  TaskGraph expanded_graph(total, std::move(expanded_arcs));
 
   Application expanded(std::move(expanded_graph), std::move(expanded_tasks));
   for (const NodeId in : g.input_nodes()) {

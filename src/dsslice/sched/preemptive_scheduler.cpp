@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
 #include "dsslice/util/check.hpp"
@@ -39,8 +38,8 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
                                       const Platform& platform) const {
   DSSLICE_SPAN("sched.preemptive.run");
   DSSLICE_COUNT("sched.preemptive.runs", 1);
-  const GraphAnalysis& ga = app.analysis();
-  const std::size_t n = ga.node_count();
+  const TaskGraph& g = app.graph();
+  const std::size_t n = g.node_count();
   const std::size_t m = platform.processor_count();
   DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
 
@@ -92,8 +91,8 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
     Time best_release = kTimeInfinity;
     double best_backlog = 0.0;
     ProcessorId best = kUnbound;
-    const auto preds = ga.predecessors(v);
-    const auto pitems = ga.predecessor_items(v);
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
     for (ProcessorId p = 0; p < m; ++p) {
       if (!task.eligible(platform.class_of(p))) {
         continue;
@@ -131,7 +130,7 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
   };
 
   for (NodeId v = 0; v < n; ++v) {
-    ws.task_preds_left[v] = ga.predecessors(v).size();
+    ws.task_preds_left[v] = g.predecessors(v).size();
     if (ws.task_preds_left[v] == 0) {
       bind_task(v);
     }
@@ -214,7 +213,7 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
               "task " + app.task(v).name + " missed its deadline";
         }
       }
-      for (const NodeId s : ga.successors(v)) {
+      for (const NodeId s : g.successors(v)) {
         if (--ws.task_preds_left[s] == 0) {
           bind_task(s);
           if (binding_failed) {

@@ -236,7 +236,6 @@ Scenario parse_scenario(const std::string& text) {
   line = reader.next();
   reader.expect(line, "tasks", 1);
   const std::size_t task_count = to_count(reader, line[1], "task count");
-  TaskGraph graph(task_count);
   std::vector<Task> tasks;
   for (std::size_t i = 0; i < task_count; ++i) {
     line = reader.next();
@@ -272,6 +271,7 @@ Scenario parse_scenario(const std::string& text) {
   line = reader.next();
   reader.expect(line, "arcs", 1);
   const std::size_t arc_count = to_count(reader, line[1], "arc count");
+  std::vector<Arc> arcs;
   for (std::size_t a = 0; a < arc_count; ++a) {
     line = reader.next();
     reader.expect(line, "arc", 3);
@@ -280,9 +280,10 @@ Scenario parse_scenario(const std::string& text) {
     if (from >= task_count || to >= task_count) {
       reader.fail("arc endpoint out of range");
     }
-    graph.add_arc(static_cast<NodeId>(from), static_cast<NodeId>(to),
-                  to_nonneg(reader, line[3], "message_items"));
+    arcs.push_back(Arc{static_cast<NodeId>(from), static_cast<NodeId>(to),
+                       to_nonneg(reader, line[3], "message_items")});
   }
+  TaskGraph graph(task_count, std::move(arcs));
 
   Application app(std::move(graph), std::move(tasks));
   for (;;) {

@@ -19,6 +19,7 @@
 
 #include "dsslice/batch/slice_kernel.hpp"
 #include "dsslice/gen/scenario_batch.hpp"
+#include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/sim/experiment.hpp"
 #include "dsslice/sweep/aggregate.hpp"
 #include "dsslice/sweep/sweep_engine.hpp"
@@ -155,6 +156,18 @@ TEST(AllocFree, CountingNewSeesHeapAllocations) {
   ::operator delete(q, std::align_val_t{64});
   ::operator delete(p);
   EXPECT_EQ(after - before, 2u);
+}
+
+TEST(AllocFree, DefaultGraphAndGeneratorScratchAllocateNothing) {
+  // generate_application_into constructs a local GeneratorScratch on every
+  // call, used or not, and a scratch holds a default TaskGraph.
+  const std::uint64_t before = allocations();
+  {
+    const TaskGraph graph;
+    const GeneratorScratch scratch;
+    EXPECT_EQ(graph.node_count() + scratch.graph.node_count(), 0u);
+  }
+  EXPECT_EQ(allocations(), before);
 }
 
 TEST(AllocFree, WarmPaperScenarioAllocatesNothing) {

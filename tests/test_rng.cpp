@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "dsslice/gen/rng.hpp"
@@ -74,6 +75,48 @@ TEST(Xoshiro, UniformIntIsRoughlyUniform) {
   }
   for (const std::size_t c : counts) {
     EXPECT_NEAR(static_cast<double>(c), trials / 4.0, trials * 0.02);
+  }
+}
+
+// The two-division rejection rule uniform_int used before its one-division
+// form: reject x >= floor((2^64-1)/span)·span, draw from the raw stream.
+std::int64_t two_division_uniform_int(Xoshiro256& raw, std::int64_t lo,
+                                      std::int64_t hi) {
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (span == 0) {
+    return static_cast<std::int64_t>(raw.next());
+  }
+  const std::uint64_t limit = (~std::uint64_t{0} / span) * span;
+  std::uint64_t x;
+  do {
+    x = raw.next();
+  } while (x >= limit);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   x % span);
+}
+
+TEST(Xoshiro, UniformIntMatchesTwoDivisionRejection) {
+  constexpr std::uint64_t k2_32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t k2_63 = std::uint64_t{1} << 63;
+  constexpr std::int64_t kLo = -(std::int64_t{1} << 62);
+  // Spans 2^63 and 2^63 + 1 reject about half the draws, so the rejection
+  // loop runs; 0 stands for the full 64-bit range.
+  for (const std::uint64_t span : {std::uint64_t{1}, std::uint64_t{2},
+                                   std::uint64_t{3}, std::uint64_t{5},
+                                   k2_32 - 1, k2_32 + 1, k2_63, k2_63 + 1,
+                                   std::uint64_t{0}}) {
+    const std::int64_t lo = span == 0 ? INT64_MIN : kLo;
+    const auto hi = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(lo) + span - 1);
+    Xoshiro256 rng(span * 31 + 7);
+    Xoshiro256 raw(span * 31 + 7);
+    for (int i = 0; i < 4096; ++i) {
+      ASSERT_EQ(rng.uniform_int(lo, hi),
+                two_division_uniform_int(raw, lo, hi))
+          << "span " << span << " draw " << i;
+    }
+    EXPECT_EQ(rng.next(), raw.next()) << "span " << span;  // same position
   }
 }
 

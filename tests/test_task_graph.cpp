@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/graph/task_graph.hpp"
 #include "dsslice/util/check.hpp"
+#include "test_util.hpp"
 
 namespace dsslice {
 namespace {
@@ -69,30 +74,138 @@ TEST(TaskGraph, ArcListPreservesInsertionOrder) {
   EXPECT_EQ(g.arcs()[1], (Arc{0, 1, 2.0}));
 }
 
-TEST(TaskGraph, ResetReusesSlotsAndStartsThemEmpty) {
+// Both neighbour lists of every node, listed in arc insertion order.
+void expect_adjacency_follows_arc_order(const TaskGraph& g) {
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    std::vector<NodeId> succ;
+    std::vector<double> succ_items;
+    std::vector<NodeId> pred;
+    std::vector<double> pred_items;
+    std::vector<std::uint32_t> pred_arcs;
+    for (std::uint32_t k = 0; k < g.arc_count(); ++k) {
+      const Arc& arc = g.arcs()[k];
+      if (arc.from == v) {
+        succ.push_back(arc.to);
+        succ_items.push_back(arc.message_items);
+      }
+      if (arc.to == v) {
+        pred.push_back(arc.from);
+        pred_items.push_back(arc.message_items);
+        pred_arcs.push_back(k);
+      }
+    }
+    const auto same = [](auto span, const auto& vec) {
+      return std::equal(span.begin(), span.end(), vec.begin(), vec.end());
+    };
+    EXPECT_TRUE(same(g.successors(v), succ)) << v;
+    EXPECT_TRUE(same(g.successor_items(v), succ_items)) << v;
+    EXPECT_TRUE(same(g.predecessors(v), pred)) << v;
+    EXPECT_TRUE(same(g.predecessor_items(v), pred_items)) << v;
+    EXPECT_TRUE(same(g.predecessor_arc_indices(v), pred_arcs)) << v;
+  }
+}
+
+TEST(TaskGraph, InterleavedArcsAndQueriesKeepInsertionOrder) {
+  // Arcs into and out of node 2 arrive out of id order, with queries in
+  // between: each answer must already reflect every earlier arc.
+  TaskGraph g(5);
+  g.add_arc(4, 2, 1.0);
+  EXPECT_EQ(g.in_degree(2), 1u);
+  g.add_arc(2, 3, 2.0);
+  g.add_arc(0, 2, 3.0);
+  EXPECT_EQ(g.predecessors(2)[1], 0u);
+  EXPECT_TRUE(g.has_arc(2, 3));
+  g.add_arc(2, 1, 4.0);
+  g.add_arc(1, 3, 5.0);
+  EXPECT_EQ(g.successors(2).size(), 2u);
+  g.add_arc(3, 0, 6.0);
+  g.add_arc(2, 0, 7.0);
+  const NodeId extra = g.add_node();
+  g.add_arc(extra, 2, 8.0);
+  EXPECT_EQ(g.predecessors(2).back(), extra);
+  EXPECT_EQ(g.successors(2)[0], 3u);
+  EXPECT_EQ(g.successors(2)[1], 1u);
+  EXPECT_EQ(g.successors(2)[2], 0u);
+  EXPECT_DOUBLE_EQ(g.message_items(2, 0).value(), 7.0);
+  expect_adjacency_follows_arc_order(g);
+}
+
+TEST(TaskGraph, AssignMatchesArcByArcConstruction) {
+  const std::vector<Arc> arcs = {{3, 1, 1.0}, {0, 1, 2.0}, {0, 3, 0.0},
+                                 {1, 2, 4.0}, {3, 2, 5.0}, {0, 2, 6.0}};
+  TaskGraph one_by_one(4);
+  for (const Arc& arc : arcs) {
+    one_by_one.add_arc(arc.from, arc.to, arc.message_items);
+  }
+  const TaskGraph bulk(4, arcs);
+  EXPECT_EQ(bulk.arcs(), arcs);
+  for (NodeId v = 0; v < 4; ++v) {
+    const auto equal = [](auto x, auto y) {
+      return std::equal(x.begin(), x.end(), y.begin(), y.end());
+    };
+    EXPECT_TRUE(equal(bulk.successors(v), one_by_one.successors(v))) << v;
+    EXPECT_TRUE(equal(bulk.predecessors(v), one_by_one.predecessors(v)))
+        << v;
+    EXPECT_TRUE(equal(bulk.predecessor_arc_indices(v),
+                      one_by_one.predecessor_arc_indices(v)))
+        << v;
+  }
+  expect_adjacency_follows_arc_order(bulk);
+}
+
+TEST(TaskGraph, GeneratedCsrFollowsArcOrder) {
+  for (std::uint64_t seed : {5u, 6u}) {
+    const Scenario sc =
+        generate_scenario_at(testing::small_generator(seed), 0);
+    expect_adjacency_follows_arc_order(sc.application.graph());
+  }
+}
+
+TEST(TaskGraph, AssignSwapsArcStorageAndReplacesTheGraph) {
   TaskGraph g(60);
   for (NodeId v = 1; v < 60; ++v) {
     g.add_arc(v - 1, v, 1.0);
   }
-  g.reset(40);
+  std::vector<Arc> arcs = {{0, 39, 2.0}};
+  arcs.reserve(8);
+  const Arc* drawn = arcs.data();
+  g.assign(40, arcs);
+  // The graph now owns the drawn storage; the caller holds the graph's
+  // previous arc storage, emptied.
+  EXPECT_EQ(g.arcs().data(), drawn);
+  EXPECT_TRUE(arcs.empty());
+  EXPECT_GE(arcs.capacity(), 59u);
   EXPECT_EQ(g.node_count(), 40u);
-  EXPECT_EQ(g.arc_count(), 0u);
+  EXPECT_EQ(g.arc_count(), 1u);
   EXPECT_THROW(g.successors(40), ConfigError);
-  g.add_arc(0, 39, 2.0);
-  g.reset(60);
+  EXPECT_EQ(g.output_nodes().size(), 39u);
+  g.assign(60, arcs);
   ASSERT_EQ(g.node_count(), 60u);
   EXPECT_EQ(g.arc_count(), 0u);
   for (NodeId v = 0; v < 60; ++v) {
     EXPECT_TRUE(g.successors(v).empty()) << v;
     EXPECT_TRUE(g.predecessors(v).empty()) << v;
-    EXPECT_TRUE(g.successor_items(v).empty()) << v;
   }
-  // add_node past a shrunken graph also reopens a parked slot empty.
-  g.reset(40);
-  EXPECT_EQ(g.add_node(), 40u);
-  EXPECT_TRUE(g.successors(40).empty());
-  EXPECT_TRUE(g.predecessors(40).empty());
-  EXPECT_EQ(g.output_nodes().size(), 41u);
+}
+
+TEST(TaskGraph, AssignRejectsMalformedArcsAndLeavesTheGraphEmpty) {
+  const std::vector<std::vector<Arc>> malformed = {
+      {{0, 0, 0.0}},                // self loop
+      {{0, 5, 0.0}},                // out of range
+      {{0, 1, -1.0}},               // negative message
+      {{0, 1, 0.0}, {1, 2, 0.0}, {0, 1, 3.0}},  // parallel arc
+  };
+  for (const std::vector<Arc>& bad : malformed) {
+    TaskGraph g(3);
+    g.add_arc(1, 2);
+    std::vector<Arc> arcs = bad;
+    EXPECT_THROW(g.assign(3, arcs), ConfigError);
+    EXPECT_EQ(g.node_count(), 0u);
+    EXPECT_EQ(g.arc_count(), 0u);
+    EXPECT_EQ(g.add_node(), 0u);  // usable again, from empty
+    EXPECT_TRUE(g.successors(0).empty());
+    EXPECT_THROW(TaskGraph(3, bad), ConfigError);
+  }
 }
 
 TEST(TaskGraph, MovedFromGraphIsEmpty) {
