@@ -118,7 +118,10 @@ stream_smoke() {
   done
   # Interrupt and resume: the same sweep stopped after 4 shards and resumed
   # from its own checkpoint must print the uninterrupted run's aggregate
-  # summary (the first line), and the resumed run must mark its load.
+  # summary (the first line), and the resumed run must mark its load. Both
+  # runs end with every shard complete, so their final checkpoints hold the
+  # same folded aggregate and must match byte for byte. A copy relabelled
+  # as format version 1 (one aggregate per shard) must be refused.
   rm -f "$out/resume.ckpt"
   "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
     --checkpoint "$out/resume.ckpt" --max-shards 4 > "$out/partial.txt"
@@ -131,6 +134,19 @@ stream_smoke() {
   grep -q '"name":"sweep.checkpoint.load_ms"' "$out/resumed.jsonl" ||
     { echo "stream smoke [$tag]: resumed metrics missing" \
            "sweep.checkpoint.load_ms" >&2; exit 1; }
+  cmp "$out/sweep.ckpt" "$out/resume.ckpt" ||
+    { echo "stream smoke [$tag]: resumed checkpoint differs from the" \
+           "uninterrupted run's" >&2; exit 1; }
+  sed '1s/^dsslice-sweep-checkpoint 2$/dsslice-sweep-checkpoint 1/' \
+    "$out/resume.ckpt" > "$out/v1.ckpt"
+  local status=0
+  "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
+    --checkpoint "$out/v1.ckpt" --resume > /dev/null 2> "$out/v1.err" ||
+    status=$?
+  [[ $status -ne 0 ]] && grep -q "unsupported checkpoint format version 1" \
+    "$out/v1.err" ||
+    { echo "stream smoke [$tag]: a version 1 checkpoint was not refused" \
+           "(exit $status)" >&2; exit 1; }
 }
 echo "==> stream smoke [default]"
 stream_smoke ./build
