@@ -20,6 +20,7 @@
 // highest-numbered thread that recorded one.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -44,7 +45,15 @@ struct SpanStats {
                       : static_cast<double>(total_ns) /
                             static_cast<double>(count);
   }
-  double percentile_ns(double p) const { return hist.percentile(p); }
+  /// The histogram interpolates within a bucket up to the bucket's upper
+  /// edge, so its estimate is clamped to the observed [min_ns, max_ns]: one
+  /// span reports its own duration at every percentile.
+  double percentile_ns(double p) const {
+    const double estimate = hist.percentile(p);
+    return count == 0 ? estimate
+                      : std::clamp(estimate, static_cast<double>(min_ns),
+                                   static_cast<double>(max_ns));
+  }
 };
 
 /// Aggregated statistics of one counter name.

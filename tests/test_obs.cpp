@@ -525,5 +525,42 @@ TEST(ObsRegistry, ResetClearsLiveAndRetiredState) {
   EXPECT_EQ(obs::trace_snapshot().spans.size(), 0u);
 }
 
+/// A span name's statistics over `durations`, as the registry merges them.
+obs::SpanStats span_stats(const std::vector<std::uint64_t>& durations) {
+  obs::SpanStats s;
+  for (const std::uint64_t d : durations) {
+    s.min_ns = s.count == 0 ? d : std::min(s.min_ns, d);
+    s.max_ns = std::max(s.max_ns, d);
+    ++s.count;
+    s.total_ns += d;
+    s.hist.add(d);
+  }
+  return s;
+}
+
+// A percentile never leaves the observed range. The histogram alone puts
+// one 37.6 s span at 42.9 s, its bucket's upper edge.
+TEST(ObsRegistry, SpanPercentilesStayWithinObservedRange) {
+  const std::uint64_t one = 37'600'000'000;
+  const obs::SpanStats single = span_stats({one});
+  for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(single.percentile_ns(p), static_cast<double>(one)) << p;
+  }
+
+  Xoshiro256 rng(0x5A4D);
+  std::vector<std::uint64_t> durations;
+  for (int i = 0; i < 500; ++i) {
+    durations.push_back(1 + rng.next() % (std::uint64_t{1} << (i % 40)));
+  }
+  const obs::SpanStats sample = span_stats(durations);
+  const auto [lo, hi] = std::minmax_element(durations.begin(), durations.end());
+  for (double p = 0.0; p <= 100.0; p += 0.5) {
+    const double v = sample.percentile_ns(p);
+    EXPECT_GE(v, static_cast<double>(*lo)) << p;
+    EXPECT_LE(v, static_cast<double>(*hi)) << p;
+  }
+  EXPECT_EQ(obs::SpanStats{}.percentile_ns(50.0), 0.0);
+}
+
 }  // namespace
 }  // namespace dsslice
