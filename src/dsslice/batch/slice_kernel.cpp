@@ -255,14 +255,11 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
   reserve_grow(path_est_, n, node_hint());
   reserve_grow(slices_, n, node_hint());
 
-  reserve_grow(unassigned_pos_, words, word_hint);
-  unassigned_pos_.assign(words, ~std::uint64_t{0});
   reserve_grow(unassigned_node_, words, word_hint);
   unassigned_node_.assign(words, ~std::uint64_t{0});
   const std::uint64_t tail = (n % 64 == 0)
                                  ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << (n % 64)) - 1;
-  unassigned_pos_[words - 1] = tail;
   unassigned_node_[words - 1] = tail;
 
   // Dirty sets (topological-position indexed): which nodes each peel pass
@@ -531,7 +528,6 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
       if (deadline_[v] < kTimeInfinity) {
         w.deadline = std::min(w.deadline, deadline_[v]);
       }
-      bit_clear(unassigned_pos_, pos_of_[v]);
       bit_clear(unassigned_node_, v);
       bit_clear(sink_bits_, v);
       --remaining;

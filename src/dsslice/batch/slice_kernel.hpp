@@ -199,7 +199,6 @@ class BatchSliceKernel {
   std::vector<std::uint32_t> pos_of_;     // node id → topological position
   std::vector<std::uint32_t> up_count_;   // unassigned predecessors per node
   std::vector<std::uint32_t> us_count_;   // unassigned successors per node
-  std::vector<std::uint64_t> unassigned_pos_;   // bitset over topo positions
   std::vector<std::uint64_t> unassigned_node_;  // bitset over node ids
   std::vector<std::uint64_t> sink_bits_;        // current Π-sinks (node ids)
   std::vector<std::uint64_t> dirty_back_;       // backward-pass work list
