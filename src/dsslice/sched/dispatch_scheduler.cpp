@@ -652,8 +652,8 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
         for (std::size_t w = 0; w < words; ++w) {
           std::uint64_t bits = ws.dispatch_cand[w];
           while (bits != 0) {
-            const NodeId v =
-                static_cast<NodeId>((w << 6) + std::countr_zero(bits));
+            const NodeId v = static_cast<NodeId>(
+                (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
             bits &= bits - 1;
             if (windows[v].arrival > now + kEps) {
               continue;

@@ -39,9 +39,9 @@ class SweepArena {
   /// accounts for itself (the estimate vectors). Called after every
   /// evaluation — once warm these capacities are stable.
   void note_extra_capacity() {
-    extra_grow_ += scratch.est.capacity() > est_cap_ ? 1 : 0;
+    extra_grow_ += scratch.est.capacity() > est_cap_ ? 1u : 0u;
     est_cap_ = std::max(est_cap_, scratch.est.capacity());
-    extra_grow_ += scratch.mandatory_est.capacity() > mand_cap_ ? 1 : 0;
+    extra_grow_ += scratch.mandatory_est.capacity() > mand_cap_ ? 1u : 0u;
     mand_cap_ = std::max(mand_cap_, scratch.mandatory_est.capacity());
   }
 
