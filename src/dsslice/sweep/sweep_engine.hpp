@@ -16,10 +16,11 @@
 //   - each shard folds its outcomes into its own SweepAggregate; the final
 //     result folds per-shard aggregates in shard-index order, so thread
 //     count and completion order cannot perturb a single bit;
-//   - shards are run in *waves* of `checkpoint_every`: after each wave
-//     barrier the engine persists the completed-shard bitmap plus per-shard
-//     aggregates (sweep/checkpoint.hpp). An interrupted sweep resumed from
-//     its checkpoint reproduces the uninterrupted aggregates bit-exactly.
+//   - shards are run in *waves* of `checkpoint_every`, lowest pending
+//     shards first: after each wave barrier the completed shards are a
+//     prefix, and the engine persists its length plus the prefix's
+//     index-order fold (sweep/checkpoint.hpp). An interrupted sweep resumed
+//     from its checkpoint reproduces the uninterrupted aggregate bit-exactly.
 #pragma once
 
 #include <cstdint>
