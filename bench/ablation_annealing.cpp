@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::ObsScope obs_scope(cli);
-  const auto graphs = static_cast<std::size_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
 
   GeneratorConfig gen;
   gen.platform.processor_count = 3;
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   gen.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   AnnealingOptions anneal;
-  anneal.iterations = static_cast<std::size_t>(cli.get_int("iterations"));
+  anneal.iterations = cli.get_count("iterations");
 
   std::printf("== A11 — annealed mapping vs greedy EDF "
               "(m=3, OLR=%.2f, %zu graphs, %zu iterations) ==\n\n",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::ObsScope obs_scope(cli);
-  const auto graphs = static_cast<std::size_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   std::printf("== A9 — release jitter without slicing "

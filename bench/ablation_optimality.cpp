@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::ObsScope obs_scope(cli);
-  const auto graphs = static_cast<std::size_t>(cli.get_int("graphs"));
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+  const auto graphs = cli.get_count("graphs");
+  const auto tasks = cli.get_count("tasks");
 
   GeneratorConfig gen;
   gen.workload.min_tasks = tasks;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   gen.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   BnbOptions bnb;
-  bnb.max_nodes = static_cast<std::size_t>(cli.get_int("max-nodes"));
+  bnb.max_nodes = cli.get_count("max-nodes");
 
   std::printf("== A10 — greedy EDF vs exact feasibility on %zu-task "
               "instances (m=3, OLR=%.2f, %zu graphs) ==\n\n",

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::ObsScope obs_scope(cli);
-  const auto graphs = static_cast<std::size_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
 
   GeneratorConfig gen;
   gen.platform.processor_count = 4;  // two interleaved apps need headroom

@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   bench::ObsScope obs_scope(cli);
-  const auto graphs = static_cast<std::size_t>(cli.get_int("graphs"));
-  const auto resource_count =
-      static_cast<std::size_t>(cli.get_int("resources"));
+  const auto graphs = cli.get_count("graphs");
+  const auto resource_count = cli.get_count("resources");
 
   GeneratorConfig gen;
   gen.platform.processor_count = 3;

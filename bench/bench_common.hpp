@@ -374,14 +374,13 @@ class ObsScope {
 /// m=3, OLR=0.8, ETD=25%, CCR=0.1, WCET-AVG, k_G=1.5, k_L=0.2).
 inline ExperimentConfig base_config(const CliParser& cli) {
   ExperimentConfig config;
-  config.generator.graph_count =
-      static_cast<std::size_t>(cli.get_int("graphs"));
+  config.generator.graph_count = cli.get_count("graphs");
   config.generator.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   return config;
 }
 
 inline ThreadPool make_pool(const CliParser& cli) {
-  return ThreadPool(static_cast<std::size_t>(cli.get_int("threads")));
+  return ThreadPool(cli.get_count("threads"));
 }
 
 /// Prints the sweep in paper-figure form: headline, table, chart.

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   base.faults.overrun_probability = cli.get_double("overrun-probability");
   base.faults.seed = 0xDE64ADE;
   base.seed_replicates = std::max<std::size_t>(
-      1, smoke ? 2 : static_cast<std::size_t>(cli.get_int("replicates")));
+      1, smoke ? 2 : cli.get_count("replicates"));
 
   const std::vector<DistributionTechnique> techniques = {
       DistributionTechnique::kSlicingPure,
@@ -221,9 +221,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
-    const std::string json = to_json(
-        surface, base, threshold,
-        static_cast<std::size_t>(cli.get_int("threads")));
+    const std::string json =
+        to_json(surface, base, threshold, cli.get_count("threads"));
     if (write_text_file(json_path, json)) {
       std::printf("JSON written to %s\n", json_path.c_str());
     } else {

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   // Every point additionally averages over --replicates independent seed
   // replicates, so no row reflects one fixed-seed batch; the per-replicate
   // batch shrinks to keep the total cost flat.
-  base.seed_replicates = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cli.get_int("replicates")));
+  base.seed_replicates = std::max<std::size_t>(1, cli.get_count("replicates"));
   base.base.generator.graph_count = std::max<std::size_t>(
       1, base.base.generator.graph_count / (4 * base.seed_replicates));
   base.base.generator.platform.processor_count = 3;

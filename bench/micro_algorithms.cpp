@@ -131,12 +131,10 @@ BENCHMARK(BM_AdaptLWeightsCached)
     ->Range(16, 1024)
     ->Complexity();
 
-void BM_BatchSliceByMode(benchmark::State& state, BatchLaneMode mode) {
-  // The batch slicing kernel per engine: kReference peels with the scalar
-  // run_slicing pipeline, kLanes64 with the incremental bitset-walked DP.
-  // Identical inputs and entry point, so the pair isolates the lane engine's
-  // contribution (same A/B as bench/perf_slicing's batch rows, in
-  // microbench form).
+void BM_BatchSlice(benchmark::State& state) {
+  // The batch slicing kernel (ADAPT-L) over a warm batch of 8 scenarios;
+  // BM_SlicingAdaptL is the run_slicing side of the same comparison
+  // (bench/perf_slicing's batch rows are the gated form).
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 8;
   std::vector<Scenario> scenarios;
@@ -148,7 +146,6 @@ void BM_BatchSliceByMode(benchmark::State& state, BatchLaneMode mode) {
   BatchSliceKernel kernel;
   BatchSliceConfig config;
   config.metric = MetricKind::kAdaptL;
-  config.lane_mode = mode;
   kernel.run(scenarios, config);  // warm: the timed loop is allocation-free
   for (auto _ : state) {
     kernel.run(scenarios, config);
@@ -158,21 +155,7 @@ void BM_BatchSliceByMode(benchmark::State& state, BatchLaneMode mode) {
                           static_cast<std::int64_t>(kBatch));
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-
-void BM_BatchSliceReference(benchmark::State& state) {
-  BM_BatchSliceByMode(state, BatchLaneMode::kReference);
-}
-void BM_BatchSliceLanes64(benchmark::State& state) {
-  BM_BatchSliceByMode(state, BatchLaneMode::kLanes64);
-}
-BENCHMARK(BM_BatchSliceReference)
-    ->RangeMultiplier(2)
-    ->Range(32, 512)
-    ->Complexity();
-BENCHMARK(BM_BatchSliceLanes64)
-    ->RangeMultiplier(2)
-    ->Range(32, 512)
-    ->Complexity();
+BENCHMARK(BM_BatchSlice)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 
 void BM_EdfScheduler(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

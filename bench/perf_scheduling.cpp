@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   dsslice::obs::ObsCli obs_session(cli);
-  const auto processors = static_cast<std::size_t>(cli.get_int("processors"));
+  const auto processors = cli.get_count("processors");
   const bool smoke = cli.get_bool("smoke");
   const double min_seconds =
       (smoke ? 5.0 : static_cast<double>(cli.get_int("min-ms"))) / 1000.0;

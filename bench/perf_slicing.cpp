@@ -5,25 +5,27 @@
 //  * analysis: one GraphAnalysis build (transitive closure, parallel-set
 //    sizes) per scenario;
 //  * core: DeadlineMetric::weights_into per metric on the memoized analysis;
-//  * batch: the SoA batch kernel per metric, its lanes64 engine against its
-//    reference engine (the scalar run_slicing pipeline behind the same entry
-//    point); and for ADAPT-L, lanes64 against plain run_slicing calls, the
-//    scalar hot path. The kernel is called with one scenario per call, the
-//    batch size the sweep engine uses (SweepOptions::gen_chunk), and each
-//    ratio times its two sides interleaved.
+//  * batch: the batch slicing kernel per metric against the scalar pipeline
+//    it must reproduce (estimate_wcets_into, mandatory_estimates_into for
+//    imprecise workloads, run_slicing_into on one reused SlicingWorkspace);
+//    and for ADAPT-L, the kernel against plain run_slicing calls. The kernel
+//    is called with one scenario per call, the batch size the sweep engine
+//    uses (SweepOptions::gen_chunk), and each ratio times its two sides
+//    interleaved.
 //
-// Gated rows: lanes64 is bit-identical to the reference on every metric
-// (windows, pass indices, stats and min-laxities) over kIdentityScenarios
-// scenarios per size, in one untimed batch; the warm kernels grow no
-// buffer; the timed loops build no GraphAnalysis; ADAPT-L lanes64 runs at
-// least kLanesFloor times the reference engine from kLanesFloorTasks tasks
-// up, a regression canary for the lane engine alone; and it runs at least
-// kHeadlineFloor times run_slicing from kHeadlineFloorTasks tasks up. At one
-// scenario per call the two ratios nearly coincide: ~3.0x at 128 tasks,
-// ~3.3x at 256 and 3.7x or more from 512, so the 3x headline starts at 512
-// and the canary covers the smaller sizes (docs/PERFORMANCE.md lists the
-// runs the floors come from). Bit-identity with the pre-cache slicing code
-// is pinned by tests/test_slicing_equivalence.cpp. Writes BENCH_slicing.json.
+// Gated rows: the kernel is bit-identical to the scalar pipeline on every
+// metric (windows, pass indices, stats and min-laxities) over
+// kIdentityScenarios scenarios per size, run as one untimed batch; the warm
+// kernel grows no buffer; the timed loops build no GraphAnalysis; the
+// ADAPT-L kernel runs at least kPipelineFloor times the scalar pipeline from
+// kPipelineFloorTasks tasks up, a regression canary for the peel engine
+// alone; and it runs at least kHeadlineFloor times run_slicing from
+// kHeadlineFloorTasks tasks up. At one scenario per call the two ratios
+// nearly coincide: ~3.0x at 128 tasks, ~3.3x at 256 and 3.7x or more from
+// 512, so the 3x headline starts at 512 and the canary covers the smaller
+// sizes (docs/PERFORMANCE.md lists the runs the floors come from).
+// Bit-identity with the pre-cache slicing code is pinned by
+// tests/test_slicing_equivalence.cpp. Writes BENCH_slicing.json.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -44,45 +46,65 @@ using bench::PerfRow;
 /// Scenarios averaged per row: every timing loop runs all of them per call
 /// and divides by the count.
 constexpr std::size_t kRowSeeds = 5;
-/// Scenarios per size in the untimed lanes64-vs-reference identity check.
+/// Scenarios per size in the untimed kernel-vs-scalar identity check.
 constexpr std::size_t kIdentityScenarios = 32;
-constexpr double kLanesFloor = 2.7;  // ADAPT-L lanes64 vs reference
-constexpr std::size_t kLanesFloorTasks = 128;
-constexpr double kHeadlineFloor = 3.0;  // ADAPT-L lanes64 vs run_slicing
+constexpr double kPipelineFloor = 2.7;  // ADAPT-L kernel vs scalar pipeline
+constexpr std::size_t kPipelineFloorTasks = 128;
+constexpr double kHeadlineFloor = 3.0;  // ADAPT-L kernel vs run_slicing
 constexpr std::size_t kHeadlineFloorTasks = 512;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Bitwise comparison of every result surface of two kernels over one batch.
-bool kernels_identical(const BatchSliceKernel& a, const BatchSliceKernel& b) {
-  if (a.size() != b.size()) {
+/// The scalar pipeline the kernel must reproduce, its buffers reused across
+/// calls: c̄, the mandatory demand when the workload is imprecise, then
+/// run_slicing_into on one SlicingWorkspace.
+struct ScalarPipeline {
+  std::vector<double> est;
+  std::vector<double> mandatory;
+  SlicingWorkspace workspace;
+  DeadlineAssignment assignment;
+  SlicingStats stats;
+
+  void run(const Scenario& sc, const DeadlineMetric& metric) {
+    const Application& app = sc.application;
+    estimate_wcets_into(app, WcetEstimation::kAverage, est);
+    std::span<const double> slice_est = est;
+    if (app.has_optional_work()) {
+      mandatory_estimates_into(app, est, mandatory);
+      slice_est = mandatory;
+    }
+    SlicingOptions options;
+    options.workspace = &workspace;
+    run_slicing_into(assignment, app, slice_est, metric,
+                     sc.platform.processor_count(), &stats, options);
+  }
+};
+
+/// Bitwise comparison of every result surface of the kernel's slot k with
+/// the scalar pipeline's last run (the outcome min-laxity over c̄ included).
+bool matches_pipeline(const BatchSliceKernel& kernel, std::size_t k,
+                      const ScalarPipeline& scalar) {
+  const DeadlineAssignment& got = kernel.assignment(k);
+  const DeadlineAssignment& want = scalar.assignment;
+  if (got.windows.size() != want.windows.size()) {
     return false;
   }
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const DeadlineAssignment& wa = a.assignment(k);
-    const DeadlineAssignment& wb = b.assignment(k);
-    if (wa.windows.size() != wb.windows.size()) {
-      return false;
-    }
-    for (std::size_t v = 0; v < wa.windows.size(); ++v) {
-      if (bits(wa.windows[v].arrival) != bits(wb.windows[v].arrival) ||
-          bits(wa.windows[v].deadline) != bits(wb.windows[v].deadline) ||
-          wa.pass_of[v] != wb.pass_of[v]) {
-        return false;
-      }
-    }
-    const SlicingStats& sa = a.stats(k);
-    const SlicingStats& sb = b.stats(k);
-    if (sa.passes != sb.passes ||
-        bits(sa.first_path_metric) != bits(sb.first_path_metric) ||
-        sa.first_path_length != sb.first_path_length ||
-        bits(sa.min_laxity) != bits(sb.min_laxity) ||
-        sa.windows_feasible != sb.windows_feasible ||
-        bits(a.outcome_min_laxity(k)) != bits(b.outcome_min_laxity(k))) {
+  for (std::size_t v = 0; v < got.windows.size(); ++v) {
+    if (bits(got.windows[v].arrival) != bits(want.windows[v].arrival) ||
+        bits(got.windows[v].deadline) != bits(want.windows[v].deadline) ||
+        got.pass_of[v] != want.pass_of[v]) {
       return false;
     }
   }
-  return true;
+  const SlicingStats& a = kernel.stats(k);
+  const SlicingStats& b = scalar.stats;
+  return a.passes == b.passes &&
+         bits(a.first_path_metric) == bits(b.first_path_metric) &&
+         a.first_path_length == b.first_path_length &&
+         bits(a.min_laxity) == bits(b.min_laxity) &&
+         a.windows_feasible == b.windows_feasible &&
+         bits(kernel.outcome_min_laxity(k)) ==
+             bits(min_laxity(want, scalar.est));
 }
 
 /// Runs `kernel` over `scenarios` one scenario per call, which is how the
@@ -99,10 +121,9 @@ void run_one_at_a_time(BatchSliceKernel& kernel,
   }
 }
 
-BatchSliceConfig kernel_config(MetricKind kind, BatchLaneMode mode) {
+BatchSliceConfig kernel_config(MetricKind kind) {
   BatchSliceConfig config;
   config.metric = kind;
-  config.lane_mode = mode;
   return config;
 }
 
@@ -156,16 +177,22 @@ void measure_size(std::size_t tasks, std::size_t processors,
         })));
   }
 
-  // Bit-identity, untimed: both engines over the whole population in one
-  // batch per metric. These runs also size both kernels for every shape the
-  // timed loops and the warm-growth check below see.
-  BatchSliceKernel reference;
-  BatchSliceKernel lanes;
+  // Bit-identity, untimed: the kernel over the whole population in one
+  // batch per metric against the scalar pipeline per scenario. These runs
+  // also size the kernel for every shape the timed loops and the
+  // warm-growth check below see.
+  BatchSliceKernel kernel;
+  ScalarPipeline scalar;
   std::uint64_t diverged = 0;
   for (const MetricKind kind : all_metric_kinds()) {
-    reference.run(population, kernel_config(kind, BatchLaneMode::kReference));
-    lanes.run(population, kernel_config(kind, BatchLaneMode::kLanes64));
-    if (!kernels_identical(reference, lanes)) {
+    const DeadlineMetric metric(kind);
+    kernel.run(population, kernel_config(kind));
+    bool identical = true;
+    for (std::size_t k = 0; k < population.size(); ++k) {
+      scalar.run(population[k], metric);
+      identical = identical && matches_pipeline(kernel, k, scalar);
+    }
+    if (!identical) {
       ++diverged;
     }
   }
@@ -180,29 +207,32 @@ void measure_size(std::size_t tasks, std::size_t processors,
     return row;
   };
   for (const MetricKind kind : all_metric_kinds()) {
-    const BatchSliceConfig lanes_cfg =
-        kernel_config(kind, BatchLaneMode::kLanes64);
-    const BatchSliceConfig ref_cfg =
-        kernel_config(kind, BatchLaneMode::kReference);
+    const BatchSliceConfig config = kernel_config(kind);
+    const DeadlineMetric metric(kind);
     PerfRow row = ratio_row(
-        to_string(kind) + " lanes64 vs reference",
-        [&] { run_one_at_a_time(lanes, scenarios, lanes_cfg); },
-        [&] { run_one_at_a_time(reference, scenarios, ref_cfg); });
-    if (kind == MetricKind::kAdaptL && tasks >= kLanesFloorTasks) {
-      row.gate_min = kLanesFloor;
+        to_string(kind) + " kernel vs scalar pipeline",
+        [&] { run_one_at_a_time(kernel, scenarios, config); },
+        [&] {
+          for (const Scenario& sc : scenarios) {
+            scalar.run(sc, metric);
+            volatile double sink = scalar.assignment.windows[0].deadline;
+            (void)sink;
+          }
+        });
+    if (kind == MetricKind::kAdaptL && tasks >= kPipelineFloorTasks) {
+      row.gate_min = kPipelineFloor;
     }
     rows.push_back(row);
   }
 
   const DeadlineMetric adapt_l(MetricKind::kAdaptL);
-  const BatchSliceConfig adapt_l_cfg =
-      kernel_config(MetricKind::kAdaptL, BatchLaneMode::kLanes64);
+  const BatchSliceConfig adapt_l_cfg = kernel_config(MetricKind::kAdaptL);
   SlicingWorkspace slicing_ws;
   SlicingOptions options;
   options.workspace = &slicing_ws;
   PerfRow headline = ratio_row(
       "ADAPT-L lanes64 vs run_slicing",
-      [&] { run_one_at_a_time(lanes, scenarios, adapt_l_cfg); },
+      [&] { run_one_at_a_time(kernel, scenarios, adapt_l_cfg); },
       [&] {
         for (std::size_t s = 0; s < kRowSeeds; ++s) {
           volatile double sink =
@@ -218,22 +248,17 @@ void measure_size(std::size_t tasks, std::size_t processors,
   }
   rows.push_back(headline);
 
-  // Every shape has been seen by now, so one more pass of each engine and
-  // metric, at both batch sizes, must not grow anything.
-  const std::uint64_t warm = lanes.grow_events() + reference.grow_events();
+  // Every shape has been seen by now, so one more pass of each metric, at
+  // both batch sizes, must not grow anything.
+  const std::uint64_t warm = kernel.grow_events();
   for (const MetricKind kind : all_metric_kinds()) {
-    for (const BatchLaneMode mode :
-         {BatchLaneMode::kLanes64, BatchLaneMode::kReference}) {
-      BatchSliceKernel& kernel =
-          mode == BatchLaneMode::kLanes64 ? lanes : reference;
-      kernel.run(population, kernel_config(kind, mode));
-      run_one_at_a_time(kernel, scenarios, kernel_config(kind, mode));
-    }
+    const BatchSliceConfig config = kernel_config(kind);
+    kernel.run(population, config);
+    run_one_at_a_time(kernel, scenarios, config);
   }
   rows.push_back(bench::zero_row("batch", size + "diverged metrics", diverged));
-  rows.push_back(bench::zero_row(
-      "batch", size + "warm grow events",
-      lanes.grow_events() + reference.grow_events() - warm));
+  rows.push_back(bench::zero_row("batch", size + "warm grow events",
+                                 kernel.grow_events() - warm));
   rows.push_back(bench::zero_row(
       "analysis", size + "timed-loop rebuilds",
       GraphAnalysis::construction_count() - constructions_before));
@@ -244,8 +269,8 @@ void measure_size(std::size_t tasks, std::size_t processors,
 int main(int argc, char** argv) {
   CliParser cli("perf_slicing",
                 "Benchmark of the graph-analysis cache, the metric weights "
-                "and the batch slicing kernel (lanes64 vs its reference "
-                "engine), with bit-identity and zero-allocation gates.");
+                "and the batch slicing kernel (against the scalar "
+                "pipeline), with bit-identity and zero-allocation gates.");
   cli.add_flag("json", "", "write results as JSON to this path");
   cli.add_flag("processors", "3", "processor count m");
   cli.add_flag("min-ms", "100", "minimum wall time per measurement (ms)");
@@ -255,7 +280,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   dsslice::obs::ObsCli obs_session(cli);
-  const auto processors = static_cast<std::size_t>(cli.get_int("processors"));
+  const auto processors = cli.get_count("processors");
   const bool smoke = cli.get_bool("smoke");
   const double min_seconds =
       (smoke ? 20.0 : static_cast<double>(cli.get_int("min-ms"))) / 1000.0;

@@ -59,13 +59,11 @@ int main(int argc, char** argv) {
   try {
     ExperimentConfig config;
     config.technique = parse_technique(cli.get_string("technique"));
-    config.generator.platform.processor_count =
-        static_cast<std::size_t>(cli.get_int("processors"));
+    config.generator.platform.processor_count = cli.get_count("processors");
     config.generator.workload.olr = cli.get_double("olr");
     config.generator.workload.etd = cli.get_double("etd");
     config.generator.workload.ccr = cli.get_double("ccr");
-    config.generator.graph_count =
-        static_cast<std::size_t>(cli.get_int("graphs"));
+    config.generator.graph_count = cli.get_count("graphs");
     config.generator.base_seed =
         static_cast<std::uint64_t>(cli.get_int("seed"));
     config.metric_params.k_global = cli.get_double("k-global");

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   }
 
   GeneratorConfig gen;
-  gen.platform.processor_count =
-      static_cast<std::size_t>(cli.get_int("processors"));
+  gen.platform.processor_count = cli.get_count("processors");
   gen.workload.olr = cli.get_double("olr");
   gen.workload.etd = cli.get_double("etd");
   gen.workload.ccr = cli.get_double("ccr");

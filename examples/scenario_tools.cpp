@@ -35,8 +35,7 @@ MetricKind parse_metric(const std::string& name) {
 
 GeneratorConfig config_from(const CliParser& cli) {
   GeneratorConfig gen;
-  gen.platform.processor_count =
-      static_cast<std::size_t>(cli.get_int("processors"));
+  gen.platform.processor_count = cli.get_count("processors");
   gen.workload.olr = cli.get_double("olr");
   gen.workload.etd = cli.get_double("etd");
   gen.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -100,8 +99,7 @@ int main(int argc, char** argv) {
     if (mode == "hunt") {
       const MetricKind kind = parse_metric(cli.get_string("metric"));
       const GeneratorConfig gen = config_from(cli);
-      const auto max_seeds =
-          static_cast<std::size_t>(cli.get_int("max-seeds"));
+      const auto max_seeds = cli.get_count("max-seeds");
       for (std::size_t k = 0; k < max_seeds; ++k) {
         const Scenario sc = generate_scenario_at(gen, k);
         const auto est =

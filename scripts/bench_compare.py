@@ -11,7 +11,8 @@ bench/perf_obs) writes one document schema, so one row-driven comparison
 serves them all:
 
     {"benchmark": "perf_slicing", "machine": {...}, "params": {...},
-     "rows": [{"layer": "batch", "name": "n=256 ADAPT-L lanes64 vs reference",
+     "rows": [{"layer": "batch",
+               "name": "n=256 ADAPT-L kernel vs scalar pipeline",
                "unit": "1/s", "value": 5784.87, "baseline": 1569.98,
                "gates": {"min": 2.7}}, ...]}
 

@@ -137,9 +137,28 @@ stream_smoke() {
   cmp "$out/sweep.ckpt" "$out/resume.ckpt" ||
     { echo "stream smoke [$tag]: resumed checkpoint differs from the" \
            "uninterrupted run's" >&2; exit 1; }
+  # The scalar run_slicing route, the batch kernel's one reference, must
+  # print the kernel run's aggregate summary.
+  "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
+    --no-batch-kernel > "$out/no-kernel.txt"
+  [[ "$(head -n 1 "$out/no-kernel.txt")" == "$(head -n 1 "$out/stdout.txt")" ]] ||
+    { echo "stream smoke [$tag]: --no-batch-kernel summary differs from" \
+           "the kernel run" >&2; exit 1; }
+  # A malformed count is a ConfigError naming the flag, with exit code 1
+  # (not an uncaught exception, and not a negative value wrapped to a huge
+  # size).
+  local bad status
+  for bad in abc -1; do
+    status=0
+    "$build/tools/sweep_runner" --scenarios "$bad" > /dev/null \
+      2> "$out/bad-flag.err" || status=$?
+    [[ $status -eq 1 ]] && grep -q -- "--scenarios" "$out/bad-flag.err" ||
+      { echo "stream smoke [$tag]: --scenarios $bad was not refused with" \
+             "exit 1 (exit $status)" >&2; exit 1; }
+  done
   sed '1s/^dsslice-sweep-checkpoint 2$/dsslice-sweep-checkpoint 1/' \
     "$out/resume.ckpt" > "$out/v1.ckpt"
-  local status=0
+  status=0
   "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
     --checkpoint "$out/v1.ckpt" --resume > /dev/null 2> "$out/v1.err" ||
     status=$?

@@ -54,28 +54,6 @@ inline bool bits_differ(double a, double b) {
 
 }  // namespace
 
-std::string to_string(BatchLaneMode mode) {
-  switch (mode) {
-    case BatchLaneMode::kAuto:
-      return "auto";
-    case BatchLaneMode::kReference:
-      return "reference";
-    case BatchLaneMode::kLanes64:
-      return "lanes64";
-  }
-  return "?";
-}
-
-BatchLaneMode resolve_lane_mode(BatchLaneMode requested) {
-  // The lane engine is portable uint64 code (no ISA-specific intrinsics), so
-  // auto always resolves to it; the hook exists so a future engine with real
-  // ISA requirements can fall back at runtime.
-  if (requested == BatchLaneMode::kAuto) {
-    return BatchLaneMode::kLanes64;
-  }
-  return requested;
-}
-
 void BatchSliceKernel::run(std::span<const Scenario> scenarios,
                            const BatchSliceConfig& config) {
   DSSLICE_SPAN("batch.slice.run");
@@ -85,115 +63,87 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
     return;
   }
 
-  max_batch_seen_ = std::max(max_batch_seen_, b);
-  reserve_grow(apps_, b, max_batch_seen_);
-  apps_.resize(b);
-  reserve_grow(proc_counts_, b, max_batch_seen_);
-  proc_counts_.resize(b);
-  std::size_t total_tasks = 0;
-  for (std::size_t k = 0; k < b; ++k) {
-    apps_[k] = &scenarios[k].application;
-    proc_counts_[k] = scenarios[k].platform.processor_count();
-    DSSLICE_REQUIRE(proc_counts_[k] > 0, "need at least one processor");
-    const std::size_t nk = apps_[k]->task_count();
-    total_tasks += nk;
-    max_tasks_seen_ = std::max(max_tasks_seen_, nk);
-  }
-
-  // Stages 1–2: flat estimates and mandatory demands for the whole batch.
-  // The batch helpers size their outputs themselves; pre-reserving here
-  // keeps the growth accounting (and the over-reservation policy) in one
-  // place — the helpers then never re-allocate.
-  reserve_grow(offsets_, b + 1, flat_hint());
-  reserve_grow(est_, total_tasks, flat_hint());
-  estimate_wcets_batch_into(apps_, config.wcet_strategy, offsets_, est_);
-  reserve_grow(slice_est_, total_tasks, flat_hint());
-  mandatory_estimates_batch_into(apps_, offsets_, est_, slice_est_);
-
   // Result slots are grow-only: shrinking the outer vectors would destroy
   // the per-slot window capacity a smaller batch had already paid for.
   if (assignments_.size() < b) {
-    reserve_grow(assignments_, b, max_batch_seen_);
+    reserve_grow(assignments_, b, b);
     assignments_.resize(b);
   }
   if (stats_.size() < b) {
-    reserve_grow(stats_, b, max_batch_seen_);
+    reserve_grow(stats_, b, b);
     stats_.resize(b);
   }
   if (outcome_min_laxity_.size() < b) {
-    reserve_grow(outcome_min_laxity_, b, max_batch_seen_);
+    reserve_grow(outcome_min_laxity_, b, b);
     outcome_min_laxity_.resize(b);
   }
 
-  const DeadlineMetric metric(config.metric, config.params);
-  const BatchLaneMode mode = resolve_lane_mode(config.lane_mode);
-  if (mode == BatchLaneMode::kReference) {
-    run_reference(metric);
-  } else {
-    // Stage 3: metric weights for the whole batch in one SoA pass.
-    reserve_grow(weights_, total_tasks, flat_hint());
-    weights_.resize(total_tasks);
-    metric.weights_batch_into(apps_, offsets_, slice_est_, proc_counts_,
-                              weights_, &metric_ws_);
-    switch (metric.kind()) {
-      case MetricKind::kPure:
-        run_lanes<MetricKind::kPure>(metric);
-        break;
-      case MetricKind::kNorm:
-        run_lanes<MetricKind::kNorm>(metric);
-        break;
-      case MetricKind::kAdaptG:
-        run_lanes<MetricKind::kAdaptG>(metric);
-        break;
-      case MetricKind::kAdaptL:
-        run_lanes<MetricKind::kAdaptL>(metric);
-        break;
-    }
+  // Size hints first: a slot's windows are reserved to the largest task
+  // count of the batch, so a later run that puts a larger scenario in that
+  // slot finds the capacity already there.
+  for (const Scenario& scenario : scenarios) {
+    max_tasks_seen_ =
+        std::max(max_tasks_seen_, scenario.application.task_count());
   }
 
+  const DeadlineMetric metric(config.metric, config.params);
+  std::size_t total_tasks = 0;
   std::size_t total_passes = 0;
   for (std::size_t k = 0; k < b; ++k) {
+    const Application& app = scenarios[k].application;
+    const std::size_t processors = scenarios[k].platform.processor_count();
+    DSSLICE_REQUIRE(processors > 0, "need at least one processor");
+    const std::size_t n = app.task_count();
+    DSSLICE_REQUIRE(n > 0, "cannot evaluate an empty application");
+    total_tasks += n;
+
+    // Stage: c̄, the mandatory demand when the workload is imprecise (a
+    // precise one peels straight from c̄, as the scalar pipeline does), then
+    // the metric weights. Reserving ahead keeps the growth accounting in
+    // one place; the helpers' resizes then never re-allocate.
+    reserve_grow(est_, n, node_hint());
+    estimate_wcets_into(app, config.wcet_strategy, est_);
+    std::span<const double> slice_est = est_;
+    if (app.has_optional_work()) {
+      reserve_grow(mandatory_, n, node_hint());
+      mandatory_estimates_into(app, est_, mandatory_);
+      slice_est = mandatory_;
+    }
+    reserve_grow(weights_, n, node_hint());
+    metric.weights_into(app, slice_est, processors, nullptr, weights_,
+                        &metric_ws_);
+
+    switch (metric.kind()) {
+      case MetricKind::kPure:
+        peel_scenario<MetricKind::kPure>(k, app, slice_est, metric);
+        break;
+      case MetricKind::kNorm:
+        peel_scenario<MetricKind::kNorm>(k, app, slice_est, metric);
+        break;
+      case MetricKind::kAdaptG:
+        peel_scenario<MetricKind::kAdaptG>(k, app, slice_est, metric);
+        break;
+      case MetricKind::kAdaptL:
+        peel_scenario<MetricKind::kAdaptL>(k, app, slice_est, metric);
+        break;
+    }
     finish_scenario(k);
     total_passes += stats_[k].passes;
   }
   DSSLICE_COUNT("batch.scenarios", b);
   DSSLICE_COUNT("batch.passes", total_passes);
-  DSSLICE_COUNT("batch.tasks", offsets_[b]);
-}
-
-void BatchSliceKernel::run_reference(const DeadlineMetric& metric) {
-  for (std::size_t k = 0; k < batch_size_; ++k) {
-    const std::size_t nk = offsets_[k + 1] - offsets_[k];
-    reserve_grow(assignments_[k].windows, nk, node_hint());
-    reserve_grow(assignments_[k].pass_of, nk, node_hint());
-    SlicingOptions options;
-    options.workspace = &ref_ws_;
-    run_slicing_into(assignments_[k], *apps_[k],
-                     {slice_est_.data() + offsets_[k], nk}, metric,
-                     proc_counts_[k], &stats_[k], options);
-  }
+  DSSLICE_COUNT("batch.tasks", total_tasks);
 }
 
 template <MetricKind Kind>
-void BatchSliceKernel::run_lanes(const DeadlineMetric& metric) {
-  for (std::size_t k = 0; k < batch_size_; ++k) {
-    peel_scenario<Kind>(k, metric);
-  }
-}
-
-template <MetricKind Kind>
-void BatchSliceKernel::peel_scenario(std::size_t k,
+void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
+                                     std::span<const double> est,
                                      const DeadlineMetric& metric) {
-  const Application& app = *apps_[k];
   const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   const std::size_t n = app.task_count();
   const std::span<const NodeId> topo = analysis.topological_order();
-  const std::span<const double> weights{weights_.data() + offsets_[k],
-                                        offsets_[k + 1] - offsets_[k]};
-  const std::span<const double> est{slice_est_.data() + offsets_[k],
-                                    offsets_[k + 1] - offsets_[k]};
-  DSSLICE_REQUIRE(est.size() == n, "estimate vector size mismatch");
+  const std::span<const double> weights = weights_;
 
   DeadlineAssignment& assignment = assignments_[k];
   reserve_grow(assignment.windows, n, node_hint());
@@ -580,15 +530,12 @@ void BatchSliceKernel::peel_scenario(std::size_t k,
 }
 
 void BatchSliceKernel::finish_scenario(std::size_t k) {
-  const std::size_t nk = offsets_[k + 1] - offsets_[k];
-  DSSLICE_REQUIRE(nk > 0, "cannot evaluate an empty application");
-  const double* est = est_.data() + offsets_[k];
   const std::vector<Window>& windows = assignments_[k].windows;
   // First-smallest scan — the exact semantics of quality.cpp's min_element
   // over the laxity vector, without materializing it.
-  double best = windows[0].length() - est[0];
-  for (std::size_t i = 1; i < nk; ++i) {
-    const double laxity = windows[i].length() - est[i];
+  double best = windows[0].length() - est_[0];
+  for (std::size_t i = 1; i < windows.size(); ++i) {
+    const double laxity = windows[i].length() - est_[i];
     if (laxity < best) {
       best = laxity;
     }

@@ -119,42 +119,10 @@ void DeadlineMetric::weights_into(const Application& app,
                                   const ResourceModel* resources,
                                   std::vector<double>& out,
                                   MetricWorkspace* workspace) const {
-  out.resize(est_wcet.size());
-  weights_span_into(app, est_wcet, processor_count, resources,
-                    std::span<double>{out}, workspace);
-}
-
-void DeadlineMetric::weights_batch_into(
-    std::span<const Application* const> apps,
-    std::span<const std::size_t> offsets, std::span<const double> est_wcet,
-    std::span<const std::size_t> processor_counts, std::span<double> out,
-    MetricWorkspace* workspace) const {
-  DSSLICE_REQUIRE(offsets.size() == apps.size() + 1,
-                  "offset table size mismatch");
-  DSSLICE_REQUIRE(processor_counts.size() == apps.size(),
-                  "processor-count table size mismatch");
-  DSSLICE_REQUIRE(est_wcet.size() == offsets.back(),
-                  "flat estimate array size mismatch");
-  DSSLICE_REQUIRE(out.size() == est_wcet.size(),
-                  "flat output array size mismatch");
-  for (std::size_t k = 0; k < apps.size(); ++k) {
-    const std::size_t n = offsets[k + 1] - offsets[k];
-    weights_span_into(*apps[k], {est_wcet.data() + offsets[k], n},
-                      processor_counts[k], nullptr,
-                      {out.data() + offsets[k], n}, workspace);
-  }
-}
-
-void DeadlineMetric::weights_span_into(const Application& app,
-                                       std::span<const double> est_wcet,
-                                       std::size_t processor_count,
-                                       const ResourceModel* resources,
-                                       std::span<double> out,
-                                       MetricWorkspace* workspace) const {
   DSSLICE_REQUIRE(est_wcet.size() == app.task_count(),
                   "estimate vector size mismatch");
-  DSSLICE_REQUIRE(out.size() == est_wcet.size(), "output span size mismatch");
   DSSLICE_REQUIRE(processor_count > 0, "need at least one processor");
+  out.resize(est_wcet.size());
   std::copy(est_wcet.begin(), est_wcet.end(), out.begin());
   if (!is_adaptive()) {
     return;  // PURE and NORM use c̄ directly.

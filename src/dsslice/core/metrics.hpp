@@ -116,26 +116,6 @@ class DeadlineMetric {
                     const ResourceModel* resources, std::vector<double>& out,
                     MetricWorkspace* workspace = nullptr) const;
 
-  /// Span core of weights_into: writes into a pre-sized slot of a flat SoA
-  /// batch array (out.size() must equal the task count). Bit-identical to
-  /// weights_into — the vector variant delegates here.
-  void weights_span_into(const Application& app,
-                         std::span<const double> est_wcet,
-                         std::size_t processor_count,
-                         const ResourceModel* resources, std::span<double> out,
-                         MetricWorkspace* workspace = nullptr) const;
-
-  /// Batch variant over B applications laid out flat by
-  /// estimate_wcets_batch_into: application k's weights land in
-  /// out[offsets[k], offsets[k+1]) computed against processor_counts[k].
-  /// Each slot is bit-identical to weights() on that application alone.
-  void weights_batch_into(std::span<const Application* const> apps,
-                          std::span<const std::size_t> offsets,
-                          std::span<const double> est_wcet,
-                          std::span<const std::size_t> processor_counts,
-                          std::span<double> out,
-                          MetricWorkspace* workspace = nullptr) const;
-
   /// Laxity-ratio value R of a path with window length `window`, total
   /// weight `sum_weight`, and `count` tasks. Lower = more critical. Handles
   /// degenerate paths (zero weight / zero tasks) by ±infinity so they sort

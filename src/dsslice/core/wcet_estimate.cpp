@@ -59,33 +59,8 @@ std::vector<double> estimate_wcets(const Application& app,
 void estimate_wcets_into(const Application& app, WcetEstimation strategy,
                          std::vector<double>& out) {
   out.resize(app.task_count());
-  estimate_wcets_into(app, strategy, std::span<double>{out});
-}
-
-void estimate_wcets_into(const Application& app, WcetEstimation strategy,
-                         std::span<double> out) {
-  DSSLICE_REQUIRE(out.size() == app.task_count(),
-                  "output span size mismatch");
   for (NodeId i = 0; i < app.task_count(); ++i) {
     out[i] = estimate_wcet(app.task(i), strategy);
-  }
-}
-
-void estimate_wcets_batch_into(std::span<const Application* const> apps,
-                               WcetEstimation strategy,
-                               std::vector<std::size_t>& offsets,
-                               std::vector<double>& out) {
-  offsets.resize(apps.size() + 1);
-  offsets[0] = 0;
-  for (std::size_t k = 0; k < apps.size(); ++k) {
-    DSSLICE_REQUIRE(apps[k] != nullptr, "null application in batch");
-    offsets[k + 1] = offsets[k] + apps[k]->task_count();
-  }
-  out.resize(offsets.back());
-  for (std::size_t k = 0; k < apps.size(); ++k) {
-    estimate_wcets_into(
-        *apps[k], strategy,
-        std::span<double>{out.data() + offsets[k], offsets[k + 1] - offsets[k]});
   }
 }
 
@@ -99,42 +74,12 @@ std::vector<double> mandatory_estimates(const Application& app,
 void mandatory_estimates_into(const Application& app,
                               std::span<const double> est_wcet,
                               std::vector<double>& out) {
-  out.resize(est_wcet.size());
-  mandatory_estimates_into(app, est_wcet, std::span<double>{out});
-}
-
-void mandatory_estimates_into(const Application& app,
-                              std::span<const double> est_wcet,
-                              std::span<double> out) {
   DSSLICE_REQUIRE(est_wcet.size() == app.task_count(),
                   "estimate vector size mismatch");
-  DSSLICE_REQUIRE(out.size() == est_wcet.size(), "output span size mismatch");
+  out.resize(est_wcet.size());
   for (NodeId i = 0; i < app.task_count(); ++i) {
     const double f = app.task(i).optional_fraction;
     out[i] = f == 0.0 ? est_wcet[i] : est_wcet[i] * (1.0 - f);
-  }
-}
-
-void mandatory_estimates_batch_into(std::span<const Application* const> apps,
-                                    std::span<const std::size_t> offsets,
-                                    std::span<const double> est_wcet,
-                                    std::vector<double>& out) {
-  DSSLICE_REQUIRE(offsets.size() == apps.size() + 1,
-                  "offset table size mismatch");
-  DSSLICE_REQUIRE(est_wcet.size() == offsets.back(),
-                  "flat estimate array size mismatch");
-  out.resize(est_wcet.size());
-  for (std::size_t k = 0; k < apps.size(); ++k) {
-    const std::size_t n = offsets[k + 1] - offsets[k];
-    const std::span<const double> est{est_wcet.data() + offsets[k], n};
-    const std::span<double> slot{out.data() + offsets[k], n};
-    if (apps[k]->has_optional_work()) {
-      mandatory_estimates_into(*apps[k], est, slot);
-    } else {
-      // Precise workloads keep the estimates bit-identical (the scalar
-      // pipeline skips the scaling entirely for them).
-      std::copy(est.begin(), est.end(), slot.begin());
-    }
   }
 }
 

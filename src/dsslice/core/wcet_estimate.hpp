@@ -32,21 +32,6 @@ std::vector<double> estimate_wcets(const Application& app,
 void estimate_wcets_into(const Application& app, WcetEstimation strategy,
                          std::vector<double>& out);
 
-/// Span core of estimate_wcets_into: writes into a pre-sized slot of a flat
-/// SoA batch array (out.size() must equal the task count). Bit-identical to
-/// the vector variant.
-void estimate_wcets_into(const Application& app, WcetEstimation strategy,
-                         std::span<double> out);
-
-/// Batch variant over B applications: fills `offsets` (size B+1, prefix sums
-/// of the task counts) and writes every application's estimates into one
-/// flat array, application k occupying [offsets[k], offsets[k+1]). Each slot
-/// is bit-identical to estimate_wcets on that application alone.
-void estimate_wcets_batch_into(std::span<const Application* const> apps,
-                               WcetEstimation strategy,
-                               std::vector<std::size_t>& offsets,
-                               std::vector<double>& out);
-
 /// Single-task variant.
 double estimate_wcet(const Task& task, WcetEstimation strategy);
 
@@ -62,19 +47,5 @@ std::vector<double> mandatory_estimates(const Application& app,
 void mandatory_estimates_into(const Application& app,
                               std::span<const double> est_wcet,
                               std::vector<double>& out);
-
-/// Span core of mandatory_estimates_into (out pre-sized to the task count).
-void mandatory_estimates_into(const Application& app,
-                              std::span<const double> est_wcet,
-                              std::span<double> out);
-
-/// Batch variant over the flat layout produced by estimate_wcets_batch_into:
-/// each application's slot is mandatory-scaled when it has optional work and
-/// copied bit-identically otherwise (mirroring the scalar pipeline, which
-/// skips the scaling for precise workloads).
-void mandatory_estimates_batch_into(std::span<const Application* const> apps,
-                                    std::span<const std::size_t> offsets,
-                                    std::span<const double> est_wcet,
-                                    std::vector<double>& out);
 
 }  // namespace dsslice

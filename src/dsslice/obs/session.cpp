@@ -50,7 +50,7 @@ ObsCli::ObsCli(const CliParser& cli)
   active_ = !trace_path_.empty() || !metrics_path_.empty() || summary_ ||
             streaming_requested;
   if (active_) {
-    set_ring_capacity(static_cast<std::size_t>(cli.get_int("trace-capacity")));
+    set_ring_capacity(cli.get_count("trace-capacity"));
     reset();
     set_enabled(true);
 #if !DSSLICE_OBS_ENABLED

@@ -121,7 +121,7 @@ GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
   SweepArena& arena = local_arena();
   const Scenario& scenario = arena.batch[0];
   GraphOutcome outcome;
-  // Slicing techniques route the generated scenario through the SoA batch
+  // Slicing techniques route the generated scenario through the batch
   // kernel, then join back into the scheduler half. The kernel's
   // bit-identity contract makes the outcome indistinguishable from the
   // scalar path.

@@ -53,11 +53,12 @@ struct SweepOptions {
   /// interruption hook: tests and benches use it to abandon a sweep at a
   /// checkpoint boundary and resume it later.
   std::size_t max_shards = 0;
-  /// Route slicing techniques through the SoA batch slicing kernel
+  /// Route slicing techniques through the batch slicing kernel
   /// (batch/slice_kernel.hpp): each generated scenario is distributed by
   /// the kernel, then joined back into evaluate_scheduled. Bit-identical
   /// aggregates to the scalar path by the kernel's equivalence contract. The
-  /// off switch serves `sweep_runner --no-batch-kernel` and the repo
+  /// off switch routes slicing through run_slicing, the kernel's one
+  /// reference; it serves `sweep_runner --no-batch-kernel` and the repo
   /// benchmark's kernel on/off check. Ignored for non-slicing techniques.
   bool use_batch_kernel = true;
 };

@@ -1,5 +1,6 @@
 #include "dsslice/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -83,10 +84,20 @@ std::string CliParser::get_string(const std::string& name) const {
 std::int64_t CliParser::get_int(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
   DSSLICE_REQUIRE(end != nullptr && *end == '\0' && !s.empty(),
                   "flag --" + name + " is not an integer: " + s);
+  DSSLICE_REQUIRE(errno != ERANGE,
+                  "flag --" + name + " is out of range: " + s);
   return static_cast<std::int64_t>(v);
+}
+
+std::size_t CliParser::get_count(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  DSSLICE_REQUIRE(v >= 0, "flag --" + name + " must not be negative: " +
+                              get_string(name));
+  return static_cast<std::size_t>(v);
 }
 
 double CliParser::get_double(const std::string& name) const {

@@ -5,6 +5,7 @@
 // handful of numeric knobs (graph count, processor count, seeds, ...).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -27,7 +28,12 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;
+  /// Integer flag value; a non-integer or out-of-range value throws a
+  /// ConfigError naming the flag.
   std::int64_t get_int(const std::string& name) const;
+  /// get_int for sizes and counts: a negative value throws a ConfigError
+  /// naming the flag instead of wrapping to a huge std::size_t.
+  std::size_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   bool was_set(const std::string& name) const;

@@ -1,10 +1,10 @@
-// Bit-identity and allocation contracts of the SoA batch slicing kernel.
+// Bit-identity and allocation contracts of the batch slicing kernel.
 //
 // The kernel's promise (batch/slice_kernel.hpp) is that for every scenario,
-// every metric, either lane engine and ANY batch decomposition, its windows,
-// pass indices, stats and min-laxities match the scalar pipeline
-// bit-for-bit. All comparisons below go through std::bit_cast — an equality
-// tolerance would hide exactly the class of bug the kernel must not have.
+// every metric and ANY batch decomposition, its windows, pass indices, stats
+// and min-laxities match the scalar pipeline bit-for-bit. All comparisons
+// below go through std::bit_cast — an equality tolerance would hide exactly
+// the class of bug the kernel must not have.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -101,23 +101,18 @@ GeneratorConfig imprecise_config(std::uint64_t seed) {
   return config;
 }
 
-TEST(BatchKernelTest, MatchesScalarPipelineForEveryMetricAndEngine) {
+TEST(BatchKernelTest, MatchesScalarPipelineForEveryMetric) {
   ScenarioBatch batch;
   batch.generate(small_config(0xBA7C), 0, 12);
   BatchSliceKernel kernel;
   for (const MetricKind metric : all_metric_kinds()) {
-    for (const BatchLaneMode mode :
-         {BatchLaneMode::kLanes64, BatchLaneMode::kReference}) {
-      BatchSliceConfig config;
-      config.metric = metric;
-      config.lane_mode = mode;
-      kernel.run(batch.scenarios(), config);
-      ASSERT_EQ(kernel.size(), batch.size());
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        expect_identical(scalar_slice(batch[k], config), kernel, k,
-                         to_string(metric) + "/" + to_string(mode) +
-                             "/scenario " + std::to_string(k));
-      }
+    BatchSliceConfig config;
+    config.metric = metric;
+    kernel.run(batch.scenarios(), config);
+    ASSERT_EQ(kernel.size(), batch.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      expect_identical(scalar_slice(batch[k], config), kernel, k,
+                       to_string(metric) + "/scenario " + std::to_string(k));
     }
   }
 }
@@ -149,6 +144,36 @@ TEST(BatchKernelTest, MatchesScalarOnImpreciseWorkloads) {
   for (std::size_t k = 0; k < batch.size(); ++k) {
     expect_identical(scalar_slice(batch[k], config), kernel, k,
                      "imprecise scenario " + std::to_string(k));
+  }
+}
+
+/// Precise scenarios peel straight from the estimate buffer, imprecise ones
+/// from the mandatory-demand buffer: one span alternating the two must match
+/// the scalar pipeline on every scenario, whichever buffer its neighbour
+/// used.
+TEST(BatchKernelTest, MixedPreciseAndImpreciseSpanMatchesScalar) {
+  ScenarioBatch precise;
+  precise.generate(small_config(0x313D), 0, 4);
+  ScenarioBatch imprecise;
+  imprecise.generate(imprecise_config(0x313E), 0, 4);
+  std::vector<Scenario> mixed;
+  for (std::size_t k = 0; k < precise.size(); ++k) {
+    mixed.push_back(precise[k]);
+    mixed.push_back(imprecise[k]);
+  }
+  ASSERT_FALSE(mixed[0].application.has_optional_work());
+  ASSERT_TRUE(mixed[1].application.has_optional_work());
+  BatchSliceKernel kernel;
+  for (const MetricKind metric : all_metric_kinds()) {
+    BatchSliceConfig config;
+    config.metric = metric;
+    kernel.run(mixed, config);
+    ASSERT_EQ(kernel.size(), mixed.size());
+    for (std::size_t k = 0; k < mixed.size(); ++k) {
+      expect_identical(scalar_slice(mixed[k], config), kernel, k,
+                       to_string(metric) + "/mixed scenario " +
+                           std::to_string(k));
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dsslice/util/check.hpp"
 #include "dsslice/util/cli.hpp"
 
@@ -67,6 +69,39 @@ TEST(Cli, TypeErrorsThrow) {
   EXPECT_THROW(p.get_int("name"), ConfigError);
   EXPECT_THROW(p.get_double("name"), ConfigError);
   EXPECT_THROW(p.get_string("unregistered"), ConfigError);
+}
+
+TEST(Cli, OutOfRangeIntegerThrows) {
+  CliParser p = make_parser();
+  const char* argv[] = {"prog", "--graphs", "99999999999999999999"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_THROW(p.get_int("graphs"), ConfigError);
+  EXPECT_THROW(p.get_count("graphs"), ConfigError);
+}
+
+TEST(Cli, NegativeCountThrowsNamingTheFlag) {
+  CliParser p = make_parser();
+  const char* argv[] = {"prog", "--graphs", "-1"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.get_int("graphs"), -1);
+  try {
+    (void)p.get_count("graphs");
+    FAIL() << "a negative count was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--graphs"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, CountAcceptsZeroAndPositive) {
+  CliParser p = make_parser();
+  const char* argv[] = {"prog", "--graphs", "0"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.get_count("graphs"), 0u);
+  CliParser q = make_parser();
+  const char* dflt[] = {"prog"};
+  ASSERT_TRUE(q.parse(1, dflt));
+  EXPECT_EQ(q.get_count("graphs"), 1024u);
 }
 
 TEST(Cli, DuplicateRegistrationThrows) {

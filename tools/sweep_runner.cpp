@@ -39,30 +39,32 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0", "worker threads (0: hardware concurrency)");
   cli.add_flag("seed", "20250707", "base seed for scenario generation");
   cli.add_bool_flag("no-batch-kernel",
-                    "evaluate slicing scenario-at-a-time instead of through "
-                    "the SoA batch kernel (A/B baseline; identical results)");
+                    "evaluate slicing through the scalar run_slicing "
+                    "pipeline instead of the batch kernel (the reference "
+                    "route; identical results)");
   dsslice::obs::ObsCli::register_flags(cli);
   if (!cli.parse(argc, argv)) {
     return 1;
   }
-  dsslice::obs::ObsCli obs_session(cli);
-
-  ExperimentConfig config;
-  config.generator.base_seed =
-      static_cast<std::uint64_t>(cli.get_int("seed"));
-
-  SweepOptions options;
-  options.scenario_count = static_cast<std::size_t>(cli.get_int("scenarios"));
-  options.shard_size = static_cast<std::size_t>(cli.get_int("shard-size"));
-  options.checkpoint_path = cli.get_string("checkpoint");
-  options.checkpoint_every =
-      static_cast<std::size_t>(cli.get_int("checkpoint-every"));
-  options.resume = cli.get_bool("resume");
-  options.max_shards = static_cast<std::size_t>(cli.get_int("max-shards"));
-  options.use_batch_kernel = !cli.get_bool("no-batch-kernel");
-
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
+  // Flag reads sit inside the try: a malformed value (--scenarios abc, a
+  // negative count) is a ConfigError reported with exit code 1.
   try {
+    dsslice::obs::ObsCli obs_session(cli);
+
+    ExperimentConfig config;
+    config.generator.base_seed =
+        static_cast<std::uint64_t>(cli.get_int("seed"));
+
+    SweepOptions options;
+    options.scenario_count = cli.get_count("scenarios");
+    options.shard_size = cli.get_count("shard-size");
+    options.checkpoint_path = cli.get_string("checkpoint");
+    options.checkpoint_every = cli.get_count("checkpoint-every");
+    options.resume = cli.get_bool("resume");
+    options.max_shards = cli.get_count("max-shards");
+    options.use_batch_kernel = !cli.get_bool("no-batch-kernel");
+
+    const std::size_t threads = cli.get_count("threads");
     SweepReport report;
     if (threads == 0) {
       report = run_sweep(config, options);
