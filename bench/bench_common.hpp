@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -379,8 +380,16 @@ inline ExperimentConfig base_config(const CliParser& cli) {
   return config;
 }
 
+/// The pool for --threads; a count the pool refuses (above
+/// ThreadPool::kMaxThreads) is reported with exit code 1.
 inline ThreadPool make_pool(const CliParser& cli) {
-  return ThreadPool(cli.get_count("threads"));
+  const std::size_t threads = cli.get_count("threads");
+  try {
+    return ThreadPool(threads);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "--threads: %s\n", e.what());
+    std::exit(1);
+  }
 }
 
 /// Prints the sweep in paper-figure form: headline, table, chart.

@@ -156,6 +156,14 @@ stream_smoke() {
       { echo "stream smoke [$tag]: --scenarios $bad was not refused with" \
              "exit 1 (exit $status)" >&2; exit 1; }
   done
+  # A worker count above ThreadPool::kMaxThreads is refused the same way,
+  # before any worker starts.
+  status=0
+  "$build/tools/sweep_runner" --scenarios 10 --threads 1025 > /dev/null \
+    2> "$out/bad-threads.err" || status=$?
+  [[ $status -eq 1 ]] && grep -q "at most 1024" "$out/bad-threads.err" ||
+    { echo "stream smoke [$tag]: --threads 1025 was not refused with exit 1" \
+           "(exit $status)" >&2; exit 1; }
   sed '1s/^dsslice-sweep-checkpoint 2$/dsslice-sweep-checkpoint 1/' \
     "$out/resume.ckpt" > "$out/v1.ckpt"
   status=0
@@ -231,16 +239,16 @@ figure_smoke ./build
 echo "==> figure smoke [sanitize]"
 figure_smoke ./build-sanitize
 
-# Race detector (tsan preset, ThreadSanitizer): the thread pool, the sweep
-# engine's shards and per-thread arenas, figure rows whose pool workers
-# write per-cell outcome slots, the StreamSink ring drain, and pool workers
-# reading one shared application's graph and lazily built analysis. The
-# preset builds dsslice_tests only.
-echo "==> tsan [concurrent suites]"
+# Race detector (tsan preset, ThreadSanitizer) over the whole suite: the
+# thread pool, the sweep engine's shards and per-thread arenas, figure rows
+# whose pool workers write per-cell outcome slots, the StreamSink ring
+# drain, pool workers reading one shared application's graph and lazily
+# built analysis, and every single-threaded suite besides (about 11 s; see
+# docs/PERFORMANCE.md). The preset builds dsslice_tests only.
+echo "==> tsan [whole suite]"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
-./build-tsan/tests/dsslice_tests \
-  --gtest_filter='Sweeps.*:SweepEngine.*:ThreadPool.*:ObsStream.*:TaskGraph.*:GraphAnalysis.*:ApplicationAnalysisCache.*'
+./build-tsan/tests/dsslice_tests
 
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%, so it runs only on the

@@ -32,8 +32,15 @@ double batch_path_value(Time window, double sum_weight, std::uint32_t count) {
   }
 }
 
-inline bool bit_test(const std::vector<std::uint64_t>& bits, NodeId v) {
-  return ((bits[v >> 6] >> (v & 63)) & 1u) != 0;
+/// Removes `v` from the live list [list, list + len) and keeps the rest in
+/// their order — CSR order, the order the scalar path's folds visit.
+inline void remove_stable(NodeId* list, std::uint32_t& len, NodeId v) {
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < len; ++i) {
+    list[kept] = list[i];
+    kept += list[i] != v ? 1u : 0u;
+  }
+  len = kept;
 }
 
 inline void bit_clear(std::vector<std::uint64_t>& bits, std::uint32_t v) {
@@ -84,6 +91,8 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
   for (const Scenario& scenario : scenarios) {
     max_tasks_seen_ =
         std::max(max_tasks_seen_, scenario.application.task_count());
+    max_arcs_seen_ =
+        std::max(max_arcs_seen_, scenario.application.graph().arc_count());
   }
 
   const DeadlineMetric metric(config.metric, config.params);
@@ -115,19 +124,18 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
 
     switch (metric.kind()) {
       case MetricKind::kPure:
-        peel_scenario<MetricKind::kPure>(k, app, slice_est, metric);
+        peel_scenario<MetricKind::kPure>(k, app, slice_est);
         break;
       case MetricKind::kNorm:
-        peel_scenario<MetricKind::kNorm>(k, app, slice_est, metric);
+        peel_scenario<MetricKind::kNorm>(k, app, slice_est);
         break;
       case MetricKind::kAdaptG:
-        peel_scenario<MetricKind::kAdaptG>(k, app, slice_est, metric);
+        peel_scenario<MetricKind::kAdaptG>(k, app, slice_est);
         break;
       case MetricKind::kAdaptL:
-        peel_scenario<MetricKind::kAdaptL>(k, app, slice_est, metric);
+        peel_scenario<MetricKind::kAdaptL>(k, app, slice_est);
         break;
     }
-    finish_scenario(k);
     total_passes += stats_[k].passes;
   }
   DSSLICE_COUNT("batch.scenarios", b);
@@ -137,8 +145,7 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
 
 template <MetricKind Kind>
 void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
-                                     std::span<const double> est,
-                                     const DeadlineMetric& metric) {
+                                     std::span<const double> est) {
   const TaskGraph& g = app.graph();
   const GraphAnalysis& analysis = app.analysis();
   const std::size_t n = app.task_count();
@@ -149,100 +156,99 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
   reserve_grow(assignment.windows, n, node_hint());
   assignment.windows.resize(n);
   reserve_grow(assignment.pass_of, n, node_hint());
-  assignment.pass_of.assign(n, -1);
+  assignment.pass_of.resize(n);
 
   const std::size_t words = (n + 63) / 64;
   const std::size_t word_hint = (node_hint() + 63) / 64;
+  const std::size_t adj_size = 2 * g.arc_count();
+  DSSLICE_REQUIRE(adj_size <= std::numeric_limits<std::uint32_t>::max(),
+                  "too many arcs for the slicing kernel");
 
-  // Anchor state: raw arrays mirroring AnchorState's constructor (−inf /
-  // +inf sentinels double as the has-anchor tests). Unassigned-degree
-  // counters make the Π-source / Π-sink tests O(1), and sink_bits_ tracks
-  // the current Π-sinks so sink selection is a word walk instead of a
-  // successor scan per remaining node.
   reserve_grow(arrival_, n, node_hint());
   arrival_.resize(n);
   reserve_grow(deadline_, n, node_hint());
   deadline_.resize(n);
   reserve_grow(pos_of_, n, node_hint());
   pos_of_.resize(n);
-  reserve_grow(up_count_, n, node_hint());
-  up_count_.resize(n);
-  reserve_grow(us_count_, n, node_hint());
-  us_count_.resize(n);
-  reserve_grow(sink_bits_, words, word_hint);
-  sink_bits_.assign(words, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::size_t in_deg = g.predecessors(v).size();
-    const std::size_t out_deg = g.successors(v).size();
-    up_count_[v] = static_cast<std::uint32_t>(in_deg);
-    us_count_[v] = static_cast<std::uint32_t>(out_deg);
-    arrival_[v] = in_deg == 0 ? app.input_arrival(v) : -kTimeInfinity;
-    if (out_deg == 0) {
-      DSSLICE_REQUIRE(app.has_ete_deadline(v),
-                      "output task without an E-T-E deadline");
-      deadline_[v] = app.ete_deadline(v);
-      bit_set(sink_bits_, v);
-    } else {
-      deadline_[v] = kTimeInfinity;
-    }
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    pos_of_[topo[p]] = static_cast<std::uint32_t>(p);
-  }
-
-  // DP scratch. No per-pass clears: (reverse-)topological processing order
-  // guarantees each unassigned node's entry is written before any read in
-  // the same pass, and assigned nodes are never read.
+  reserve_grow(live_, n, node_hint());
+  live_.resize(n);
+  reserve_grow(adj_, adj_size, 2 * max_arcs_seen_);
+  adj_.resize(adj_size);
   reserve_grow(lw_, n, node_hint());
   lw_.resize(n);
   reserve_grow(dp_, n, node_hint());
   dp_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    lw_[v].weight = weights[v];
-  }
   reserve_grow(path_nodes_, n, node_hint());
-  reserve_grow(path_weights_, n, node_hint());
-  reserve_grow(path_est_, n, node_hint());
-  reserve_grow(slices_, n, node_hint());
-
-  reserve_grow(unassigned_node_, words, word_hint);
-  unassigned_node_.assign(words, ~std::uint64_t{0});
-  const std::uint64_t tail = (n % 64 == 0)
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (n % 64)) - 1;
-  unassigned_node_[words - 1] = tail;
+  path_nodes_.resize(n);
+  reserve_grow(sink_bits_, words, word_hint);
+  sink_bits_.assign(words, 0);
 
   // Dirty sets (topological-position indexed): which nodes each peel pass
-  // must recompute. They start empty — the dense pass-0 DP below computes
-  // every node — and later passes reprocess only nodes whose inputs changed:
-  // an anchor tightened, a neighbour assigned, an unassigned successor's
-  // latest-finish changed (backward), or an unassigned predecessor's
-  // (start, Σw, count) changed (forward). A node whose recomputed value is
-  // bitwise unchanged stops the propagation, so every value a pass *reads*
-  // is bitwise what a full recompute would have produced — the incremental
-  // walk is exact, not approximate.
+  // must recompute. They start empty — pass 0 computes every node densely —
+  // and later passes reprocess only nodes whose inputs changed: an anchor
+  // tightened, a neighbour assigned, an unassigned successor's latest-finish
+  // changed (backward), or an unassigned predecessor's (start, Σw, count)
+  // changed (forward). A node whose recomputed value is bitwise unchanged
+  // stops the propagation, so every value a pass *reads* is bitwise what a
+  // full recompute would have produced — the incremental walk is exact,
+  // not approximate.
   reserve_grow(dirty_back_, words, word_hint);
   dirty_back_.assign(words, 0);
   reserve_grow(dirty_fwd_, words, word_hint);
   dirty_fwd_.assign(words, 0);
 
+  // Setup, in reverse topological order, fused with pass 0's dense backward
+  // DP: the live adjacency starts as a copy of the CSR (successor lists,
+  // then predecessor lists), anchors mirror AnchorState's constructor (−inf
+  // / +inf sentinels double as the has-anchor tests), output tasks are the
+  // initial Π-sinks, and L(v) folds the successors, which sit later in the
+  // order and so are final.
+  const std::size_t arcs = g.arc_count();
+  NodeId* const adj = adj_.data();
+  std::copy(g.successor_ids().begin(), g.successor_ids().end(), adj);
+  std::copy(g.predecessor_ids().begin(), g.predecessor_ids().end(),
+            adj + arcs);
+  const std::span<const std::uint32_t> succ_off = g.successor_offsets();
+  const std::span<const std::uint32_t> pred_off = g.predecessor_offsets();
+  for (std::size_t pos = n; pos-- > 0;) {
+    const NodeId v = topo[pos];
+    const LiveAdjacency lv{succ_off[v], succ_off[v + 1] - succ_off[v],
+                           static_cast<std::uint32_t>(arcs) + pred_off[v],
+                           pred_off[v + 1] - pred_off[v]};
+    live_[v] = lv;
+    pos_of_[v] = static_cast<std::uint32_t>(pos);
+    assignment.pass_of[v] = -1;
+    arrival_[v] = lv.pred_len == 0 ? app.input_arrival(v) : -kTimeInfinity;
+    if (lv.succ_len == 0) {
+      DSSLICE_REQUIRE(app.has_ete_deadline(v),
+                      "output task without an E-T-E deadline");
+      deadline_[v] = app.ete_deadline(v);
+      // The Π-sink check runs once, when a node becomes a sink: its
+      // deadline anchor only tightens afterwards.
+      DSSLICE_CHECK(deadline_[v] < kTimeInfinity,
+                    "Π-sink without a deadline anchor");
+      bit_set(sink_bits_, v);
+    } else {
+      deadline_[v] = kTimeInfinity;
+    }
+    Time l = deadline_[v];
+    const NodeId* const succs = adj + lv.succ_at;
+    for (std::uint32_t i = 0; i < lv.succ_len; ++i) {
+      const NodeId w = succs[i];
+      l = std::min(l, lw_[w].latest - lw_[w].weight);
+    }
+    lw_[v] = LatestWeight{l, weights[v]};
+  }
+
   SlicingStats stats;
   std::size_t remaining = n;
 
-  // Dense pass-0 DP: with every node unassigned, the membership tests would
-  // all hit and the dirty machinery would enqueue everything, so both
-  // directions run as straight loops over the topological order. The folds
-  // are expression-for-expression the incremental walks below.
-  for (std::size_t pos = n; pos-- > 0;) {
-    const NodeId v = topo[pos];
-    Time l = deadline_[v];
-    for (const NodeId w : g.successors(v)) {
-      l = std::min(l, lw_[w].latest - lw_[w].weight);
-    }
-    lw_[v].latest = l;
-  }
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const NodeId v = topo[pos];
+  // Candidate fold of one node over its live predecessors, in scalar
+  // locals; ranking is expression-for-expression path_candidate_better
+  // (score asc, Σw desc, prev asc — a total order, so the fold is
+  // order-independent).
+  const auto fold_forward = [&](NodeId v) {
+    const LiveAdjacency& lv = live_[v];
     const Time latest_v = lw_[v].latest;
     const double weight_v = lw_[v].weight;
     Time best_start = kTimeZero;
@@ -251,7 +257,7 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
     NodeId best_prev = kNoPathPrev;
     double best_score = 0.0;
     bool valid = false;
-    if (up_count_[v] == 0) {
+    if (lv.pred_len == 0) {
       DSSLICE_CHECK(arrival_[v] > -kTimeInfinity,
                     "Π-source without an arrival anchor");
       best_start = arrival_[v];
@@ -261,7 +267,9 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
           batch_path_value<Kind>(latest_v - best_start, best_sum, best_count);
       valid = true;
     }
-    for (const NodeId u : g.predecessors(v)) {
+    const NodeId* const preds = adj + lv.pred_at;
+    for (std::uint32_t i = 0; i < lv.pred_len; ++i) {
+      const NodeId u = preds[i];
       const NodeDp& du = dp_[u];
       const Time cand_start = du.start;
       const double cand_sum = du.sum + weight_v;
@@ -280,7 +288,14 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
       }
     }
     DSSLICE_CHECK(valid, "unassigned node produced no path candidate");
-    dp_[v] = NodeDp{best_start, best_sum, best_score, best_count, best_prev};
+    return NodeDp{best_start, best_sum, best_score, best_count, best_prev};
+  };
+
+  // Pass 0's dense forward DP: every node is unassigned, so it runs as a
+  // straight loop over the topological order.
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const NodeId v = topo[pos];
+    dp_[v] = fold_forward(v);
   }
 
   while (remaining > 0) {
@@ -303,27 +318,27 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
         snap &= ~(std::uint64_t{1} << bit);
         const std::size_t pos = wi * 64 + static_cast<std::size_t>(bit);
         const NodeId v = topo[pos];
+        const LiveAdjacency& lv = live_[v];
         Time l = deadline_[v];
-        for (const NodeId w : g.successors(v)) {
-          if (bit_test(unassigned_node_, w)) {
-            l = std::min(l, lw_[w].latest - lw_[w].weight);
-          }
+        const NodeId* const succs = adj + lv.succ_at;
+        for (std::uint32_t i = 0; i < lv.succ_len; ++i) {
+          const NodeId w = succs[i];
+          l = std::min(l, lw_[w].latest - lw_[w].weight);
         }
         if (bits_differ(l, lw_[v].latest)) {
           lw_[v].latest = l;
           // The projected score at v reads L(v); the latest-finish of every
           // unassigned predecessor reads it too.
           bit_set(dirty_fwd_, static_cast<std::uint32_t>(pos));
-          for (const NodeId u : g.predecessors(v)) {
-            if (bit_test(unassigned_node_, u)) {
-              const std::uint32_t p = pos_of_[u];
-              // Same-word marks go straight into the live snapshot (the
-              // array bit would double-process via the outer re-read).
-              if ((p >> 6) == wi) {
-                snap |= std::uint64_t{1} << (p & 63);
-              } else {
-                bit_set(dirty_back_, p);
-              }
+          const NodeId* const preds = adj + lv.pred_at;
+          for (std::uint32_t i = 0; i < lv.pred_len; ++i) {
+            const std::uint32_t p = pos_of_[preds[i]];
+            // Same-word marks go straight into the live snapshot (the
+            // array bit would double-process via the outer re-read).
+            if ((p >> 6) == wi) {
+              snap |= std::uint64_t{1} << (p & 63);
+            } else {
+              bit_set(dirty_back_, p);
             }
           }
         }
@@ -343,68 +358,23 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
         snap &= snap - 1;
         const std::size_t pos = wi * 64 + static_cast<std::size_t>(bit);
         const NodeId v = topo[pos];
-        const Time latest_v = lw_[v].latest;
-        const double weight_v = lw_[v].weight;
-
-        // Candidate fold in scalar locals; ranking is expression-for-
-        // expression path_candidate_better (score asc, Σw desc, prev asc —
-        // a total order, so the fold is order-independent).
-        Time best_start = kTimeZero;
-        double best_sum = 0.0;
-        std::uint32_t best_count = 0;
-        NodeId best_prev = kNoPathPrev;
-        double best_score = 0.0;
-        bool valid = false;
-        if (up_count_[v] == 0) {
-          DSSLICE_CHECK(arrival_[v] > -kTimeInfinity,
-                        "Π-source without an arrival anchor");
-          best_start = arrival_[v];
-          best_sum = weight_v;
-          best_count = 1;
-          best_score = batch_path_value<Kind>(latest_v - best_start, best_sum,
-                                              best_count);
-          valid = true;
-        }
-        for (const NodeId u : g.predecessors(v)) {
-          if (!bit_test(unassigned_node_, u)) {
-            continue;
-          }
-          const NodeDp& du = dp_[u];
-          const Time cand_start = du.start;
-          const double cand_sum = du.sum + weight_v;
-          const std::uint32_t cand_count = du.count + 1;
-          const double cand_score =
-              batch_path_value<Kind>(latest_v - cand_start, cand_sum,
-                                     cand_count);
-          if (!valid || cand_score < best_score ||
-              (cand_score == best_score &&
-               (cand_sum > best_sum ||
-                (cand_sum == best_sum && u < best_prev)))) {
-            best_start = cand_start;
-            best_sum = cand_sum;
-            best_count = cand_count;
-            best_prev = u;
-            best_score = cand_score;
-            valid = true;
-          }
-        }
-        DSSLICE_CHECK(valid, "unassigned node produced no path candidate");
+        const NodeDp best = fold_forward(v);
         // Successors read only (start, Σw, count) — prev and score are
         // consumed at v itself, so changes to them alone propagate nowhere.
         NodeDp& dv = dp_[v];
-        const bool inputs_changed = bits_differ(best_start, dv.start) ||
-                                    bits_differ(best_sum, dv.sum) ||
-                                    best_count != dv.count;
-        dv = NodeDp{best_start, best_sum, best_score, best_count, best_prev};
+        const bool inputs_changed = bits_differ(best.start, dv.start) ||
+                                    bits_differ(best.sum, dv.sum) ||
+                                    best.count != dv.count;
+        dv = best;
         if (inputs_changed) {
-          for (const NodeId s : g.successors(v)) {
-            if (bit_test(unassigned_node_, s)) {
-              const std::uint32_t p = pos_of_[s];
-              if ((p >> 6) == wi) {
-                snap |= std::uint64_t{1} << (p & 63);
-              } else {
-                bit_set(dirty_fwd_, p);
-              }
+          const LiveAdjacency& lv = live_[v];
+          const NodeId* const succs = adj + lv.succ_at;
+          for (std::uint32_t i = 0; i < lv.succ_len; ++i) {
+            const std::uint32_t p = pos_of_[succs[i]];
+            if ((p >> 6) == wi) {
+              snap |= std::uint64_t{1} << (p & 63);
+            } else {
+              bit_set(dirty_fwd_, p);
             }
           }
         }
@@ -412,9 +382,10 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
       }
     }
 
-    // Sink selection: lexicographic min of (score, node id) over the current
-    // Π-sinks — order-independent, and every sink's DP entry is current by
-    // the dirty-walk invariant.
+    // Sink selection: the lexicographic min of (score, node id) over the
+    // current Π-sinks, whose DP entries are current by the dirty-walk
+    // invariant. The scan runs in ascending id order, so an equal score
+    // never displaces the smaller id already held and `<` alone decides.
     NodeId best_sink = kNoPathPrev;
     double best_sink_score = 0.0;
     for (std::size_t wi = 0; wi < words; ++wi) {
@@ -423,54 +394,48 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
         const NodeId v = static_cast<NodeId>(
             wi * 64 + static_cast<std::size_t>(std::countr_zero(lanes)));
         lanes &= lanes - 1;
-        DSSLICE_CHECK(deadline_[v] < kTimeInfinity,
-                      "Π-sink without a deadline anchor");
         const double score = dp_[v].score;
-        if (best_sink == kNoPathPrev || score < best_sink_score ||
-            (score == best_sink_score && v < best_sink)) {
-          best_sink = v;
-          best_sink_score = score;
-        }
+        const bool take = best_sink == kNoPathPrev || score < best_sink_score;
+        best_sink = take ? v : best_sink;
+        best_sink_score = take ? score : best_sink_score;
       }
     }
     DSSLICE_CHECK(best_sink != kNoPathPrev,
                   "remaining tasks exist but no Π-sink was found");
+    bit_clear(sink_bits_, best_sink);
 
-    // Reconstruct the spine backwards through the DP links.
-    path_nodes_.clear();
+    // Reconstruct the spine backwards through the DP links, filling it from
+    // its last slot.
+    const std::size_t len = dp_[best_sink].count;
+    DSSLICE_CHECK(len <= n, "path reconstruction length mismatch");
+    NodeId* const path = path_nodes_.data();
+    std::size_t slot = len;
     for (NodeId v = best_sink; v != kNoPathPrev; v = dp_[v].prev) {
-      path_nodes_.push_back(v);
+      DSSLICE_CHECK(slot > 0, "path reconstruction length mismatch");
+      path[--slot] = v;
     }
-    std::reverse(path_nodes_.begin(), path_nodes_.end());
-    DSSLICE_CHECK(path_nodes_.size() == dp_[best_sink].count,
-                  "path reconstruction length mismatch");
+    DSSLICE_CHECK(slot == 0, "path reconstruction length mismatch");
+    const std::span<const NodeId> spine(path, len);
 
     const Time window_start = dp_[best_sink].start;
     const Time window_end = deadline_[best_sink];
     if (stats.passes == 0) {
       stats.first_path_metric = best_sink_score;
-      stats.first_path_length = path_nodes_.size();
+      stats.first_path_length = len;
     }
 
-    // Slice the window over the spine (same adaptive_slices_into call as the
-    // scalar loop — once per pass, not hot enough to replicate).
-    path_weights_.clear();
-    path_est_.clear();
-    for (const NodeId v : path_nodes_) {
-      path_weights_.push_back(weights[v]);
-      path_est_.push_back(est[v]);
-    }
-    metric.adaptive_slices_into(window_end - window_start, path_weights_,
-                                path_est_, slices_);
-    const std::vector<double>& d = slices_;
-
+    // Slice the window over the spine and assign each spine node its slice,
+    // clamped into the anchors it carries from earlier passes. The slice
+    // d_i is expression-for-expression DeadlineMetric::adaptive_slices_into
+    // (and slices_into for the non-adaptive metrics), with the same
+    // preconditions; slice boundaries are its cumulative prefix sums.
+    const int pass = static_cast<int>(stats.passes);
     Time boundary = window_start;
-    for (std::size_t i = 0; i < path_nodes_.size(); ++i) {
-      const NodeId v = path_nodes_[i];
+    const auto place = [&](std::size_t i, double d) {
+      const NodeId v = path[i];
       const Time lo = boundary;
-      boundary += d[i];
-      const Time hi = (i + 1 == path_nodes_.size()) ? window_end : boundary;
-
+      boundary += d;
+      const Time hi = (i + 1 == len) ? window_end : boundary;
       Window w{lo, hi};
       if (arrival_[v] > -kTimeInfinity) {
         w.arrival = std::max(w.arrival, arrival_[v]);
@@ -478,38 +443,95 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
       if (deadline_[v] < kTimeInfinity) {
         w.deadline = std::min(w.deadline, deadline_[v]);
       }
-      bit_clear(unassigned_node_, v);
-      bit_clear(sink_bits_, v);
-      --remaining;
       assignment.windows[v] = w;
-      assignment.pass_of[v] = static_cast<int>(stats.passes);
-    }
-
-    // Propagate anchors to the unassigned neighbours of the spine, keep the
-    // unassigned-degree counters current, and seed the next pass's dirty
-    // sets: a predecessor's latest-finish inputs changed (successor gone,
-    // deadline maybe tightened), a successor's candidate set changed
-    // (predecessor gone, arrival maybe tightened, Π-source status maybe
-    // flipped). A predecessor whose last unassigned successor was just
-    // assigned becomes a Π-sink.
-    for (const NodeId v : path_nodes_) {
-      const Window& w = assignment.windows[v];
-      for (const NodeId u : g.predecessors(v)) {
-        --us_count_[u];
-        if (bit_test(unassigned_node_, u)) {
-          deadline_[u] = std::min(deadline_[u], w.arrival);
-          bit_set(dirty_back_, pos_of_[u]);
-          if (us_count_[u] == 0) {
-            bit_set(sink_bits_, u);
-          }
+      assignment.pass_of[v] = pass;
+    };
+    const Time window = window_end - window_start;
+    DSSLICE_REQUIRE(len > 0, "cannot slice an empty path");
+    if constexpr (Kind == MetricKind::kAdaptG || Kind == MetricKind::kAdaptL) {
+      double sum_est = 0.0;    // Σ c̄ along the path
+      double sum_extra = 0.0;  // Σ (ĉ − c̄): requested virtual inflation
+      for (const NodeId v : spine) {
+        DSSLICE_REQUIRE(weights[v] >= est[v] - 1e-12,
+                        "virtual execution time below the estimate");
+        sum_est += est[v];
+        sum_extra += weights[v] - est[v];
+      }
+      const double surplus = window - sum_est;
+      if (surplus >= sum_extra) {
+        const double share = (surplus - sum_extra) / static_cast<double>(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          place(i, weights[path[i]] + share);
+        }
+      } else if (surplus > 0.0 && sum_extra > 0.0) {
+        const double scale = surplus / sum_extra;
+        for (std::size_t i = 0; i < len; ++i) {
+          const NodeId v = path[i];
+          place(i, est[v] + (weights[v] - est[v]) * scale);
+        }
+      } else {
+        const double share = surplus / static_cast<double>(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          place(i, est[path[i]] + share);
         }
       }
-      for (const NodeId s : g.successors(v)) {
-        --up_count_[s];
-        if (bit_test(unassigned_node_, s)) {
-          arrival_[s] = std::max(arrival_[s], w.deadline);
-          bit_set(dirty_fwd_, pos_of_[s]);
+    } else {
+      double sum = 0.0;
+      for (const NodeId v : spine) {
+        DSSLICE_REQUIRE(weights[v] >= 0.0, "negative path weight");
+        sum += weights[v];
+      }
+      if (Kind == MetricKind::kNorm && sum > 0.0) {
+        const double scale = window / sum;
+        for (std::size_t i = 0; i < len; ++i) {
+          place(i, weights[path[i]] * scale);
         }
+      } else {
+        const double share = (window - sum) / static_cast<double>(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          place(i, weights[path[i]] + share);
+        }
+      }
+    }
+    remaining -= len;
+
+    // Propagate anchors to the unassigned neighbours of the spine, drop the
+    // spine from their live lists and seed the next pass's dirty sets: a
+    // predecessor's latest-finish inputs changed (successor gone, deadline
+    // maybe tightened), a successor's candidate set changed (predecessor
+    // gone, arrival maybe tightened, Π-source status maybe flipped). A
+    // predecessor whose last unassigned successor was just assigned becomes
+    // a Π-sink. Neighbours on the spine itself (pass_of already set) are
+    // assigned and left alone.
+    for (const NodeId v : spine) {
+      const Window& w = assignment.windows[v];
+      const LiveAdjacency& lv = live_[v];
+      const NodeId* const preds = adj + lv.pred_at;
+      for (std::uint32_t i = 0; i < lv.pred_len; ++i) {
+        const NodeId u = preds[i];
+        if (assignment.pass_of[u] >= 0) {
+          continue;
+        }
+        LiveAdjacency& lu = live_[u];
+        remove_stable(adj + lu.succ_at, lu.succ_len, v);
+        deadline_[u] = std::min(deadline_[u], w.arrival);
+        bit_set(dirty_back_, pos_of_[u]);
+        if (lu.succ_len == 0) {
+          DSSLICE_CHECK(deadline_[u] < kTimeInfinity,
+                        "Π-sink without a deadline anchor");
+          bit_set(sink_bits_, u);
+        }
+      }
+      const NodeId* const succs = adj + lv.succ_at;
+      for (std::uint32_t i = 0; i < lv.succ_len; ++i) {
+        const NodeId s = succs[i];
+        if (assignment.pass_of[s] >= 0) {
+          continue;
+        }
+        LiveAdjacency& ls = live_[s];
+        remove_stable(adj + ls.pred_at, ls.pred_len, v);
+        arrival_[s] = std::max(arrival_[s], w.deadline);
+        bit_set(dirty_fwd_, pos_of_[s]);
       }
     }
 
@@ -517,30 +539,26 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
     DSSLICE_CHECK(stats.passes <= n, "slicing failed to converge");
   }
 
+  // Min-laxities over the slicing estimates (stats) and over the original
+  // estimates c̄ (the outcome's; first-smallest, quality.cpp's min_element
+  // semantics), in one scan.
   stats.min_laxity = std::numeric_limits<double>::infinity();
   stats.windows_feasible = true;
+  double outcome_min = 0.0;
   for (NodeId v = 0; v < n; ++v) {
-    const double laxity = assignment.windows[v].length() - est[v];
+    const double length = assignment.windows[v].length();
+    const double laxity = length - est[v];
     stats.min_laxity = std::min(stats.min_laxity, laxity);
     if (laxity < 0.0) {
       stats.windows_feasible = false;
     }
-  }
-  stats_[k] = stats;
-}
-
-void BatchSliceKernel::finish_scenario(std::size_t k) {
-  const std::vector<Window>& windows = assignments_[k].windows;
-  // First-smallest scan — the exact semantics of quality.cpp's min_element
-  // over the laxity vector, without materializing it.
-  double best = windows[0].length() - est_[0];
-  for (std::size_t i = 1; i < windows.size(); ++i) {
-    const double laxity = windows[i].length() - est_[i];
-    if (laxity < best) {
-      best = laxity;
+    const double outcome = length - est_[v];
+    if (v == 0 || outcome < outcome_min) {
+      outcome_min = outcome;
     }
   }
-  outcome_min_laxity_[k] = best;
+  stats_[k] = stats;
+  outcome_min_laxity_[k] = outcome_min;
 }
 
 }  // namespace dsslice

@@ -4,49 +4,60 @@
 // time slicing: per scenario it estimates WCETs, computes metric weights,
 // and peels critical paths off the task graph until every task owns a
 // window. The scalar pipeline (run_slicing) keeps its DP state in AoS form
-// (vector<PathCandidate> entries, vector<bool> assigned flags) and clears
-// O(n) buffers every pass. BatchSliceKernel runs the same computation one
-// scenario at a time through reused per-node buffers:
+// (vector<PathCandidate> entries, vector<bool> assigned flags), rescans
+// every remaining task per pass and tests each neighbour for assignment.
+// BatchSliceKernel runs the same computation one scenario at a time through
+// reused per-node buffers:
 //
 //  * Staging. c̄ (estimate_wcets_into), the mandatory demand of imprecise
 //    workloads (mandatory_estimates_into — precise scenarios peel straight
 //    from c̄) and the metric weights (DeadlineMetric::weights_into) land in
 //    kernel-owned buffers sized by the largest task count seen.
-//  * A 64-bit-lane peel engine. The per-scenario critical-path DP keeps its
-//    state in parallel scalar arrays (latest finish, DP start/weight/count/
-//    prev/score) instead of an array of structs, and replaces the scalar
-//    path's vector<bool> assigned flags and per-node adjacency rescans with
-//    explicit uint64 bitsets: an unassigned set indexed by node id (O(1)
-//    membership tests in the adjacency scans), per-direction *dirty* work
-//    lists indexed by topological position (walked word by word via
-//    countr_zero / countl_zero), and a Π-sink set fed by unassigned-degree
-//    counters. Each peel pass recomputes only the nodes whose DP inputs
-//    actually changed — an anchor tightened, a neighbour assigned, a
-//    successor's latest-finish or a predecessor's (start, Σw, count) tuple
-//    changed bitwise — instead of rescanning every remaining task. A node
-//    whose recomputed value is bitwise unchanged stops the propagation, so
-//    the incremental walk reads exactly the values a full recompute would
-//    produce: the speedup is structural, never approximate.
-//  * The metric's path_value() is inlined through a MetricKind template so
-//    the DP inner loop pays no cross-TU call per candidate.
+//  * One setup loop. In reverse topological order it fills the anchors,
+//    the initial Π-sinks and pass 0's latest-finish bounds L(v) in one go;
+//    pass 0's forward DP then runs densely in topological order.
+//  * Live adjacency. The kernel copies the graph's CSR successor and
+//    predecessor lists once per scenario (2·|A| ids) and, when a spine is
+//    assigned, removes its nodes from their unassigned neighbours' lists by
+//    stable removal. The lists keep CSR order, so every fold visits
+//    neighbours in the scalar path's order, and every walk reads only
+//    unassigned neighbours without a membership test. A list's length is
+//    the node's unassigned degree: Π-sources and Π-sinks are the nodes with
+//    an empty predecessor or successor list.
+//  * Incremental peel passes. The DP state lives in packed per-node records
+//    (L(v) with the weight; start, Σw, count, prev and score), and two
+//    dirty sets indexed by topological position, walked word by word via
+//    countl_zero / countr_zero, hold the nodes a pass must recompute: an
+//    anchor tightened, a neighbour assigned, a successor's L or a
+//    predecessor's (start, Σw, count) changed bitwise. A node whose
+//    recomputed value is bitwise unchanged stops the propagation, so the
+//    incremental walk reads exactly the values a full recompute would
+//    produce: the speedup is structural, never approximate. The sink of
+//    each pass is the (score, id) minimum over a bitset of the current
+//    Π-sinks.
+//  * Inline spine slicing. The window is sliced over the spine inside the
+//    kernel with the expressions and preconditions of
+//    DeadlineMetric::adaptive_slices_into / slices_into, and the metric's
+//    path_value() is inlined into the DP fold, both through a MetricKind
+//    template, so a pass makes no out-of-line metric call.
 //
 // run() takes a span because the sweep hands it a ScenarioBatch window; it
-// is a plain loop that stages, peels and finishes one scenario at a time.
+// is a plain loop that stages and peels one scenario at a time.
 //
 // Bit-identity contract: for every scenario, every metric and any batch
 // size, the kernel's windows, pass indices, slicing stats and min-laxities
 // are bit-identical to the scalar pipeline (estimate_wcets_into →
 // mandatory_estimates_into → run_slicing with default options), which
 // stays the one reference (SweepOptions::use_batch_kernel = false routes
-// the sweep through it). Candidate ranking is literally shared code
-// (core/critical_path.hpp's PathCandidate / path_candidate_better); every
-// floating-point fold keeps the scalar evaluation order. Enforced by
-// tests/test_batch_kernel.cpp.
+// the sweep through it). Candidate ranking is expression-for-expression
+// core/critical_path.hpp's path_candidate_better; every floating-point fold
+// keeps the scalar evaluation order. Enforced by tests/test_batch_kernel.cpp.
 //
 // Zero-warm-allocation: all storage is capacity-tracked; a warm kernel
 // re-run over a batch whose shapes were seen before performs no heap
 // allocation (grow_events() stays flat — the same contract as
-// ScenarioBatch and SweepArena).
+// ScenarioBatch and SweepArena). Per-node buffers reserve to the largest
+// task count seen, the adjacency copy to twice the largest arc count.
 #pragma once
 
 #include <cstddef>
@@ -120,13 +131,12 @@ class BatchSliceKernel {
 
   template <MetricKind Kind>
   void peel_scenario(std::size_t k, const Application& app,
-                     std::span<const double> est,
-                     const DeadlineMetric& metric);
-  void finish_scenario(std::size_t k);
+                     std::span<const double> est);
 
   // ---- per-scenario staging ----
   std::size_t batch_size_ = 0;
   std::size_t max_tasks_seen_ = 0;   // running max task count per scenario
+  std::size_t max_arcs_seen_ = 0;    // running max arc count (adj_ hint)
   std::vector<double> est_;          // c̄
   std::vector<double> mandatory_;    // mandatory demand (imprecise only)
   std::vector<double> weights_;      // metric weights ĉ / c̄
@@ -157,6 +167,16 @@ class BatchSliceKernel {
     Time latest;
     double weight;
   };
+  /// A node's live adjacency: its unassigned successors and predecessors,
+  /// kept in CSR order as ranges of adj_. The lengths double as the
+  /// unassigned-degree counters (Π-source: pred_len == 0, Π-sink:
+  /// succ_len == 0).
+  struct LiveAdjacency {
+    std::uint32_t succ_at;
+    std::uint32_t succ_len;
+    std::uint32_t pred_at;
+    std::uint32_t pred_len;
+  };
 
   // ---- peel-engine scratch (sized per scenario) ----
   std::vector<Time> arrival_;             // anchor arrivals (−inf = unset)
@@ -164,16 +184,12 @@ class BatchSliceKernel {
   std::vector<LatestWeight> lw_;          // backward-pass L(v) + weight
   std::vector<NodeDp> dp_;                // forward-DP records
   std::vector<std::uint32_t> pos_of_;     // node id → topological position
-  std::vector<std::uint32_t> up_count_;   // unassigned predecessors per node
-  std::vector<std::uint32_t> us_count_;   // unassigned successors per node
-  std::vector<std::uint64_t> unassigned_node_;  // bitset over node ids
+  std::vector<LiveAdjacency> live_;       // per-node live neighbour ranges
+  std::vector<NodeId> adj_;               // live neighbour ids, 2·|A|
   std::vector<std::uint64_t> sink_bits_;        // current Π-sinks (node ids)
   std::vector<std::uint64_t> dirty_back_;       // backward-pass work list
   std::vector<std::uint64_t> dirty_fwd_;        // forward-pass work list
   std::vector<NodeId> path_nodes_;        // current spine
-  std::vector<double> path_weights_;
-  std::vector<double> path_est_;
-  std::vector<double> slices_;
 
   std::uint64_t grow_events_ = 0;
 };

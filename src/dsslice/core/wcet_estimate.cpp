@@ -20,16 +20,16 @@ std::string to_string(WcetEstimation strategy) {
 }
 
 double estimate_wcet(const Task& task, WcetEstimation strategy) {
+  // Reads the class table directly: a class is eligible exactly when its
+  // entry is >= 0 (Task::eligible), and then the entry is its WCET.
   double sum = 0.0;
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   std::size_t count = 0;
-  for (ProcessorClassId e = 0;
-       e < static_cast<ProcessorClassId>(task.wcet_by_class.size()); ++e) {
-    if (!task.eligible(e)) {
+  for (const double c : task.wcet_by_class) {
+    if (!(c >= 0.0)) {
       continue;
     }
-    const double c = task.wcet(e);
     sum += c;
     lo = std::min(lo, c);
     hi = std::max(hi, c);
@@ -58,9 +58,10 @@ std::vector<double> estimate_wcets(const Application& app,
 
 void estimate_wcets_into(const Application& app, WcetEstimation strategy,
                          std::vector<double>& out) {
-  out.resize(app.task_count());
-  for (NodeId i = 0; i < app.task_count(); ++i) {
-    out[i] = estimate_wcet(app.task(i), strategy);
+  const std::vector<Task>& tasks = app.tasks();
+  out.resize(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    out[i] = estimate_wcet(tasks[i], strategy);
   }
 }
 

@@ -100,6 +100,18 @@ class TaskGraph {
     return {pred_arc_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
   }
 
+  /// The flat CSR arrays behind successors() / predecessors(): v's
+  /// successors are successor_ids()[successor_offsets()[v] ..
+  /// successor_offsets()[v + 1]), and likewise for predecessors. The
+  /// offsets hold node_count() + 1 entries (none in an empty graph). For
+  /// kernels that copy the whole adjacency at once.
+  std::span<const std::uint32_t> successor_offsets() const { return succ_off_; }
+  std::span<const NodeId> successor_ids() const { return succ_; }
+  std::span<const std::uint32_t> predecessor_offsets() const {
+    return pred_off_;
+  }
+  std::span<const NodeId> predecessor_ids() const { return pred_; }
+
   std::size_t out_degree(NodeId v) const { return successors(v).size(); }
   std::size_t in_degree(NodeId v) const { return predecessors(v).size(); }
 

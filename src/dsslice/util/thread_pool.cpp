@@ -1,7 +1,9 @@
 #include "dsslice/util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "dsslice/util/check.hpp"
@@ -10,21 +12,40 @@ namespace dsslice {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                      kMaxThreads);
+  }
+  if (threads > kMaxThreads) {
+    throw ConfigError("ThreadPool: " + std::to_string(threads) +
+                      " threads requested, at most " +
+                      std::to_string(kMaxThreads) + " allowed");
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // The destructor does not run for a constructor that throws: stop and
+    // join the workers already started here, or they would wait on
+    // cv_task_ forever while workers_ joins them.
+    stop();
+    workers_.clear();
+    throw;
   }
 }
 
 ThreadPool::~ThreadPool() {
+  stop();
+  // jthread joins on destruction.
+}
+
+void ThreadPool::stop() {
   {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
   cv_task_.notify_all();
-  // jthread joins on destruction.
 }
 
 void ThreadPool::submit(std::function<void()> task) {

@@ -18,8 +18,14 @@ namespace dsslice {
 
 class ThreadPool {
  public:
+  /// Largest worker count a pool accepts.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (with a floor of one worker).
+  /// (with a floor of one worker, capped at kMaxThreads). A request above
+  /// kMaxThreads throws ConfigError before any worker starts. If a worker
+  /// fails to start, the ones already running are stopped and joined and
+  /// the error is rethrown.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -41,6 +47,9 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Sets stopping_ and wakes every worker; each exits once the queue is
+  /// empty.
+  void stop();
 
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;

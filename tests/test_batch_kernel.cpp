@@ -7,8 +7,11 @@
 // the class of bug the kernel must not have.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dsslice/batch/slice_kernel.hpp"
@@ -121,8 +124,7 @@ TEST(BatchKernelTest, MatchesScalarOnLargeSkipLevelGraphs) {
   ScenarioBatch batch;
   batch.generate(large_config(0x1A26E), 0, 6);
   BatchSliceKernel kernel;
-  for (const MetricKind metric :
-       {MetricKind::kAdaptL, MetricKind::kNorm}) {
+  for (const MetricKind metric : all_metric_kinds()) {
     BatchSliceConfig config;
     config.metric = metric;
     kernel.run(batch.scenarios(), config);
@@ -132,6 +134,147 @@ TEST(BatchKernelTest, MatchesScalarOnLargeSkipLevelGraphs) {
                            std::to_string(k));
     }
   }
+}
+
+/// A hand-built scenario on two processor classes (three processors), so
+/// the estimates and the adaptive weights differ per task.
+Scenario hand_built(ApplicationBuilder& b) {
+  return Scenario{Platform::shared_bus({ProcessorClass{"e0", 1.0},
+                                        ProcessorClass{"e1", 1.5}},
+                                       {0, 1, 1}),
+                  b.build(2)};
+}
+
+void expect_kernel_matches_scalar(const Scenario& scenario,
+                                  const std::string& label) {
+  BatchSliceKernel kernel;
+  for (const MetricKind metric : all_metric_kinds()) {
+    BatchSliceConfig config;
+    config.metric = metric;
+    kernel.run(std::span<const Scenario>(&scenario, 1), config);
+    expect_identical(scalar_slice(scenario, config), kernel, 0,
+                     label + "/" + to_string(metric));
+  }
+}
+
+/// The kernel's live neighbour lists start as the graph's CSR, which keeps
+/// arc insertion order. Arcs added in descending (from, to) order make every
+/// list run against node-id order.
+TEST(BatchKernelTest, MatchesScalarWhenCsrOrderRunsAgainstIdOrder) {
+  ApplicationBuilder b;
+  const std::vector<std::vector<double>> wcets = {
+      {3, 5}, {4, 4}, {6, 2}, {5, 7}, {2, 3},
+      {8, 6}, {4, 5}, {3, 9}, {6, 4}, {2, 2}};
+  for (std::size_t i = 0; i < wcets.size(); ++i) {
+    b.add_task("t" + std::to_string(i), wcets[i]);
+  }
+  std::vector<std::pair<NodeId, NodeId>> arcs = {
+      {0, 3}, {0, 4}, {0, 7}, {1, 3}, {1, 4}, {1, 5}, {2, 4}, {2, 5},
+      {3, 6}, {4, 6}, {4, 7}, {5, 6}, {5, 7}, {6, 8}, {6, 9}, {7, 8},
+      {7, 9}};
+  std::sort(arcs.rbegin(), arcs.rend());
+  for (const auto& [from, to] : arcs) {
+    b.add_precedence(from, to);
+  }
+  b.set_input_arrival(0, 0.0);
+  b.set_input_arrival(1, 2.0);
+  b.set_input_arrival(2, 1.0);
+  b.set_ete_deadline(8, 60.0);
+  b.set_ete_deadline(9, 55.0);
+  const Scenario scenario = hand_built(b);
+  const TaskGraph& g = scenario.application.graph();
+  ASSERT_EQ(g.predecessors(6)[0], 5u);  // CSR order, not id order
+  ASSERT_EQ(g.successors(4)[0], 7u);
+  expect_kernel_matches_scalar(scenario, "descending arcs");
+}
+
+/// Two identical sources feed one node: their candidates tie on score and
+/// Σw, so the smaller predecessor id must win although the CSR lists the
+/// larger one first. The loser becomes a Π-sink of a later pass.
+TEST(BatchKernelTest, MatchesScalarWhenPrevDecidesForwardTies) {
+  ApplicationBuilder b;
+  const NodeId s0 = b.add_task("s0", {4, 6});
+  const NodeId s1 = b.add_task("s1", {4, 6});
+  const NodeId mid = b.add_task("mid", {5, 3});
+  const NodeId out = b.add_task("out", {2, 4});
+  b.add_precedence(s1, mid);
+  b.add_precedence(s0, mid);
+  b.add_precedence(mid, out);
+  b.set_input_arrival(s0, 0.0);
+  b.set_input_arrival(s1, 0.0);
+  b.set_ete_deadline(out, 30.0);
+  const Scenario scenario = hand_built(b);
+  ASSERT_EQ(scenario.application.graph().predecessors(mid)[0], s1);
+  for (const MetricKind metric : all_metric_kinds()) {
+    BatchSliceConfig config;
+    config.metric = metric;
+    const ScalarResult want = scalar_slice(scenario, config);
+    EXPECT_EQ(want.assignment.pass_of[s0], 0) << to_string(metric);
+    EXPECT_EQ(want.assignment.pass_of[s1], 1) << to_string(metric);
+  }
+  expect_kernel_matches_scalar(scenario, "prev tie");
+}
+
+/// Skip arcs whose both ends land on the same spine: the propagation after
+/// that pass must treat the spine neighbours as assigned, not anchor them.
+TEST(BatchKernelTest, MatchesScalarWithSkipArcsInsideOneSpine) {
+  ApplicationBuilder b;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 5; ++i) {
+    chain.push_back(b.add_task("c" + std::to_string(i), {10, 12}));
+  }
+  const NodeId side = b.add_task("side", {1, 2});
+  b.add_chain(chain);
+  b.add_precedence(chain[0], chain[2]);
+  b.add_precedence(chain[1], chain[3]);
+  b.add_precedence(chain[0], chain[4]);
+  b.add_precedence(chain[2], chain[4]);
+  b.add_precedence(chain[1], side);
+  b.add_precedence(side, chain[4]);
+  b.set_input_arrival(chain[0], 0.0);
+  b.set_ete_deadline(chain[4], 70.0);
+  const Scenario scenario = hand_built(b);
+  for (const MetricKind metric : all_metric_kinds()) {
+    BatchSliceConfig config;
+    config.metric = metric;
+    const ScalarResult want = scalar_slice(scenario, config);
+    for (const NodeId v : chain) {
+      EXPECT_EQ(want.assignment.pass_of[v], 0) << to_string(metric);
+    }
+  }
+  expect_kernel_matches_scalar(scenario, "skip arcs");
+}
+
+/// Nodes whose every successor sits on an earlier spine turn into Π-sinks
+/// mid-run, with the deadline anchor that spine gave them.
+TEST(BatchKernelTest, MatchesScalarWhenNodesBecomeSinksMidRun) {
+  ApplicationBuilder b;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 4; ++i) {
+    chain.push_back(b.add_task("c" + std::to_string(i), {9, 11}));
+  }
+  const NodeId feeder = b.add_task("feeder", {2, 1});
+  const NodeId fork = b.add_task("fork", {1, 3});
+  b.add_chain(chain);
+  b.add_precedence(feeder, chain[2]);
+  b.add_precedence(fork, chain[1]);
+  b.add_precedence(fork, chain[3]);
+  b.set_input_arrival(chain[0], 0.0);
+  b.set_input_arrival(feeder, 3.0);
+  b.set_input_arrival(fork, 5.0);
+  b.set_ete_deadline(chain[3], 60.0);
+  const Scenario scenario = hand_built(b);
+  for (const MetricKind metric : all_metric_kinds()) {
+    BatchSliceConfig config;
+    config.metric = metric;
+    const ScalarResult want = scalar_slice(scenario, config);
+    for (const NodeId v : chain) {
+      EXPECT_EQ(want.assignment.pass_of[v], 0) << to_string(metric);
+    }
+    EXPECT_GT(want.assignment.pass_of[feeder], 0) << to_string(metric);
+    EXPECT_GT(want.assignment.pass_of[fork], 0) << to_string(metric);
+  }
+  expect_kernel_matches_scalar(scenario, "mid-run sinks");
 }
 
 TEST(BatchKernelTest, MatchesScalarOnImpreciseWorkloads) {

@@ -37,6 +37,11 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+// The cap is checked before any worker starts, so this starts no thread.
+TEST(ThreadPool, RejectsMoreThanMaxThreads) {
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), ConfigError);
+}
+
 TEST(ThreadPool, SubmittedTaskExceptionSurfacesOnWaitIdle) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
