@@ -42,7 +42,7 @@ python3 benchmark/run.py --smoke
 # batch slicing kernel.
 smokes=(
   "bench/perf_slicing --smoke|batch.scenarios batch.passes|BENCH_slicing.json"
-  "bench/perf_scheduling --smoke|sched.dispatch.heap_ops sched.dispatch.queue_depth|BENCH_scheduling.json"
+  "bench/perf_scheduling --smoke|sched.dispatch.events sched.dispatch.rescans|BENCH_scheduling.json"
   "bench/fig_degradation --smoke --json @out/surface.json|recovery.shed_tasks|"
   "examples/experiment_runner --graphs 16 --obs-summary|batch.slice.run sweep.shard|"
 )

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <limits>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -40,7 +39,6 @@ EdfDispatchScheduler::EdfDispatchScheduler(DispatchOptions options)
 namespace {
 
 constexpr double kEps = 1e-9;
-constexpr Time kNoBound = -std::numeric_limits<Time>::infinity();
 
 }  // namespace
 
@@ -85,8 +83,6 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     std::uint64_t restarts = 0;
     std::uint64_t misses = 0;
     std::uint64_t degraded = 0;  // completions with a shed optional part
-    std::uint64_t heap_ops = 0;  // event-queue pushes + pops (wake ∪ finish)
-    std::uint64_t queue_peak = 0;  // max queued events at any push
     ~ObsTally() {
       DSSLICE_COUNT("sched.dispatch.runs", 1);
       DSSLICE_COUNT("sched.dispatch.events", events);
@@ -96,9 +92,6 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       DSSLICE_COUNT("sched.dispatch.restarts", restarts);
       DSSLICE_COUNT("sched.dispatch.misses", misses);
       DSSLICE_COUNT("sched.dispatch.degraded", degraded);
-      DSSLICE_COUNT("sched.dispatch.heap_ops", heap_ops);
-      DSSLICE_GAUGE("sched.dispatch.queue_depth",
-                    static_cast<double>(queue_peak));
     }
   } obs_tally;
   const TaskGraph& g = app.graph();
@@ -226,155 +219,49 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
                                  std::span<char>(ws.shed)};
   };
 
-  // Earliest time the data of ready task v is available on processor p.
-  // Identical arithmetic to run(): nominal delay × injected factor, with the
-  // SharedBus delay inlined (0 co-located, items × per-item otherwise).
-  const auto data_ready = [&](NodeId v, ProcessorId p) {
-    Time ready = kTimeZero;
-    const auto preds = g.predecessors(v);
-    const auto pitems = g.predecessor_items(v);
-    const auto parcs = g.predecessor_arc_indices(v);
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      const NodeId u = preds[k];
-      Time d = shared_bus != nullptr
-                   ? (ws.proc_of[u] == p ? kTimeZero : pitems[k] * bus_rate)
-                   : platform.comm_delay(ws.proc_of[u], p, pitems[k]);
-      if (arc_factor != nullptr) {
-        d *= arc_factor[parcs[k]];
-      }
-      ready = std::max(ready, ws.finish[u] + d);
-    }
-    return ready;
-  };
-
-  // Shared-bus fast path for data_ready: the cross-processor contribution
-  // finish_u + items × rate × factor does not depend on the destination, so
-  // the two largest contributions from *distinct* source processors plus a
-  // per-processor co-located maximum answer data_ready(v, ·) in O(1) per
-  // processor after an O(preds + m) prime. Pure exact max-combining over
-  // the identical per-predecessor doubles, hence bit-identical to the loop
-  // above (same trick as edf_list_scheduler.cpp). Predecessor finishes are
-  // final once preds_left[v] == 0 (done tasks are never killed), so a prime
-  // stays valid for the whole scan over processors.
-  Time dr_cross1 = kNoBound, dr_cross2 = kNoBound;
-  ProcessorId dr_cross1_proc = 0;
-  const auto prime_data_ready = [&](NodeId v) {
-    dr_cross1 = dr_cross2 = kNoBound;
-    dr_cross1_proc = 0;
-    ws.fill(ws.local_pred_bound, m, kNoBound);
-    const auto preds = g.predecessors(v);
-    const auto pitems = g.predecessor_items(v);
-    const auto parcs = g.predecessor_arc_indices(v);
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      const NodeId u = preds[k];
-      const ProcessorId up = ws.proc_of[u];
-      Time d = pitems[k] * bus_rate;
-      if (arc_factor != nullptr) {
-        d *= arc_factor[parcs[k]];
-      }
-      const Time contrib = ws.finish[u] + d;
-      if (contrib > dr_cross1) {
-        if (up != dr_cross1_proc) {
-          dr_cross2 = dr_cross1;  // dethroned max is from another processor
-        }
-        dr_cross1 = contrib;
-        dr_cross1_proc = up;
-      } else if (up != dr_cross1_proc && contrib > dr_cross2) {
-        dr_cross2 = contrib;
-      }
-      ws.local_pred_bound[up] =
-          std::max(ws.local_pred_bound[up], ws.finish[u]);
-    }
-  };
-  const auto primed_data_ready = [&](ProcessorId p) {
-    const Time cross = p == dr_cross1_proc ? dr_cross2 : dr_cross1;
-    return std::max(kTimeZero, std::max(cross, ws.local_pred_bound[p]));
-  };
-
   // ------------------------------------------------------------------
-  // Indexed event state. The legacy loop rescanned all n tasks × m
-  // processors once per simulated instant, both to dispatch and to find the
-  // next instant; the eps tie-break forbids reordering those scans, so the
-  // index does not reorder anything. Instead it reproduces the legacy run
-  // exactly:
-  //  * every queued wake-up entry mirrors one proposal of the legacy
-  //    next-event scan (an arrival, a processor's known_from, a data-ready
-  //    instant) and carries the (task, processor) pair that proposed it, so
-  //    it can be re-validated against live state when it surfaces — window
-  //    rewrites, re-pins, kills and revivals queue fresh entries and the
-  //    superseded ones are dropped lazily;
-  //  * completions live in their own heap keyed by finish instant, with the
-  //    per-instant batch processed in ascending task id — the order the
-  //    legacy full scan completed them;
-  //  * the dispatch pass replays the legacy v-ascending fold over a
-  //    candidate bitset. In that fold the eps tie clause (|d − bd| ≤ eps
-  //    and v < best) can never fire — the incumbent always has the smaller
-  //    id — so a candidate wins iff there is no incumbent or
-  //    d < bd − eps, and one with d ≥ bd − eps cannot affect the outcome
-  //    (its processor checks are pure). The pass skips exactly those.
+  // Live-task state. The legacy loop rescanned all n tasks × m processors
+  // once per simulated instant, both to dispatch and to find the next
+  // instant; the eps tie-break forbids reordering those scans. This loop is
+  // the same loop restricted to the tasks that can still act, visited in
+  // the same ascending id order:
+  //  * completions and kills walk a running bitset (started ∧ ¬done);
+  //  * candidates (released ∧ unstarted ∧ ¬lost) wait in a min-heap keyed
+  //    by their arrival and move to an arrived bitset once it is reached;
+  //  * the dispatch pass replays the legacy v-ascending fold over the
+  //    arrived bitset. In that fold the eps tie clause (|d − bd| ≤ eps and
+  //    v < best) can never fire — the incumbent always has the smaller id —
+  //    so a candidate wins iff there is no incumbent or d < bd − eps, and
+  //    one with d ≥ bd − eps cannot affect the outcome (its processor checks
+  //    are pure). The pass skips exactly those;
+  //  * the next instant is the minimum of the legacy proposals: each busy
+  //    processor's busy_until, each unserved failure instant, the heap's
+  //    earliest arrival, and the known_from / data-ready instants of arrived
+  //    candidates, scanned over a data-wait bitset that holds every
+  //    candidate still able to propose one.
   // The simulated instant sequence is therefore bit-identical to the legacy
   // loop's, and with it every placement, bus reservation and telemetry
   // entry (pinned by tests/test_scheduler_equivalence.cpp).
   // ------------------------------------------------------------------
   const std::size_t words = (n + 63) / 64;
   ws.fill(ws.dispatch_cand, words, std::uint64_t{0});
+  ws.fill(ws.dispatch_arrived, words, std::uint64_t{0});
+  ws.fill(ws.dispatch_running, words, std::uint64_t{0});
+  ws.fill(ws.dispatch_wait, words, std::uint64_t{0});
   ws.size(ws.dispatch_ready_at, n * m);
-  ws.wake_heap.clear();
-  ws.finish_heap.clear();
-  ws.ineligible_tasks.clear();
-
-  const auto cand_set = [&](NodeId v) {
-    ws.dispatch_cand[v >> 6] |= std::uint64_t{1} << (v & 63);
+  ws.size(ws.dispatch_last_ready, n);
+  ws.size(ws.local_pred_bound, m);
+  ws.arrival_heap.clear();
+  std::uint64_t* const cand = ws.dispatch_cand.data();
+  std::uint64_t* const arrived = ws.dispatch_arrived.data();
+  std::uint64_t* const running = ws.dispatch_running.data();
+  std::uint64_t* const wait = ws.dispatch_wait.data();
+  const auto bit = [](NodeId v) { return std::uint64_t{1} << (v & 63); };
+  const auto bit_id = [](std::size_t w, std::uint64_t bits) {
+    return static_cast<NodeId>(
+        (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
   };
-  const auto cand_clear = [&](NodeId v) {
-    ws.dispatch_cand[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-  };
-  const auto cand_test = [&](NodeId v) {
-    return ((ws.dispatch_cand[v >> 6] >> (v & 63)) & 1u) != 0;
-  };
-
-  const auto wake_before = [](const DispatchWakeEvent& a,
-                              const DispatchWakeEvent& b) {
-    return a.at > b.at;  // min-heap on the instant; ties in any order (only
-                         // the instant is consumed, entries re-validate)
-  };
-  const auto finish_before = [](const std::pair<Time, NodeId>& a,
-                                const std::pair<Time, NodeId>& b) {
-    return a.first > b.first;
-  };
-  const auto note_depth = [&] {
-    obs_tally.queue_peak =
-        std::max<std::uint64_t>(obs_tally.queue_peak,
-                                ws.wake_heap.size() + ws.finish_heap.size());
-  };
-  const auto push_wake = [&](Time at, NodeId v, ProcessorId p) {
-    ws.push(ws.wake_heap, DispatchWakeEvent{at, v, p});
-    std::push_heap(ws.wake_heap.begin(), ws.wake_heap.end(), wake_before);
-    ++obs_tally.heap_ops;
-    note_depth();
-  };
-  const auto pop_wake = [&] {
-    std::pop_heap(ws.wake_heap.begin(), ws.wake_heap.end(), wake_before);
-    const DispatchWakeEvent e = ws.wake_heap.back();
-    ws.wake_heap.pop_back();
-    ++obs_tally.heap_ops;
-    return e;
-  };
-  const auto push_finish_event = [&](NodeId v) {
-    ws.push(ws.finish_heap, std::make_pair(ws.finish[v], v));
-    std::push_heap(ws.finish_heap.begin(), ws.finish_heap.end(),
-                   finish_before);
-    ++obs_tally.heap_ops;
-    note_depth();
-  };
-  const auto pop_finish_event = [&] {
-    std::pop_heap(ws.finish_heap.begin(), ws.finish_heap.end(),
-                  finish_before);
-    const std::pair<Time, NodeId> e = ws.finish_heap.back();
-    ws.finish_heap.pop_back();
-    ++obs_tally.heap_ops;
-    return e;
-  };
+  const auto arrival_later = std::greater<std::pair<Time, NodeId>>();
 
   // Task::eligible against the cached class table, as direct reads.
   const auto eligible_on = [&](const Task& task, ProcessorId p) {
@@ -384,118 +271,90 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
 
   Time now = kTimeZero;
 
-  // Queues the future instant the legacy next-event scan would propose for
-  // the (arrived candidate, eligible processor) pair from the current
-  // state: the processor's known_from while it is not yet up, else the
-  // cached data-ready instant.
-  const auto push_pair_wake = [&](NodeId v, ProcessorId p) {
-    if (now + kEps >= ws.surprise_down[p]) {
-      return;  // dead processor generates no future events
-    }
-    if (ws.pinned[v] != kUnpinnedProcessor && ws.pinned[v] != p) {
-      return;
-    }
-    if (now + kEps < ws.known_from[p]) {
-      push_wake(ws.known_from[p], v, p);
-      return;
-    }
-    const Time ready = ws.dispatch_ready_at[v * m + p];
-    if (ready > now + kEps) {
-      push_wake(ready, v, p);
-    }
-  };
-  // Queues every future instant at which candidate v could become
-  // dispatchable: its arrival while it has not arrived, otherwise the
-  // per-processor instants above. Called on release, revival, arrival
-  // crossings, and whenever a control callback moves v's arrival or pin.
-  const auto push_task_wakes = [&](NodeId v) {
-    if (windows[v].arrival > now + kEps) {
-      push_wake(windows[v].arrival, v, kDispatchWakeArrival);
-      return;
-    }
-    const Task& task = app.task(v);
-    for (ProcessorId p = 0; p < m; ++p) {
-      if (eligible_on(task, p)) {
-        push_pair_wake(v, p);
-      }
-    }
-  };
-  // True iff the legacy next-event scan would still propose this entry's
-  // instant right now. (Class eligibility is static and checked at push
-  // time, so pair entries need no eligibility re-check; the caller has
-  // already established e.at > now + kEps.)
-  const auto wake_valid = [&](const DispatchWakeEvent& e) {
-    if (!cand_test(e.task)) {
-      return false;
-    }
-    const Time arrival = windows[e.task].arrival;
-    if (e.proc == kDispatchWakeArrival) {
-      return arrival > now + kEps && e.at == arrival;
-    }
+  // Files candidate v at the current instant: into the arrived bitset or,
+  // until its arrival, the arrival heap; and into the data-wait bitset if
+  // its latest data-ready instant over its eligible processors (+∞ with no
+  // eligible class, so the failure check sees it) lies after both now + eps
+  // and its arrival. A data-ready instant the legacy scan proposes at a
+  // later instant t lies after t + eps, and v has arrived by then, so v
+  // passes this test at every earlier instant with the same arrival.
+  // Arrivals change only in control callbacks, after which every candidate
+  // is filed afresh.
+  const auto file_candidate = [&](NodeId v) {
+    const Time arrival = windows[v].arrival;
     if (arrival > now + kEps) {
-      return false;  // only the arrival itself is proposed until it passes
+      ws.push(ws.arrival_heap, std::make_pair(arrival, v));
+      std::push_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
+                     arrival_later);
+    } else {
+      arrived[v >> 6] |= bit(v);
     }
-    if (now + kEps >= ws.surprise_down[e.proc]) {
-      return false;
+    if (ws.dispatch_last_ready[v] > std::max(now + kEps, arrival)) {
+      wait[v >> 6] |= bit(v);
     }
-    if (ws.pinned[e.task] != kUnpinnedProcessor &&
-        ws.pinned[e.task] != e.proc) {
-      return false;
-    }
-    if (now + kEps < ws.known_from[e.proc]) {
-      return e.at == ws.known_from[e.proc];
-    }
-    return e.at == ws.dispatch_ready_at[e.task * m + e.proc];
   };
 
-  // A task joins the candidate set when its last predecessor completes (or
+  // A task joins the candidates when its last predecessor completes (or
   // right here for sources). Predecessor placements are final from then on
-  // (done tasks are never killed), so data_ready(v, ·) is computed once —
-  // the exact doubles the legacy loop recomputed every event.
+  // (done tasks are never killed), so its data-ready instants are computed
+  // once — the exact doubles the legacy loop recomputed every event: the
+  // nominal delay × injected factor, the SharedBus delay inlined (0
+  // co-located, items × per-item otherwise) into a BusReadyFold.
+  BusReadyFold fold;
   const auto release = [&](NodeId v) {
+    const auto preds = g.predecessors(v);
+    const auto pitems = g.predecessor_items(v);
+    const auto parcs = g.predecessor_arc_indices(v);
     Time* ready_row = ws.dispatch_ready_at.data() + v * m;
     if (shared_bus != nullptr) {
-      prime_data_ready(v);
-      for (ProcessorId p = 0; p < m; ++p) {
-        ready_row[p] = primed_data_ready(p);
-      }
-    } else {
-      for (ProcessorId p = 0; p < m; ++p) {
-        ready_row[p] = data_ready(v, p);
+      fold.reset(ws.local_pred_bound);
+      for (std::size_t k = 0; k < preds.size(); ++k) {
+        const NodeId u = preds[k];
+        Time d = pitems[k] * bus_rate;
+        if (arc_factor != nullptr) {
+          d *= arc_factor[parcs[k]];
+        }
+        fold.add(ws.proc_of[u], ws.finish[u], ws.finish[u] + d);
       }
     }
-    cand_set(v);
     const Task& task = app.task(v);
-    bool any_eligible = false;
-    for (ProcessorId p = 0; p < m && !any_eligible; ++p) {
-      any_eligible = eligible_on(task, p);
+    bool eligible = false;
+    Time last = kTimeZero;
+    for (ProcessorId p = 0; p < m; ++p) {
+      Time ready = kTimeZero;
+      if (shared_bus != nullptr) {
+        ready = std::max(ready, fold.at(p));
+      } else {
+        for (std::size_t k = 0; k < preds.size(); ++k) {
+          const NodeId u = preds[k];
+          Time d = platform.comm_delay(ws.proc_of[u], p, pitems[k]);
+          if (arc_factor != nullptr) {
+            d *= arc_factor[parcs[k]];
+          }
+          ready = std::max(ready, ws.finish[u] + d);
+        }
+      }
+      ready_row[p] = ready;
+      if (eligible_on(task, p)) {
+        eligible = true;
+        last = std::max(last, ready);
+      }
     }
-    if (!any_eligible) {
-      // Class eligibility is static: the run fails the first instant this
-      // task's window has arrived, checked after the dispatch pass below —
-      // the position and v-order of the legacy scan's fail.
-      ws.push(ws.ineligible_tasks, v);
-    }
-    push_task_wakes(v);
+    ws.dispatch_last_ready[v] = eligible ? last : kTimeInfinity;
+    cand[v >> 6] |= bit(v);
+    file_candidate(v);
   };
 
-  // Control callbacks may rewrite windows and pins. Only arrival and pin
-  // changes move wake-up instants (deadlines are read live by the dispatch
-  // pass), so snapshot those around each callback and re-queue the touched
-  // candidates; entries the rewrite superseded fail re-validation.
-  const auto snapshot_control_inputs = [&] {
-    ws.size(ws.arrival_before, n);
-    for (NodeId v = 0; v < n; ++v) {
-      ws.arrival_before[v] = windows[v].arrival;
-    }
-    ws.size(ws.pinned_before, n);
-    std::copy(ws.pinned.begin(), ws.pinned.end(), ws.pinned_before.begin());
-  };
-  const auto requeue_changed = [&] {
-    for (NodeId v = 0; v < n; ++v) {
-      if (cand_test(v) && (windows[v].arrival != ws.arrival_before[v] ||
-                           ws.pinned[v] != ws.pinned_before[v])) {
-        push_task_wakes(v);
+  // Control callbacks may rewrite any window or pin and revive victims.
+  // Pins and deadlines are read live, so only arrivals need the refiling.
+  bool control_called = false;
+  const auto refile_candidates = [&] {
+    ws.arrival_heap.clear();
+    std::fill_n(arrived, words, std::uint64_t{0});
+    std::fill_n(wait, words, std::uint64_t{0});
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = cand[w]; bits != 0; bits &= bits - 1) {
+        file_candidate(bit_id(w, bits));
       }
     }
   };
@@ -529,13 +388,18 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       ws.failure_handled[p] = 1;
       any_failure = true;
       std::vector<NodeId> victims;
-      for (NodeId v = 0; v < n; ++v) {
-        if (ws.started[v] && !ws.done[v] && ws.proc_of[v] == p &&
-            ws.finish[v] > ws.surprise_down[p] + kEps) {
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = running[w]; bits != 0; bits &= bits - 1) {
+          const NodeId v = bit_id(w, bits);
+          if (ws.proc_of[v] != p ||
+              !(ws.finish[v] > ws.surprise_down[p] + kEps)) {
+            continue;
+          }
           victims.push_back(v);
           ++obs_tally.killed;
+          running[w] &= ~bit(v);
           ws.started[v] = 0;
-          ws.finish[v] = kTimeInfinity;  // orphans the queued finish event
+          ws.finish[v] = kTimeInfinity;
           ws.lost[v] = 1;
           if (telemetry != nullptr) {
             telemetry->killed.push_back(v);
@@ -545,11 +409,10 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       ws.busy_until[p] = std::min(ws.busy_until[p], ws.surprise_down[p]);
       std::vector<NodeId> revived;
       if (control != nullptr) {
-        snapshot_control_inputs();
         const auto view = make_view(now);
         revived = control->on_processor_failure(view, p, victims, windows,
                                                 ws.pinned);
-        requeue_changed();
+        control_called = true;
       }
       for (const NodeId r : revived) {
         DSSLICE_CHECK(std::find(victims.begin(), victims.end(), r) !=
@@ -560,77 +423,84 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
         if (telemetry != nullptr) {
           ++telemetry->restarts;
         }
-        cand_set(r);
-        push_task_wakes(r);  // re-enters the queue with post-callback state
+        cand[r >> 6] |= bit(r);  // re-enters the candidates with its row
       }
     }
 
-    // Complete tasks whose finish instant has been reached: pop the due
-    // finish events and process the batch in ascending task id — the order
-    // the legacy full scan completed them. Entries re-check the legacy
-    // completion predicate at processing time, which drops stale entries
-    // (kills, re-dispatches) and duplicate survivors alike.
-    ws.due_completions.clear();
-    while (!ws.finish_heap.empty() &&
-           ws.finish_heap.front().first <= now + kEps) {
-      ws.push(ws.due_completions, pop_finish_event().second);
-    }
-    std::sort(ws.due_completions.begin(), ws.due_completions.end());
-    for (const NodeId v : ws.due_completions) {
-      if (!ws.started[v] || ws.done[v] || ws.finish[v] > now + kEps) {
-        continue;  // stale: killed, re-dispatched to a later finish, or dup
-      }
-      ws.done[v] = 1;
-      --remaining;
-      result.schedule.place(v, ws.proc_of[v], ws.start_time[v], ws.finish[v]);
-      if (telemetry != nullptr) {
-        telemetry->completion[v] = ws.finish[v];
-        if (ws.shed[v]) {
-          telemetry->degraded.push_back(v);
+    // Complete the running tasks whose finish instant has been reached, in
+    // ascending task id — the order of the legacy full scan.
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = running[w]; bits != 0; bits &= bits - 1) {
+        const NodeId v = bit_id(w, bits);
+        if (ws.finish[v] > now + kEps) {
+          continue;
         }
-      }
-      if (ws.shed[v]) {
-        ++obs_tally.degraded;
-      }
-      const bool late = ws.finish[v] > windows[v].deadline + kEps;
-      if (late) {
-        missed = true;
-        ++obs_tally.misses;
+        running[w] &= ~bit(v);
+        ws.done[v] = 1;
+        --remaining;
+        result.schedule.place(v, ws.proc_of[v], ws.start_time[v],
+                              ws.finish[v]);
         if (telemetry != nullptr) {
-          telemetry->misses.push_back(
-              TaskMissEvent{v, ws.finish[v], windows[v].deadline});
+          telemetry->completion[v] = ws.finish[v];
+          if (ws.shed[v]) {
+            telemetry->degraded.push_back(v);
+          }
         }
-        if (options_.abort_on_miss) {
-          return fail(v, "task " + app.task(v).name +
-                             " misses its deadline at dispatch time");
+        if (ws.shed[v]) {
+          ++obs_tally.degraded;
         }
-        if (!result.failed_task.has_value()) {
-          result.failed_task = v;
-          result.failure_reason =
-              "task " + app.task(v).name + " missed its deadline";
+        const bool late = ws.finish[v] > windows[v].deadline + kEps;
+        if (late) {
+          missed = true;
+          ++obs_tally.misses;
+          if (telemetry != nullptr) {
+            telemetry->misses.push_back(
+                TaskMissEvent{v, ws.finish[v], windows[v].deadline});
+          }
+          if (options_.abort_on_miss) {
+            return fail(v, "task " + app.task(v).name +
+                               " misses its deadline at dispatch time");
+          }
+          if (!result.failed_task.has_value()) {
+            result.failed_task = v;
+            result.failure_reason =
+                "task " + app.task(v).name + " missed its deadline";
+          }
         }
-      }
-      for (const NodeId s : g.successors(v)) {
-        if (--ws.preds_left[s] == 0) {
-          release(s);
+        for (const NodeId s : g.successors(v)) {
+          if (--ws.preds_left[s] == 0) {
+            release(s);
+          }
         }
-      }
-      if (control != nullptr) {
-        snapshot_control_inputs();
-        const auto view = make_view(now);
-        control->on_completion(view, v, late, windows);
-        requeue_changed();
+        if (control != nullptr) {
+          const auto view = make_view(now);
+          control->on_completion(view, v, late, windows);
+          control_called = true;
+        }
       }
     }
     if (remaining == 0) {
       break;
     }
+    if (control_called) {
+      refile_candidates();
+      control_called = false;
+    }
+    // Candidates whose arrival has been reached join the arrived set.
+    while (!ws.arrival_heap.empty() &&
+           ws.arrival_heap.front().first <= now + kEps) {
+      const NodeId v = ws.arrival_heap.front().second;
+      arrived[v >> 6] |= bit(v);
+      std::pop_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
+                    arrival_later);
+      ws.arrival_heap.pop_back();
+    }
 
     // Dispatch pass(es) at the current instant: repeatedly hand the
     // closest-deadline dispatchable candidate to a processor until nothing
     // more can start at `now`. The task-independent processor checks are
-    // hoisted into a free list; the candidate walk visits only released,
-    // unstarted tasks, in the ascending id order of the legacy scan.
+    // hoisted into a free list; the candidate walk visits only arrived
+    // candidates, in the ascending id order of the legacy scan.
     for (;;) {
       ++obs_tally.rescans;
       ws.free_procs.clear();
@@ -650,17 +520,12 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       Time best_deadline = kTimeInfinity;
       if (!ws.free_procs.empty()) {
         for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t bits = ws.dispatch_cand[w];
-          while (bits != 0) {
-            const NodeId v = static_cast<NodeId>(
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-            bits &= bits - 1;
-            if (windows[v].arrival > now + kEps) {
-              continue;
-            }
+          for (std::uint64_t bits = arrived[w]; bits != 0;
+               bits &= bits - 1) {
+            const NodeId v = bit_id(w, bits);
             const Time deadline = windows[v].deadline;
             if (best < n && !(deadline < best_deadline - kEps)) {
-              continue;  // cannot change the outcome (see header comment)
+              continue;  // cannot change the outcome (see above)
             }
             // Idle, available, eligible processor with data present; prefer
             // the fastest class, then the lowest id (deterministic).
@@ -710,87 +575,68 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       ws.start_time[best] = now;
       ws.finish[best] = now + best_wcet;
       ws.busy_until[best_proc] = ws.finish[best];
-      cand_clear(best);
-      push_finish_event(best);
+      cand[best >> 6] &= ~bit(best);
+      arrived[best >> 6] &= ~bit(best);
+      running[best >> 6] |= bit(best);
     }
 
-    // A released task with no eligible processor class fails the run the
-    // first instant its window has arrived (the legacy scan's position and
-    // ascending-id order, preserved).
-    if (!ws.ineligible_tasks.empty()) {
-      NodeId bad = static_cast<NodeId>(n);
-      for (const NodeId v : ws.ineligible_tasks) {
-        if (!(windows[v].arrival > now + kEps) && v < bad) {
-          bad = v;
-        }
-      }
-      if (bad < n) {
-        return fail(bad, "task " + app.task(bad).name +
-                             " has no eligible processor on this platform");
-      }
-    }
-
-    // Advance to the next event: the minimum over unserved failure
-    // instants, the wake queue, and the running-task completions — exactly
-    // the proposal set of the legacy next-event scan. Entries at or before
-    // now + eps already happened at this instant (the eps band makes them
-    // indistinguishable from `now`, which is why the legacy scan never
-    // proposed them) and are consumed, re-arming any follow-up instants
-    // they unlock; stale entries fail re-validation and are dropped.
+    // Advance to the next event: the minimum over the legacy next-event
+    // proposals, each taken from the live state that can still make it.
     Time next = kTimeInfinity;
+    bool known_ahead = false;
     for (ProcessorId p = 0; p < m; ++p) {
+      if (ws.busy_until[p] > now + kEps) {
+        next = std::min(next, ws.busy_until[p]);
+      }
       if (!ws.failure_handled[p] && ws.surprise_down[p] < kTimeInfinity &&
           ws.surprise_down[p] > now + kEps) {
         next = std::min(next, ws.surprise_down[p]);
       }
+      known_ahead = known_ahead || now + kEps < ws.known_from[p];
     }
-    while (!ws.wake_heap.empty()) {
-      if (ws.wake_heap.front().at <= now + kEps) {
-        const DispatchWakeEvent e = pop_wake();
-        if (cand_test(e.task)) {
-          if (e.proc == kDispatchWakeArrival) {
-            push_task_wakes(e.task);  // arrival crossed: arm the pairs
-          } else if (!(windows[e.task].arrival > now + kEps) &&
-                     eligible_on(app.task(e.task), e.proc)) {
-            push_pair_wake(e.task, e.proc);  // known_from crossed: arm ready
+    if (!ws.arrival_heap.empty()) {
+      next = std::min(next, ws.arrival_heap.front().first);
+    }
+    // Arrived candidates propose, per eligible processor they may use, its
+    // known_from while it is not yet up, else their data-ready instant.
+    // While some processor is not yet up, every arrived candidate is
+    // scanned; otherwise only the data-wait set, which drops a task once
+    // none of its data-ready instants lies ahead. A released task with no eligible
+    // class fails the run the first instant its window has arrived, in the
+    // ascending-id order of the legacy scan.
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits =
+               known_ahead ? arrived[w] : wait[w] & arrived[w];
+           bits != 0; bits &= bits - 1) {
+        const NodeId v = bit_id(w, bits);
+        const Task& task = app.task(v);
+        const Time* ready_row = ws.dispatch_ready_at.data() + v * m;
+        bool eligible = false;
+        for (ProcessorId p = 0; p < m; ++p) {
+          if (!eligible_on(task, p)) {
+            continue;
+          }
+          eligible = true;
+          if (now + kEps >= ws.surprise_down[p]) {
+            continue;
+          }
+          if (ws.pinned[v] != kUnpinnedProcessor && ws.pinned[v] != p) {
+            continue;
+          }
+          if (now + kEps < ws.known_from[p]) {
+            next = std::min(next, ws.known_from[p]);
+          } else if (ready_row[p] > now + kEps) {
+            next = std::min(next, ready_row[p]);
           }
         }
-        continue;
+        if (!eligible) {
+          return fail(v, "task " + task.name +
+                             " has no eligible processor on this platform");
+        }
+        if (!(ws.dispatch_last_ready[v] > now + kEps)) {
+          wait[w] &= ~bit(v);
+        }
       }
-      if (!wake_valid(ws.wake_heap.front())) {
-        pop_wake();
-        continue;
-      }
-      next = std::min(next, ws.wake_heap.front().at);
-      break;
-    }
-    // Completions propose the busy horizon of their processor, which is the
-    // task's finish instant except after a surprise failure clamped it (a
-    // surviving sub-eps finish on a halted processor completes at the next
-    // otherwise-scheduled instant, exactly like the legacy scan). Entries
-    // that will complete but are not proposable are held aside and
-    // re-queued; stale ones are dropped.
-    ws.finish_held.clear();
-    while (!ws.finish_heap.empty()) {
-      const std::pair<Time, NodeId> top = ws.finish_heap.front();
-      const NodeId v = top.second;
-      if (!ws.started[v] || ws.done[v] || ws.finish[v] != top.first) {
-        pop_finish_event();  // stale
-        continue;
-      }
-      if (top.first <= now + kEps ||
-          ws.busy_until[ws.proc_of[v]] != top.first) {
-        ws.push(ws.finish_held, pop_finish_event());
-        continue;
-      }
-      next = std::min(next, top.first);
-      break;
-    }
-    for (const std::pair<Time, NodeId>& e : ws.finish_held) {
-      ws.push(ws.finish_heap, e);
-      std::push_heap(ws.finish_heap.begin(), ws.finish_heap.end(),
-                     finish_before);
-      ++obs_tally.heap_ops;
     }
     if (next >= kTimeInfinity) {
       if (any_failure) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -35,12 +34,6 @@ SchedulerResult EdfListScheduler::run(const Application& app,
   run_into(result, ws, app, assignment, platform, resources);
   return result;
 }
-
-namespace {
-
-constexpr Time kNoBound = -std::numeric_limits<Time>::infinity();
-
-}  // namespace
 
 void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
                                 const Application& app,
@@ -81,6 +74,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     ws.proc_class[p] = platform.class_of(p);
   }
   ws.fill(ws.proc_available, m, kTimeZero);  // Schedule starts all-idle
+  ws.size(ws.local_pred_bound, m);           // BusReadyFold's per-proc slots
   ws.size(ws.placed_finish, n);
   ws.size(ws.placed_proc, n);
   // Tasks live contiguously in the Application; one bounds-checked call
@@ -156,38 +150,21 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     const auto pitems = g.predecessor_items(v);
     const std::size_t np = preds.size();
 
-    // Shared-bus fast path (nominal mode): the data-availability bound on
-    // processor p is max over predecessors u of
-    //   finish_u + (proc_u == p ? 0 : items_u × rate).
-    // Keeping the two largest cross-processor contributions (from distinct
-    // processors) plus a per-processor co-located maximum answers that in
-    // O(preds + m) instead of O(preds × m). Pure max-combining, so the
-    // value is identical to the legacy per-processor accumulation.
-    Time cross1 = kNoBound, cross2 = kNoBound;
-    ProcessorId cross1_proc = 0;
+    // Shared-bus fast path (nominal mode): BusReadyFold answers the
+    // data-availability bound max over predecessors u of
+    //   finish_u + (proc_u == p ? 0 : items_u × rate)
+    // in O(preds + m) instead of O(preds × m), bit-identically.
+    BusReadyFold fold;
     const bool fast_comm = shared_bus != nullptr && bus_model == nullptr;
     if (fast_comm) {
       // One pass over the predecessors, reading placement mirrors directly;
       // the bus/generic paths below rescan predecessors per candidate
       // processor instead, so only they stage (finish, proc) copies.
-      ws.fill(ws.local_pred_bound, m, kNoBound);
+      fold.reset(ws.local_pred_bound);
       for (std::size_t k = 0; k < np; ++k) {
         const NodeId u = preds[k];
-        const ProcessorId up = ws.placed_proc[u];
         const Time fin = ws.placed_finish[u];
-        const Time contrib = fin + pitems[k] * bus_rate;
-        if (contrib > cross1) {
-          if (up != cross1_proc) {
-            // The dethroned maximum is from another processor, so it is a
-            // valid — and dominating — candidate for the runner-up slot.
-            cross2 = cross1;
-          }
-          cross1 = contrib;
-          cross1_proc = up;
-        } else if (up != cross1_proc && contrib > cross2) {
-          cross2 = contrib;
-        }
-        ws.local_pred_bound[up] = std::max(ws.local_pred_bound[up], fin);
+        fold.add(ws.placed_proc[u], fin, fin + pitems[k] * bus_rate);
       }
     } else {
       // Cache each predecessor's (finish, processor) once per task — the
@@ -241,8 +218,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
           bound = std::max(bound, slot + duration);
         }
       } else if (fast_comm) {
-        const Time cross = p == cross1_proc ? cross2 : cross1;
-        bound = std::max(bound, std::max(cross, ws.local_pred_bound[p]));
+        bound = std::max(bound, fold.at(p));
       } else {
         for (std::size_t k = 0; k < np; ++k) {
           bound = std::max(bound, ws.pred_finish[k] +

@@ -18,11 +18,11 @@
 //    *exact* total strict order (deadline, arrival, NodeId) that the legacy
 //    linear scan minimized, so it pops the identical task regardless of
 //    push order. The epsilon-based dispatcher cannot key a heap on its
-//    (non-transitive) eps comparisons; instead it keeps an indexed event
-//    queue whose entries mirror the legacy next-event proposals one-to-one
-//    and are re-validated against live state when they surface, so the
-//    simulated instant sequence — and with it every eps tie-break — is
-//    reproduced exactly (see dispatch_scheduler.cpp).
+//    (non-transitive) eps comparisons; instead it runs the legacy loop
+//    restricted to live tasks — bitsets of running, candidate, arrived and
+//    data-waiting tasks plus one heap of future arrivals — so the simulated
+//    instant sequence, and with it every eps tie-break, is reproduced
+//    exactly (see dispatch_scheduler.cpp).
 //
 //  * Observable allocation behaviour. grow_events() counts every time a
 //    workspace-managed buffer had to grow its capacity. Tests warm a
@@ -31,6 +31,7 @@
 //    assumed (same pattern as GraphAnalysis::construction_count()).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -119,21 +120,51 @@ class ReadyTaskHeap {
   std::vector<NodeId> heap_;
 };
 
-/// One pending dispatcher wake-up instant. `task`/`proc` identify the
-/// legacy next-event proposal the entry mirrors — proc == kDispatchWakeArrival
-/// marks the arrival instant of `task`, otherwise the entry is the
-/// known_from / data-ready instant of the (task, proc) pair — so the
-/// dispatcher can re-validate it against live state when it reaches the top
-/// of the queue (window rewrites, re-pins and revivals just queue fresh
-/// entries; superseded ones are dropped lazily).
-struct DispatchWakeEvent {
-  Time at = kTimeZero;
-  NodeId task = 0;
-  ProcessorId proc = 0;
-};
+/// Shared-bus data-ready bound of one task on every processor p:
+///   max over predecessors u of finish_u + (proc_u == p ? 0 : delay_u).
+/// The cross-processor contribution finish_u + delay_u does not depend on
+/// p, so the two largest contributions from distinct source processors plus
+/// a per-processor co-located finish maximum answer at(p) in O(1) after one
+/// add() per predecessor. The caller computes each contribution, so both
+/// schedulers keep their own delay arithmetic; the fold is pure exact
+/// max-combining and therefore bit-identical to the per-processor loop.
+class BusReadyFold {
+ public:
+  /// Starts a fold that keeps its co-located maxima in `local` (one slot
+  /// per processor).
+  void reset(std::span<Time> local) {
+    local_ = local;
+    std::fill(local_.begin(), local_.end(), kNoBound);
+    cross1_ = cross2_ = kNoBound;
+    cross1_proc_ = 0;
+  }
 
-inline constexpr ProcessorId kDispatchWakeArrival =
-    std::numeric_limits<ProcessorId>::max();
+  void add(ProcessorId proc, Time finish, Time contribution) {
+    if (contribution > cross1_) {
+      if (proc != cross1_proc_) {
+        cross2_ = cross1_;  // the dethroned maximum is from another processor
+      }
+      cross1_ = contribution;
+      cross1_proc_ = proc;
+    } else if (proc != cross1_proc_ && contribution > cross2_) {
+      cross2_ = contribution;
+    }
+    local_[proc] = std::max(local_[proc], finish);
+  }
+
+  /// The bound on processor p; −∞ for a task without predecessors.
+  Time at(ProcessorId p) const {
+    return std::max(p == cross1_proc_ ? cross2_ : cross1_, local_[p]);
+  }
+
+ private:
+  static constexpr Time kNoBound = -std::numeric_limits<Time>::infinity();
+
+  std::span<Time> local_;
+  Time cross1_ = kNoBound;
+  Time cross2_ = kNoBound;
+  ProcessorId cross1_proc_ = 0;
+};
 
 /// One branch-and-bound placement option (kept here so the per-depth option
 /// pools can live in the workspace).
@@ -214,18 +245,20 @@ class SchedulerWorkspace {
   std::vector<Time> known_from, known_until, surprise_down, down_at;
   std::vector<char> failure_handled;
 
-  // ---- dispatcher event queue (indexed event state) ----
+  // ---- dispatcher live-task state ----
   std::vector<Time> dispatch_ready_at;       // n×m data-ready cache, set at
                                              //   release (preds final by then)
+  std::vector<Time> dispatch_last_ready;     // max of a row over eligible
+                                             //   procs; +∞ with none
   std::vector<std::uint64_t> dispatch_cand;  // released ∧ unstarted ∧ ¬lost
-  std::vector<DispatchWakeEvent> wake_heap;  // min-heap on .at
-  std::vector<std::pair<Time, NodeId>> finish_heap;  // min-heap on .first
-  std::vector<std::pair<Time, NodeId>> finish_held;  // due-but-unproposable
-  std::vector<NodeId> due_completions;       // per-instant batch, id-sorted
-  std::vector<NodeId> ineligible_tasks;      // released, no eligible class
+  std::vector<std::uint64_t> dispatch_arrived;  // candidates with arrival
+                                                //   ≤ now + eps
+  std::vector<std::uint64_t> dispatch_running;  // started ∧ ¬done
+  std::vector<std::uint64_t> dispatch_wait;  // candidates that may still
+                                             //   propose a data-ready instant
+  std::vector<std::pair<Time, NodeId>> arrival_heap;  // (arrival, task) of
+                                                      //   unarrived candidates
   std::vector<ProcessorId> free_procs;       // idle+alive procs, per pass
-  std::vector<Time> arrival_before;          // control-callback snapshots:
-  std::vector<ProcessorId> pinned_before;    //   re-queue what changed
 
   // ---- preemptive EDF simulator ----
   std::vector<char> task_released, task_completed;

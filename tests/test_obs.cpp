@@ -461,14 +461,6 @@ TEST(ObsDispatchCounters, PinnedEventAndRescanCounts) {
   EXPECT_EQ(counter("sched.dispatch.events"), 6.0);
   EXPECT_EQ(counter("sched.dispatch.rescans"), 8.0);
   EXPECT_EQ(counter("sched.dispatch.misses"), 0.0);
-  // Event-queue accounting (PR 7): each task contributes one arrival wake
-  // push+pop (the PURE slices start after time zero) and one finish-event
-  // push+pop, except the first task, which is released at its arrival and
-  // pushes no wake: 2×2 + 3×2 = 10 heap operations. At most one wake and
-  // one finish event are ever queued together on a 3-task chain.
-  EXPECT_EQ(counter("sched.dispatch.heap_ops"), 10.0);
-  ASSERT_EQ(metrics.gauges.count("sched.dispatch.queue_depth"), 1u);
-  EXPECT_EQ(metrics.gauges.at("sched.dispatch.queue_depth").last, 2.0);
 }
 
 // Bounds on the measured rescan-to-event ratio for a realistic generated
@@ -498,13 +490,6 @@ TEST(ObsDispatchCounters, RescanRatioStaysBounded) {
   const double ratio = rescans / events;
   EXPECT_GE(ratio, 1.0);
   EXPECT_LE(ratio, 3.0);  // measured ~2 scans/event; n would mean quadratic
-  // Queue-op accounting stays linear in the event count: every event pops
-  // at most a handful of wake/finish entries and re-arms a bounded number
-  // of follow-ups, so heap traffic far below n·m ops/event is what makes
-  // the indexed dispatcher beat the rescan loop.
-  const double heap_ops = metrics.counters.at("sched.dispatch.heap_ops").total;
-  ASSERT_GT(heap_ops, 0.0);
-  EXPECT_LE(heap_ops / events, 16.0);
 }
 
 TEST(ObsRegistry, ResetClearsLiveAndRetiredState) {
