@@ -250,6 +250,23 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 ./build-tsan/tests/dsslice_tests
 
+# FMA build: with -march=x86-64-v3 the compiler may fuse a*b+c into an FMA
+# instruction wherever the source allows it. The library compiles with
+# -ffp-contract=off, so the batch kernel, the scenario generator, the sweep
+# engine and the pinned figure digests must still match bit for bit. Only
+# on CPUs with FMA and AVX2, where an x86-64-v3 binary can run.
+if grep -qw fma /proc/cpuinfo 2>/dev/null &&
+   grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  echo "==> fma build [x86-64-v3, bit-identity suites]"
+  cmake -S . -B build-fma -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+  cmake --build build-fma -j "$jobs" --target dsslice_tests
+  ./build-fma/tests/dsslice_tests \
+    --gtest_filter='BatchKernelTest.*:ScenarioBatch.*:SweepEngine.*:Sweeps.*'
+else
+  echo "==> fma build skipped: this CPU lists no fma or no avx2"
+fi
+
 # perf_obs gates the runtime-disabled overhead at <=2% and the streaming
 # (StreamSink attached) overhead at <=5%, so it runs only on the
 # uninstrumented build; its document is diffed against the committed

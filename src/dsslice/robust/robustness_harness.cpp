@@ -8,16 +8,11 @@
 #include "dsslice/core/wcet_estimate.hpp"
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
+#include "dsslice/sim/figure_rows.hpp"
 #include "dsslice/util/check.hpp"
 #include "dsslice/util/string_util.hpp"
 
 namespace dsslice {
-
-namespace {
-
-constexpr double kEps = 1e-9;
-
-}  // namespace
 
 std::string RobustnessConfig::display_label() const {
   if (!label.empty()) {
@@ -75,35 +70,42 @@ std::string RobustnessResult::summary(const std::string& label) const {
   return os.str();
 }
 
-RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
-                                           std::uint64_t workload_seed,
-                                           std::uint64_t fault_seed,
-                                           ScenarioScratch* scratch) {
-  const Scenario scenario = generate_scenario(config.base.generator,
-                                              workload_seed);
+namespace {
+
+constexpr double kEps = 1e-9;
+
+/// Tag mixed into the base seeds of replicate r > 0, so every replicate
+/// draws an independent workload + fault stream while replicate 0 keeps the
+/// original single-replicate seeds bit-identically.
+constexpr std::uint64_t kReplicateTag = 0x5EED'0DE6'4ADEULL;
+
+std::uint64_t replicate_base(std::uint64_t base, std::size_t replicate) {
+  return replicate == 0 ? base : derive_seed(base, kReplicateTag + replicate);
+}
+
+/// Realizes the fault spec under `fault_seed`, dispatches the distributed
+/// scenario with the configured recovery policy and scores the run.
+RobustnessOutcome dispatch_faulted(const RobustnessConfig& config,
+                                   const Scenario& scenario,
+                                   const DeadlineAssignment& assignment,
+                                   std::span<const double> est,
+                                   std::uint64_t fault_seed,
+                                   ScenarioScratch& scratch) {
   const Application& app = scenario.application;
   const Platform& platform = scenario.platform;
-
-  const std::vector<double> est = estimate_wcets(app, config.base.wcet_strategy);
-  const DeadlineAssignment assignment =
-      distribute_for_config(config.base, app, platform, est, nullptr, scratch);
 
   FaultSpec spec = config.faults;
   spec.seed = fault_seed;
   const FaultTrace trace = FaultModel(spec).instantiate(app, platform);
 
-  RecoveryEngine engine(config.policy, app, est);
+  RecoveryEngine engine(config.policy, app,
+                        std::vector<double>(est.begin(), est.end()));
   DispatchTelemetry telemetry;
   DispatchOptions options;
   options.abort_on_miss = false;
   const EdfDispatchScheduler scheduler(options);
-  if (scratch != nullptr) {
-    scheduler.run_into(scratch->sched_result, scratch->sched, app, assignment,
-                       platform, &trace.conditions, &engine, &telemetry);
-  } else {
-    scheduler.run(app, assignment, platform, &trace.conditions, &engine,
-                  &telemetry);
-  }
+  scheduler.run_into(scratch.sched_result, scratch.sched, app, assignment,
+                     platform, &trace.conditions, &engine, &telemetry);
 
   RobustnessOutcome outcome;
   for (NodeId v = 0; v < app.task_count(); ++v) {
@@ -125,6 +127,10 @@ RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
   // completed at full precision earns its whole optional part; a degraded
   // or never-finished task earns nothing for it.
   if (app.has_optional_work()) {
+    std::vector<char> degraded(app.task_count(), 0);
+    for (const NodeId v : telemetry.degraded) {
+      degraded[v] = 1;
+    }
     for (NodeId v = 0; v < app.task_count(); ++v) {
       const double f = app.task(v).optional_fraction;
       if (f <= 0.0) {
@@ -133,10 +139,7 @@ RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
       const double opt = est[v] * f;
       outcome.optional_demand += opt;
       const bool completed = telemetry.completion[v] < kTimeInfinity;
-      const bool degraded =
-          std::find(telemetry.degraded.begin(), telemetry.degraded.end(), v) !=
-          telemetry.degraded.end();
-      if (completed && !degraded) {
+      if (completed && degraded[v] == 0) {
         outcome.optional_completed += opt;
       }
     }
@@ -144,70 +147,119 @@ RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
   return outcome;
 }
 
-namespace {
-
-/// Tag mixed into the base seeds of replicate r > 0, so every replicate
-/// draws an independent workload + fault stream while replicate 0 keeps the
-/// original single-replicate seeds bit-identically.
-constexpr std::uint64_t kReplicateTag = 0x5EED'0DE6'4ADEULL;
-
-RobustnessResult run_robustness_batch(const RobustnessConfig& config,
-                                      ThreadPool* pool) {
-  config.base.generator.validate();
-  config.faults.validate();
-  DSSLICE_REQUIRE(config.seed_replicates >= 1, "need >= 1 seed replicate");
-  const std::size_t count = config.base.generator.graph_count;
-  const std::size_t replicates = config.seed_replicates;
-  const std::size_t total = count * replicates;
+/// Runs every config's faulted batch in one figure-row call
+/// (sim/figure_rows.hpp). Config i becomes seed_replicates cells: replicate
+/// r draws workload stream replicate_base(base_seed, r) and, for graph k,
+/// fault seed derive_seed(replicate_base(faults.seed, r), k); its cells fold
+/// replicate-major into results[i]. Cells that draw the same workload
+/// stream share its generated task sets. Every config must have the same
+/// seed_replicates; every result carries the whole call's wall time.
+std::vector<RobustnessResult> run_robustness_cells(
+    const std::vector<RobustnessConfig>& configs, ThreadPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
-
-  std::vector<RobustnessOutcome> outcomes(total);
-  // Chunked: each worker keeps one ScenarioScratch, so the slicing and
-  // scheduling buffers are recycled across every faulted scenario it
-  // evaluates.
-  const auto evaluate_range = [&](std::size_t begin, std::size_t end) {
-    thread_local ScenarioScratch scratch;
-    for (std::size_t j = begin; j < end; ++j) {
-      const std::size_t r = j / count;
-      const std::size_t k = j % count;
-      const std::uint64_t workload_base =
-          r == 0 ? config.base.generator.base_seed
-                 : derive_seed(config.base.generator.base_seed,
-                               kReplicateTag + r);
-      const std::uint64_t fault_base =
-          r == 0 ? config.faults.seed
-                 : derive_seed(config.faults.seed, kReplicateTag + r);
-      outcomes[j] = evaluate_robust_scenario(
-          config, derive_seed(workload_base, k), derive_seed(fault_base, k),
-          &scratch);
+  const std::size_t replicates =
+      configs.empty() ? 1 : configs.front().seed_replicates;
+  std::vector<RobustnessConfig> cells;
+  std::vector<GeneratorConfig> streams;
+  for (const RobustnessConfig& config : configs) {
+    config.base.generator.validate();
+    config.faults.validate();
+    DSSLICE_REQUIRE(config.seed_replicates >= 1, "need >= 1 seed replicate");
+    DSSLICE_CHECK(config.seed_replicates == replicates,
+                  "robustness cells need equal seed replicates");
+    for (std::size_t r = 0; r < replicates; ++r) {
+      RobustnessConfig cell = config;
+      cell.base.generator.base_seed =
+          replicate_base(config.base.generator.base_seed, r);
+      cell.faults.seed = replicate_base(config.faults.seed, r);
+      streams.push_back(cell.base.generator);
+      cells.push_back(std::move(cell));
     }
-  };
-  if (pool != nullptr) {
-    const std::size_t grain = std::clamp<std::size_t>(
-        total / (8 * std::max<std::size_t>(1, pool->size())), 1, 64);
-    parallel_for(*pool, total, grain, evaluate_range);
-  } else {
-    evaluate_range(0, total);
   }
 
-  RobustnessResult result;
-  for (const RobustnessOutcome& outcome : outcomes) {
-    result.add(outcome);
+  std::vector<RobustnessResult> results =
+      detail::run_figure_rows<RobustnessResult>(
+          streams, replicates, pool, [&](std::size_t cell, std::size_t k) {
+            const ArenaDistribution arena =
+                distribute_arena_scenario(cells[cell].base);
+            return dispatch_faulted(cells[cell], arena.scenario,
+                                    arena.assignment, arena.est,
+                                    derive_seed(cells[cell].faults.seed, k),
+                                    arena.scratch);
+          });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  for (RobustnessResult& result : results) {
+    result.wall_seconds = wall;
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return result;
+  return results;
+}
+
+/// Runs the technique × policy × fraction × factor grid over `base` as one
+/// batch, results in that order. An empty `fractions` keeps base's optional
+/// fractions. Otherwise each fraction fixes the per-task split (the
+/// generator draws uniform(f, f) = f), so structure, WCETs and deadlines
+/// stay identical per seed while the sheddable share varies.
+std::vector<RobustnessResult> run_grid(
+    const RobustnessConfig& base,
+    const std::vector<DistributionTechnique>& techniques,
+    const std::vector<RecoveryPolicy>& policies,
+    const std::vector<double>& fractions, const std::vector<double>& factors,
+    ThreadPool& pool, bool verbose) {
+  std::vector<RobustnessConfig> configs;
+  std::vector<std::string> labels;
+  for (const DistributionTechnique technique : techniques) {
+    for (const RecoveryPolicy policy : policies) {
+      RobustnessConfig config = base;
+      config.base.technique = technique;
+      config.base.label.clear();
+      config.policy = policy;
+      const std::string name = to_string(technique) + "/" + to_string(policy);
+      for (std::size_t fi = 0; fi < std::max<std::size_t>(1, fractions.size());
+           ++fi) {
+        std::string row = name;
+        if (!fractions.empty()) {
+          config.base.generator.workload.min_optional_fraction = fractions[fi];
+          config.base.generator.workload.max_optional_fraction = fractions[fi];
+          row += " f=" + format_fixed(fractions[fi], 2);
+        }
+        for (const double factor : factors) {
+          config.faults.overrun_factor = factor;
+          configs.push_back(config);
+          labels.push_back(row + " x=" + format_fixed(factor, 2));
+        }
+      }
+    }
+  }
+  const std::vector<RobustnessResult> results =
+      run_robustness_cells(configs, pool);
+  for (std::size_t i = 0; verbose && i < results.size(); ++i) {
+    std::fputs((results[i].summary(labels[i]) + "\n").c_str(), stderr);
+  }
+  return results;
 }
 
 }  // namespace
 
-RobustnessResult run_robustness(const RobustnessConfig& config,
-                                ThreadPool& pool) {
-  return run_robustness_batch(config, &pool);
+RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
+                                           std::uint64_t workload_seed,
+                                           std::uint64_t fault_seed) {
+  const Scenario scenario =
+      generate_scenario(config.base.generator, workload_seed);
+  ScenarioScratch scratch;
+  estimate_wcets_into(scenario.application, config.base.wcet_strategy,
+                      scratch.est);
+  const DeadlineAssignment assignment =
+      distribute_for_config(config.base, scenario.application,
+                            scenario.platform, scratch.est, nullptr, &scratch);
+  return dispatch_faulted(config, scenario, assignment, scratch.est,
+                          fault_seed, scratch);
 }
 
-RobustnessResult run_robustness_serial(const RobustnessConfig& config) {
-  return run_robustness_batch(config, nullptr);
+RobustnessResult run_robustness(const RobustnessConfig& config,
+                                ThreadPool& pool) {
+  return run_robustness_cells({config}, pool).front();
 }
 
 SweepResult sweep_overrun_factor(
@@ -215,31 +267,23 @@ SweepResult sweep_overrun_factor(
     const std::vector<DistributionTechnique>& techniques,
     const std::vector<RecoveryPolicy>& policies,
     const std::vector<double>& factors, ThreadPool& pool, bool verbose) {
+  const std::vector<RobustnessResult> results =
+      run_grid(base, techniques, policies, {}, factors, pool, verbose);
   SweepResult sweep;
   sweep.x_label = "overrun-factor";
   sweep.x = factors;
+  sweep.scenarios = results.size() * base.base.generator.graph_count *
+                    base.seed_replicates;
+  sweep.wall_seconds = results.empty() ? 0.0 : results.front().wall_seconds;
+  auto result = results.begin();
   for (const DistributionTechnique technique : techniques) {
     for (const RecoveryPolicy policy : policies) {
-      RobustnessConfig config = base;
-      config.base.technique = technique;
-      config.base.label.clear();
-      config.policy = policy;
       Series series;
       series.name = to_string(technique) + "/" + to_string(policy);
-      for (const double factor : factors) {
-        config.faults.overrun_factor = factor;
-        const RobustnessResult result = run_robustness(config, pool);
-        sweep.scenarios +=
-            config.base.generator.graph_count * config.seed_replicates;
-        sweep.wall_seconds += result.wall_seconds;
-        series.success_ratio.push_back(result.ete_met.ratio());
-        series.ci95.push_back(result.ete_met.ci95_halfwidth());
-        series.mean_min_laxity.push_back(result.slice_misses.mean());
-        if (verbose) {
-          std::ostringstream os;
-          os << series.name << " x=" << format_fixed(factor, 2);
-          std::fputs((result.summary(os.str()) + "\n").c_str(), stderr);
-        }
+      for (std::size_t xi = 0; xi < factors.size(); ++xi, ++result) {
+        series.success_ratio.push_back(result->ete_met.ratio());
+        series.ci95.push_back(result->ete_met.ci95_halfwidth());
+        series.mean_min_laxity.push_back(result->slice_misses.mean());
       }
       sweep.series.push_back(std::move(series));
     }
@@ -301,45 +345,30 @@ DegradationSurface sweep_degradation(
     const std::vector<RecoveryPolicy>& policies,
     const std::vector<double>& factors, const std::vector<double>& fractions,
     ThreadPool& pool, bool verbose) {
+  const std::vector<RobustnessResult> results =
+      run_grid(base, techniques, policies, fractions, factors, pool, verbose);
   DegradationSurface surface;
   surface.factors = factors;
   surface.fractions = fractions;
+  surface.scenarios = results.size() * base.base.generator.graph_count *
+                      base.seed_replicates;
+  surface.wall_seconds = results.empty() ? 0.0 : results.front().wall_seconds;
+  auto result = results.begin();
   for (const DistributionTechnique technique : techniques) {
     for (const RecoveryPolicy policy : policies) {
-      RobustnessConfig config = base;
-      config.base.technique = technique;
-      config.base.label.clear();
-      config.policy = policy;
       DegradationSeries series;
       series.name = to_string(technique) + "/" + to_string(policy);
-      series.cells.reserve(fractions.size() * factors.size());
       for (const double fraction : fractions) {
-        // A fixed per-task split: the generator draws uniform(f, f) = f, so
-        // structure, WCETs and deadlines stay identical per seed while the
-        // sheddable share varies across rows.
-        config.base.generator.workload.min_optional_fraction = fraction;
-        config.base.generator.workload.max_optional_fraction = fraction;
         for (const double factor : factors) {
-          config.faults.overrun_factor = factor;
-          const RobustnessResult result = run_robustness(config, pool);
-          surface.scenarios +=
-              config.base.generator.graph_count * config.seed_replicates;
-          surface.wall_seconds += result.wall_seconds;
-          DegradationCell cell;
+          DegradationCell& cell = series.cells.emplace_back();
           cell.overrun_factor = factor;
           cell.optional_fraction = fraction;
-          cell.success_ratio = result.ete_met.ratio();
-          cell.ci95 = result.ete_met.ci95_halfwidth();
-          cell.quality = result.quality.mean();
-          cell.shed_tasks = result.recovery.shed;
-          cell.degraded_completions = result.degraded_completions;
-          series.cells.push_back(cell);
-          if (verbose) {
-            std::ostringstream os;
-            os << series.name << " f=" << format_fixed(fraction, 2)
-               << " x=" << format_fixed(factor, 2);
-            std::fputs((result.summary(os.str()) + "\n").c_str(), stderr);
-          }
+          cell.success_ratio = result->ete_met.ratio();
+          cell.ci95 = result->ete_met.ci95_halfwidth();
+          cell.quality = result->quality.mean();
+          cell.shed_tasks = result->recovery.shed;
+          cell.degraded_completions = result->degraded_completions;
+          ++result;
         }
       }
       surface.series.push_back(std::move(series));

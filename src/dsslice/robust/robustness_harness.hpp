@@ -91,30 +91,35 @@ struct RobustnessResult {
   std::string summary(const std::string& label) const;
 };
 
-/// The per-graph unit of work: generate scenario `workload_seed`, slice
-/// nominally, realize the fault spec under `fault_seed`, dispatch with the
-/// configured recovery policy. Exposed for tests and custom drivers.
-/// `scratch` is optional reusable per-thread scratch (see ScenarioScratch).
+/// The per-graph unit of work and the batches' scalar reference: generate
+/// scenario `workload_seed`, distribute it through distribute_for_config
+/// (run_slicing for slicing techniques), realize the fault spec under
+/// `fault_seed`, dispatch with the configured recovery policy. Exposed for
+/// tests and custom drivers.
 RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
                                            std::uint64_t workload_seed,
-                                           std::uint64_t fault_seed,
-                                           ScenarioScratch* scratch = nullptr);
+                                           std::uint64_t fault_seed);
 
-/// Runs base.generator.graph_count faulted task sets on the pool and
-/// aggregates in index order, so the result does not depend on the pool
-/// size. Graph k uses derive_seed(generator.base_seed, k) for the workload
-/// (the scenario run_experiment evaluates as graph k) and
-/// derive_seed(faults.seed, k) for the fault realization.
+/// Runs base.generator.graph_count faulted task sets per seed replicate on
+/// the figure-row driver (sim/figure_rows.hpp: each task set generated once
+/// into a worker's sweep arena, slicing techniques distributed by its batch
+/// kernel) and folds the outcomes replicate by replicate in graph order, so
+/// the result does not depend on the pool size. Graph k uses
+/// derive_seed(generator.base_seed, k) for the workload (the scenario
+/// run_experiment evaluates as graph k) and derive_seed(faults.seed, k) for
+/// the fault realization; replicate r > 0 first derives both base seeds
+/// with a replicate tag. Outcomes equal evaluate_robust_scenario's bit for
+/// bit.
 RobustnessResult run_robustness(const RobustnessConfig& config,
                                 ThreadPool& pool);
-
-/// Strictly serial reference (determinism tests).
-RobustnessResult run_robustness_serial(const RobustnessConfig& config);
 
 /// Sweeps the execution-time overrun factor for every technique × policy
 /// pair. Each series is named "<TECHNIQUE>/<policy>"; success_ratio is the
 /// fraction of E-T-E deadlines met at that intensity (mean_min_laxity
 /// carries the mean per-graph slice-miss count as a secondary measure).
+/// Every cell equals run_robustness on its config; all cells run in one
+/// figure-row call, so each task set is generated once per seed replicate,
+/// and wall_seconds is that call's wall time.
 SweepResult sweep_overrun_factor(const RobustnessConfig& base,
                                  const std::vector<DistributionTechnique>& techniques,
                                  const std::vector<RecoveryPolicy>& policies,
@@ -173,7 +178,10 @@ struct DegradationSurface {
 /// pair. Each fraction re-generates the workloads with
 /// min_optional_fraction = max_optional_fraction = fraction (0 = the
 /// precise baseline), so graph structure, WCETs and deadlines stay fixed
-/// per seed while the sheddable share varies.
+/// per seed while the sheddable share varies. Every cell equals
+/// run_robustness on its config; all cells run in one figure-row call, so
+/// each task set is generated once per (fraction, seed replicate), and
+/// wall_seconds is that call's wall time.
 DegradationSurface sweep_degradation(
     const RobustnessConfig& base,
     const std::vector<DistributionTechnique>& techniques,

@@ -34,6 +34,7 @@ class SweepArena {
   ScenarioBatch batch;
   ScenarioScratch scratch;
   BatchSliceKernel kernel;
+  DeadlineAssignment assignment;  // distribute_arena_scenario, non-slicing
 
   /// Counts capacity growths of the scratch buffers that no workspace
   /// accounts for itself (the estimate vectors). Called after every
@@ -87,6 +88,14 @@ SweepArena& local_arena() {
   return arena;
 }
 
+BatchSliceConfig kernel_config(const ExperimentConfig& config) {
+  BatchSliceConfig slicing;
+  slicing.metric = metric_of(config.technique);
+  slicing.params = config.metric_params;
+  slicing.wcet_strategy = config.wcet_strategy;
+  return slicing;
+}
+
 void validate_options(const SweepOptions& options) {
   if (options.scenario_count == 0) {
     throw ConfigError("sweep scenario_count must be positive");
@@ -126,11 +135,7 @@ GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
   // bit-identity contract makes the outcome indistinguishable from the
   // scalar path.
   if (use_batch_kernel && is_slicing(config.technique)) {
-    BatchSliceConfig kernel_config;
-    kernel_config.metric = metric_of(config.technique);
-    kernel_config.params = config.metric_params;
-    kernel_config.wcet_strategy = config.wcet_strategy;
-    arena.kernel.run(arena.batch.scenarios(), kernel_config);
+    arena.kernel.run(arena.batch.scenarios(), kernel_config(config));
     outcome = evaluate_scheduled(config, scenario, arena.kernel.assignment(0),
                                  arena.kernel.outcome_min_laxity(0),
                                  arena.kernel.stats(0).passes, &arena.scratch);
@@ -139,6 +144,24 @@ GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
   }
   arena.note_extra_capacity();
   return outcome;
+}
+
+ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config) {
+  SweepArena& arena = local_arena();
+  const Scenario& scenario = arena.batch[0];
+  estimate_wcets_into(scenario.application, config.wcet_strategy,
+                      arena.scratch.est);
+  const DeadlineAssignment* assignment = &arena.assignment;
+  if (is_slicing(config.technique)) {
+    arena.kernel.run(arena.batch.scenarios(), kernel_config(config));
+    assignment = &arena.kernel.assignment(0);
+  } else {
+    arena.assignment =
+        distribute_for_config(config, scenario.application, scenario.platform,
+                              arena.scratch.est, nullptr, &arena.scratch);
+  }
+  arena.note_extra_capacity();
+  return {scenario, *assignment, arena.scratch.est, arena.scratch};
 }
 
 SweepAggregate run_sweep_shard(const ExperimentConfig& config,

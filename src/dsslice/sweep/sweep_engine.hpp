@@ -12,7 +12,8 @@
 //     cost resident memory). After warm-up the whole path is
 //     allocation-free (sweep_arena_grow_events() is the counter the benches
 //     gate on). That per-scenario step (generate_arena_scenario +
-//     evaluate_arena_scenario) is also what every figure row runs;
+//     evaluate_arena_scenario, or distribute_arena_scenario for a
+//     robustness cell) is also what every figure row runs;
 //   - each shard folds its outcomes into its own SweepAggregate; the final
 //     result folds per-shard aggregates in shard-index order, so thread
 //     count and completion order cannot perturb a single bit;
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "dsslice/sim/experiment.hpp"
@@ -96,11 +98,27 @@ void generate_arena_scenario(const GeneratorConfig& generator,
 /// slicing kernel and evaluate_scheduled for a slicing technique when
 /// use_batch_kernel is set, through evaluate_generated otherwise. This is
 /// the one evaluation driver: run_sweep_shard folds its outcomes directly,
-/// and a figure row (sim/sweeps.hpp) evaluates one generated scenario under
-/// every cell that shares its generator config. `config.generator` must be
-/// the stream the scenario was drawn from. Allocation-free once warm.
+/// and a figure row (sim/figure_rows.hpp) evaluates one generated scenario
+/// under every cell that shares its generator config. `config.generator`
+/// must be the stream the scenario was drawn from. Allocation-free once
+/// warm.
 GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
                                      bool use_batch_kernel = true);
+
+/// The arena's current scenario and its deadline assignment under `config`,
+/// for an evaluator that schedules the scenario itself (the robustness
+/// harness dispatches it under faults). Slicing techniques take the batch
+/// kernel's windows, others distribute_for_config's; `est` holds the
+/// estimates under config.wcet_strategy. Every member refers into the
+/// calling thread's arena and stays valid until its next arena call;
+/// the scheduler buffers of `scratch` are free for the evaluator.
+struct ArenaDistribution {
+  const Scenario& scenario;
+  const DeadlineAssignment& assignment;
+  std::span<const double> est;
+  ScenarioScratch& scratch;
+};
+ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config);
 
 /// One shard of a sweep: generates and evaluates scenarios [first, last)
 /// on the calling thread's arena and folds their outcomes in index order.

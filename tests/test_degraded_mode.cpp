@@ -165,9 +165,10 @@ TEST(DegradedMode, ZeroOptionalBatchesMatchAcrossPolicies) {
   config.faults.seed = 99;
 
   config.policy = RecoveryPolicy::kRedistributeSlack;
-  const RobustnessResult redis = run_robustness_serial(config);
+  ThreadPool serial(1);
+  const RobustnessResult redis = run_robustness(config, serial);
   config.policy = RecoveryPolicy::kShedOptional;
-  const RobustnessResult shed = run_robustness_serial(config);
+  const RobustnessResult shed = run_robustness(config, serial);
 
   EXPECT_EQ(redis.ete_met.successes(), shed.ete_met.successes());
   EXPECT_EQ(redis.ete_met.trials(), shed.ete_met.trials());
@@ -279,7 +280,8 @@ TEST(DegradedMode, QualityAccountingTracksOptionalWork) {
 
   // Fault-free: every optional part runs, quality is identically 1.
   config.policy = RecoveryPolicy::kNone;
-  const RobustnessResult clean = run_robustness_serial(config);
+  ThreadPool serial(1);
+  const RobustnessResult clean = run_robustness(config, serial);
   EXPECT_GT(clean.optional_demand, 0.0);
   EXPECT_DOUBLE_EQ(clean.optional_completed, clean.optional_demand);
   EXPECT_DOUBLE_EQ(clean.quality.mean(), 1.0);
@@ -292,7 +294,7 @@ TEST(DegradedMode, QualityAccountingTracksOptionalWork) {
   config.faults.overrun_probability = 0.5;
   config.faults.seed = 4242;
   config.policy = RecoveryPolicy::kShedOptional;
-  const RobustnessResult shed = run_robustness_serial(config);
+  const RobustnessResult shed = run_robustness(config, serial);
   EXPECT_GT(shed.recovery.shed, 0u);
   EXPECT_GT(shed.degraded_completions, 0u);
   EXPECT_LT(shed.quality.mean(), 1.0);
@@ -311,21 +313,22 @@ TEST(DegradedMode, SeedReplicatesAreDeterministicAndAdditive) {
 
   // Replicate 0 uses the base seeds untouched: a one-replicate run is the
   // original batch bit for bit.
-  const RobustnessResult single = run_robustness_serial(config);
+  ThreadPool serial(1);
+  const RobustnessResult single = run_robustness(config, serial);
   config.seed_replicates = 1;
-  const RobustnessResult one = run_robustness_serial(config);
+  const RobustnessResult one = run_robustness(config, serial);
   EXPECT_EQ(single.ete_met.successes(), one.ete_met.successes());
   EXPECT_EQ(single.ete_met.trials(), one.ete_met.trials());
   EXPECT_EQ(single.slice_misses.sum(), one.slice_misses.sum());
 
   config.seed_replicates = 3;
-  const RobustnessResult a = run_robustness_serial(config);
-  const RobustnessResult b = run_robustness_serial(config);
+  const RobustnessResult a = run_robustness(config, serial);
+  const RobustnessResult b = run_robustness(config, serial);
   EXPECT_EQ(a.ete_met.successes(), b.ete_met.successes());
   EXPECT_EQ(a.ete_met.trials(), b.ete_met.trials());
   EXPECT_GT(a.ete_met.trials(), one.ete_met.trials());
-  // The parallel reduction agrees with the serial reference.
-  ThreadPool pool(4);
+  // A 3-worker pool agrees with the 1-worker run.
+  ThreadPool pool(3);
   const RobustnessResult c = run_robustness(config, pool);
   EXPECT_EQ(a.ete_met.successes(), c.ete_met.successes());
   EXPECT_EQ(a.slice_misses.sum(), c.slice_misses.sum());

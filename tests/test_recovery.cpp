@@ -241,9 +241,10 @@ TEST(RecoveryEngine, RedistributeSlackReducesMissesUnderOverrun) {
   config.faults.seed = 1234;
 
   config.policy = RecoveryPolicy::kNone;
-  const RobustnessResult none = run_robustness_serial(config);
+  ThreadPool serial(1);
+  const RobustnessResult none = run_robustness(config, serial);
   config.policy = RecoveryPolicy::kRedistributeSlack;
-  const RobustnessResult redistribute = run_robustness_serial(config);
+  const RobustnessResult redistribute = run_robustness(config, serial);
 
   EXPECT_EQ(none.ete_met.trials(), redistribute.ete_met.trials());
   EXPECT_GE(redistribute.ete_met.successes(), none.ete_met.successes());
@@ -258,14 +259,15 @@ TEST(RobustnessHarness, DeterministicAcrossRuns) {
   config.faults.overrun_probability = 0.4;
   config.policy = RecoveryPolicy::kRedistributeSlack;
 
-  const RobustnessResult a = run_robustness_serial(config);
-  const RobustnessResult b = run_robustness_serial(config);
+  ThreadPool serial(1);
+  const RobustnessResult a = run_robustness(config, serial);
+  const RobustnessResult b = run_robustness(config, serial);
   EXPECT_EQ(a.ete_met.successes(), b.ete_met.successes());
   EXPECT_EQ(a.ete_met.trials(), b.ete_met.trials());
   EXPECT_EQ(a.slice_misses.sum(), b.slice_misses.sum());
   EXPECT_EQ(a.recovery.reslices, b.recovery.reslices);
 
-  ThreadPool pool(4);
+  ThreadPool pool(3);
   const RobustnessResult c = run_robustness(config, pool);
   EXPECT_EQ(a.ete_met.successes(), c.ete_met.successes());
   EXPECT_EQ(a.slice_misses.sum(), c.slice_misses.sum());
