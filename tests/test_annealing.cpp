@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "dsslice/core/slicing.hpp"
 #include "dsslice/sched/annealing_scheduler.hpp"
+#include "dsslice/sched/scheduler_workspace.hpp"
 #include "dsslice/sched/validation.hpp"
 #include "test_util.hpp"
 
@@ -12,6 +18,45 @@ DeadlineAssignment windows(std::vector<Window> ws) {
   DeadlineAssignment a;
   a.windows = std::move(ws);
   return a;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Calls `visit(scenario, adapt_l_windows, label)` for paper-size scenarios
+/// at seed 20250707 over m ∈ {2, 3, 4, 6} × OLR ∈ {0.6, 0.8, 1.2} ×
+/// `graphs` graphs.
+template <typename Visit>
+void for_each_corpus_scenario(std::size_t graphs, Visit&& visit) {
+  for (const std::size_t m : {2u, 3u, 4u, 6u}) {
+    for (const double olr : {0.6, 0.8, 1.2}) {
+      GeneratorConfig cfg = testing::paper_generator(20250707, m);
+      cfg.workload.olr = olr;
+      for (std::size_t k = 0; k < graphs; ++k) {
+        const Scenario sc = generate_scenario_at(cfg, k);
+        const auto est =
+            estimate_wcets(sc.application, WcetEstimation::kAverage);
+        const auto a = run_slicing(sc.application, est,
+                                   DeadlineMetric(MetricKind::kAdaptL), m);
+        visit(sc, a,
+              "m=" + std::to_string(m) + " olr=" + std::to_string(olr) +
+                  " k=" + std::to_string(k));
+      }
+    }
+  }
+}
+
+/// Every placement and outcome field of a result, doubles by bit pattern.
+std::string result_bits(const SchedulerResult& r) {
+  std::string text = r.success ? "ok" : "miss";
+  text += ' ';
+  text += r.failed_task.has_value() ? std::to_string(*r.failed_task) : "-";
+  text += '\n';
+  for (NodeId v = 0; v < r.schedule.task_count(); ++v) {
+    const ScheduledTask& e = r.schedule.entry(v);
+    text += std::to_string(e.processor) + ' ' + std::to_string(bits(e.start)) +
+            ' ' + std::to_string(bits(e.finish)) + '\n';
+  }
+  return text;
 }
 
 TEST(FixedMapping, PinsEveryTask) {
@@ -53,6 +98,58 @@ TEST(FixedMapping, ReportsMissesWithoutAborting) {
   EXPECT_TRUE(r.schedule.complete());
   ASSERT_TRUE(r.failed_task.has_value());
   EXPECT_EQ(*r.failed_task, 0u);
+}
+
+TEST(FixedMapping, ReplaysTheGreedyMappingBitForBit) {
+  SchedulerOptions lateness_mode;
+  lateness_mode.abort_on_miss = false;
+  const EdfListScheduler greedy(lateness_mode);
+  std::size_t late = 0;
+  for_each_corpus_scenario(16, [&](const Scenario& sc,
+                                   const DeadlineAssignment& a,
+                                   const std::string& label) {
+    const SchedulerResult g = greedy.run(sc.application, a, sc.platform);
+    ASSERT_TRUE(g.schedule.complete()) << label;
+    std::vector<ProcessorId> mapping(sc.application.task_count());
+    for (NodeId v = 0; v < mapping.size(); ++v) {
+      mapping[v] = g.schedule.entry(v).processor;
+    }
+    const SchedulerResult replay =
+        schedule_with_fixed_mapping(sc.application, a, sc.platform, mapping);
+    EXPECT_EQ(result_bits(replay), result_bits(g)) << label;
+    EXPECT_EQ(replay.failure_reason, g.failure_reason) << label;
+    late += g.success ? 0 : 1;
+  });
+  // The corpus reaches both verdicts, so the miss bookkeeping is compared.
+  EXPECT_GT(late, 0u);
+  EXPECT_LT(late, 4u * 3u * 16u);
+}
+
+// Annealing pin: best mapping, energy bits, improvement count and every
+// schedule entry of anneal_schedule over a seeded corpus, through one
+// reused workspace. Recorded while the annealer replayed mappings with its
+// own decoder loop; a change that moves any replayed bit fails here.
+TEST(Annealing, SeededCorpusMatchesPinnedDigest) {
+  SchedulerWorkspace ws;
+  AnnealingOptions options;
+  options.iterations = 150;
+  std::string text;
+  std::size_t improvements = 0;
+  for_each_corpus_scenario(4, [&](const Scenario& sc,
+                                  const DeadlineAssignment& a,
+                                  const std::string& label) {
+    const AnnealingResult r =
+        anneal_schedule(sc.application, a, sc.platform, options, &ws);
+    text += label + '\n';
+    for (const ProcessorId p : r.mapping) {
+      text += std::to_string(p) + ' ';
+    }
+    text += '\n' + std::to_string(bits(r.energy)) + ' ' +
+            std::to_string(r.improvements) + '\n' + result_bits(r.result);
+    improvements += r.improvements;
+  });
+  EXPECT_GT(improvements, 0u);
+  EXPECT_EQ(testing::fnv1a(text), 0x62c8c6f4a274f8dbULL);
 }
 
 TEST(Annealing, NeverWorseThanGreedySeed) {
