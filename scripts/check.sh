@@ -39,12 +39,14 @@ python3 benchmark/run.py --smoke
 # there. Bit-identity with the pre-engine schedulers is the ctest
 # equivalence suite's job. experiment_runner must show batch.slice.run and
 # sweep.shard spans because run_experiment runs one sweep shard through the
-# batch slicing kernel.
+# batch slicing kernel. ablation_annealing must show sched.list.run spans
+# because the annealer replays every mapping through the list scheduler.
 smokes=(
   "bench/perf_slicing --smoke|batch.scenarios batch.passes|BENCH_slicing.json"
   "bench/perf_scheduling --smoke|sched.dispatch.events sched.dispatch.rescans|BENCH_scheduling.json"
   "bench/fig_degradation --smoke --json @out/surface.json|recovery.shed_tasks|"
   "examples/experiment_runner --graphs 16 --obs-summary|batch.slice.run sweep.shard|"
+  "bench/ablation_annealing --graphs 8 --iterations 50|sched.anneal.runs sched.list.run|"
 )
 smoke() {
   local build="$1" row="$2"; shift 2

@@ -151,16 +151,14 @@ void run_slicing_into(DeadlineAssignment& assignment, const Application& app,
           (k + 1 == path.nodes.size()) ? path.window_end : boundary;
 
       Window w{lo, hi};
-      if (options.clamp_to_anchors) {
-        // A mid-path task may carry anchors from earlier passes (cross arcs
-        // to already-assigned spines); shrink its window into them while
-        // keeping the boundaries — and thus non-overlap — intact.
-        if (anchors.has_arrival_anchor(v)) {
-          w.arrival = std::max(w.arrival, anchors.arrival_anchor(v));
-        }
-        if (anchors.has_deadline_anchor(v)) {
-          w.deadline = std::min(w.deadline, anchors.deadline_anchor(v));
-        }
+      // A mid-path task may carry anchors from earlier passes (cross arcs
+      // to already-assigned spines); shrink its window into them while
+      // keeping the boundaries — and thus non-overlap — intact.
+      if (anchors.has_arrival_anchor(v)) {
+        w.arrival = std::max(w.arrival, anchors.arrival_anchor(v));
+      }
+      if (anchors.has_deadline_anchor(v)) {
+        w.deadline = std::min(w.deadline, anchors.deadline_anchor(v));
       }
       anchors.mark_assigned(v, w);
       assignment.windows[v] = w;

@@ -84,10 +84,6 @@ struct SlicingWorkspace {
 };
 
 struct SlicingOptions {
-  /// Clamp slice windows into anchors inherited from earlier passes (cross
-  /// arcs between spines). Disabling reproduces a "pure boundary" variant
-  /// that can violate non-overlap on cross arcs; kept for ablation only.
-  bool clamp_to_anchors = true;
   /// Optional shared-resource requirements: consumed by the resource-aware
   /// ADAPT-L weights (see DeadlineMetric::weights overload). Not owned.
   const ResourceModel* resources = nullptr;

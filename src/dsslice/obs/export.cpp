@@ -18,6 +18,42 @@ std::string format_double(double value) {
 
 double ns_to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
+/// Span names are compile-time literals; virtually none need JSON
+/// escaping, and the per-span json_escape allocation is measurable at full
+/// ring throughput on small machines.
+bool needs_json_escape(const char* text) {
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p == '"' || *p == '\\' || static_cast<unsigned char>(*p) < 0x20) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[24];
+  char* p = buf + sizeof(buf);
+  do {
+    *--p = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  out.append(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
+}
+
+/// Appends `ns` as microseconds with exactly three decimals ("1234.567"),
+/// the Chrome-trace ts/dur convention, without printf's double path — the
+/// streaming chunk writer serializes every recorded span, so this is the
+/// hottest formatting call in its sink (see the perf_obs streaming-tax
+/// gate).
+void append_ns_as_us(std::string& out, std::uint64_t ns) {
+  append_u64(out, ns / 1000);
+  std::uint64_t frac = ns % 1000;
+  char buf[4] = {'.', static_cast<char>('0' + frac / 100),
+                 static_cast<char>('0' + (frac / 10) % 10),
+                 static_cast<char>('0' + frac % 10)};
+  out.append(buf, 4);
+}
+
 double ns_to_ms(std::uint64_t ns) {
   return static_cast<double>(ns) / 1e6;
 }
@@ -36,29 +72,39 @@ std::string format_metric_value(double value) {
   return buf;
 }
 
-std::string to_chrome_trace_json(const TraceSnapshot& trace) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceSpan& span : trace.spans) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    const double ts_us = ns_to_us(span.start_ns);
-    const double dur_us =
-        span.end_ns >= span.start_ns ? ns_to_us(span.end_ns - span.start_ns)
-                                     : 0.0;
-    out << "{\"name\":\""
-        << json_escape(span.name != nullptr ? span.name : "?")
-        << "\",\"cat\":\"dsslice\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-        << span.tid << ",\"ts\":" << format_fixed(ts_us, 3)
-        << ",\"dur\":" << format_fixed(dur_us, 3)
-        << ",\"args\":{\"depth\":" << span.depth << "}}";
+void append_chrome_trace_event(std::string& out, const TraceSpan& span) {
+  const std::uint64_t dur_ns =
+      span.end_ns >= span.start_ns ? span.end_ns - span.start_ns : 0;
+  const char* name = span.name != nullptr ? span.name : "?";
+  out += "{\"name\":\"";
+  if (needs_json_escape(name)) {
+    out += json_escape(name);
+  } else {
+    out += name;
   }
-  out << "],\"otherData\":{\"tool\":\"dsslice\",\"droppedSpans\":"
-      << trace.dropped << "}}\n";
-  return out.str();
+  out += "\",\"cat\":\"dsslice\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+  append_u64(out, span.tid);
+  out += ",\"ts\":";
+  append_ns_as_us(out, span.start_ns);
+  out += ",\"dur\":";
+  append_ns_as_us(out, dur_ns);
+  out += ",\"args\":{\"depth\":";
+  append_u64(out, span.depth);
+  out += "}}";
+}
+
+std::string to_chrome_trace_json(const TraceSnapshot& trace) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (std::size_t k = 0; k < trace.spans.size(); ++k) {
+    if (k > 0) {
+      out += ',';
+    }
+    append_chrome_trace_event(out, trace.spans[k]);
+  }
+  out += "],\"otherData\":{\"tool\":\"dsslice\",\"droppedSpans\":";
+  append_u64(out, trace.dropped);
+  out += "}}\n";
+  return out;
 }
 
 std::string to_metrics_jsonl(const MetricsSnapshot& metrics) {

@@ -19,6 +19,12 @@ namespace dsslice::obs {
 /// events, timestamps in microseconds, one row per recorder thread).
 std::string to_chrome_trace_json(const TraceSnapshot& trace);
 
+/// Appends one span as a Chrome trace "X" event object, without separator:
+/// ts and dur in µs with exactly three decimals, formatted from the integer
+/// nanoseconds. to_chrome_trace_json and the streaming sink's chunk writer
+/// (obs/stream.cpp) both serialize spans through it.
+void append_chrome_trace_event(std::string& out, const TraceSpan& span);
+
 /// Serializes a metrics snapshot as JSONL: one `{"type":"span"|"counter"|
 /// "gauge"|"meta",...}` object per line, sorted by name within type.
 std::string to_metrics_jsonl(const MetricsSnapshot& metrics);

@@ -27,41 +27,6 @@ using detail::ThreadBuffer;
 
 using Clock = std::chrono::steady_clock;
 
-/// Span names are compile-time literals; virtually none need JSON
-/// escaping, and the per-span json_escape allocation is measurable at full
-/// ring throughput on small machines.
-bool needs_json_escape(const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\' || static_cast<unsigned char>(*p) < 0x20) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[24];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  out.append(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
-}
-
-/// Appends `ns` as microseconds with exactly three decimals ("1234.567"),
-/// the Chrome-trace ts/dur convention, without printf's double path — the
-/// chunk writer serializes every recorded span, so this is the hottest
-/// formatting call in the sink (see the perf_obs streaming-tax gate).
-void append_ns_as_us(std::string& out, std::uint64_t ns) {
-  append_u64(out, ns / 1000);
-  std::uint64_t frac = ns % 1000;
-  char buf[4] = {'.', static_cast<char>('0' + frac / 100),
-                 static_cast<char>('0' + (frac / 10) % 10),
-                 static_cast<char>('0' + frac % 10)};
-  out.append(buf, 4);
-}
-
 /// Drains the completed ring entries of one buffer behind its published
 /// write index (caller holds the registry mutex; the owning thread keeps
 /// recording concurrently). Appends the surviving entries to `out` and
@@ -235,24 +200,8 @@ void StreamSink::Impl::write_chunk(const std::vector<TraceSpan>& spans) {
   // perf_obs gate measures on small machines.
   chunk_buf.clear();
   for (const TraceSpan& span : spans) {
-    const std::uint64_t dur_ns =
-        span.end_ns >= span.start_ns ? span.end_ns - span.start_ns : 0;
-    const char* name = span.name != nullptr ? span.name : "?";
-    chunk_buf += "{\"name\":\"";
-    if (needs_json_escape(name)) {
-      chunk_buf += json_escape(name);
-    } else {
-      chunk_buf += name;
-    }
-    chunk_buf += "\",\"cat\":\"dsslice\",\"ph\":\"X\",\"pid\":1,\"tid\":";
-    append_u64(chunk_buf, span.tid);
-    chunk_buf += ",\"ts\":";
-    append_ns_as_us(chunk_buf, span.start_ns);
-    chunk_buf += ",\"dur\":";
-    append_ns_as_us(chunk_buf, dur_ns);
-    chunk_buf += ",\"args\":{\"depth\":";
-    append_u64(chunk_buf, span.depth);
-    chunk_buf += "}},\n";
+    append_chrome_trace_event(chunk_buf, span);
+    chunk_buf += ",\n";
   }
   std::fwrite(chunk_buf.data(), 1, chunk_buf.size(), chunk_file);
 }

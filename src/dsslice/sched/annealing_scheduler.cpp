@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "dsslice/gen/rng.hpp"
 #include "dsslice/obs/trace.hpp"
@@ -27,10 +28,8 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
                                       const DeadlineAssignment& assignment,
                                       const Platform& platform,
                                       std::span<const ProcessorId> mapping) {
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
+  const std::size_t n = app.task_count();
   const std::size_t m = platform.processor_count();
-  DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
   DSSLICE_REQUIRE(mapping.size() == n, "mapping size mismatch");
   for (NodeId v = 0; v < n; ++v) {
     DSSLICE_REQUIRE(mapping[v] < m, "mapped processor out of range");
@@ -39,62 +38,16 @@ void schedule_with_fixed_mapping_into(SchedulerResult& result,
                         " mapped to an ineligible processor class");
   }
 
-  reset_scheduler_result(result, n, m);
-  Schedule& schedule = result.schedule;
-
-  const auto* shared_bus = dynamic_cast<const SharedBus*>(&platform.network());
-  const Time bus_rate =
-      shared_bus != nullptr ? shared_bus->per_item_delay() : kTimeZero;
-
-  // Same EDF selection rule as EdfListScheduler (deadline, arrival, id) so
-  // a fixed mapping taken from a greedy schedule replays it exactly; the
-  // heap pops the identical minimum the legacy linear scan found.
-  const std::size_t heap_cap = ws.ready.capacity();
-  ws.ready.reset(assignment.windows);
-  ws.size(ws.pred_count, n);
-  for (NodeId v = 0; v < n; ++v) {
-    ws.pred_count[v] = g.predecessors(v).size();
-    if (ws.pred_count[v] == 0) {
-      ws.ready.push(v);
-    }
-  }
-
-  bool missed = false;
-  while (!ws.ready.empty()) {
-    const NodeId v = ws.ready.pop();
-
-    const ProcessorId p = mapping[v];
-    const double c = app.task(v).wcet(platform.class_of(p));
-    Time bound =
-        std::max(assignment.windows[v].arrival, schedule.processor_available(p));
-    const auto preds = g.predecessors(v);
-    const auto pitems = g.predecessor_items(v);
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      const ScheduledTask& pe = schedule.entry(preds[k]);
-      const Time d = shared_bus != nullptr
-                         ? (pe.processor == p ? kTimeZero
-                                              : pitems[k] * bus_rate)
-                         : platform.comm_delay(pe.processor, p, pitems[k]);
-      bound = std::max(bound, pe.finish + d);
-    }
-    const Time finish = bound + c;
-    if (finish > assignment.windows[v].deadline + 1e-9) {
-      missed = true;
-      if (!result.failed_task.has_value()) {
-        result.failed_task = v;
-        result.failure_reason =
-            "task " + app.task(v).name + " missed its deadline";
-      }
-    }
-    schedule.place(v, p, bound, finish);
-    for (const NodeId s : g.successors(v)) {
-      if (--ws.pred_count[s] == 0) {
-        ws.ready.push(s);
-      }
-    }
-  }
-  ws.note_growth(heap_cap, ws.ready.capacity());
-  result.success = schedule.complete() && !missed;
+  // Singleton groups pinned to the mapping; lateness mode, so a fixed
+  // mapping taken from a greedy schedule replays it exactly.
+  ws.size(ws.singleton_groups, n);
+  std::iota(ws.singleton_groups.begin(), ws.singleton_groups.end(),
+            std::size_t{0});
+  const CoLocation pinned{ws.singleton_groups, n, mapping};
+  SchedulerOptions lateness_mode;
+  lateness_mode.abort_on_miss = false;
+  EdfListScheduler(lateness_mode)
+      .run_into(result, ws, app, assignment, platform, nullptr, &pinned);
 }
 
 namespace {

@@ -5,11 +5,13 @@
 // calls for evaluating the slicing metrics under other assignment/
 // scheduling policies. This module optimizes the task→processor *mapping*:
 // given a fixed mapping, tasks are sequenced EDF within their windows
-// (schedule_with_fixed_mapping); annealing then walks the mapping space —
-// moving one task to another eligible processor per step — accepting
-// regressions with the Metropolis rule under geometric cooling. The energy
-// is the schedule's maximum lateness, so the search keeps pushing even
-// after feasibility is reached (more margin = more robustness).
+// (schedule_with_fixed_mapping: the §5.4 list scheduler with every task a
+// singleton co-location group on its mapped processor); annealing then
+// walks the mapping space — moving one task to another eligible processor
+// per step — accepting regressions with the Metropolis rule under
+// geometric cooling. The energy is the schedule's maximum lateness, so the
+// search keeps pushing even after feasibility is reached (more margin =
+// more robustness).
 //
 // Deterministic: all randomness comes from the seeded xoshiro stream in
 // the options.
@@ -29,9 +31,12 @@ namespace dsslice {
 class SchedulerWorkspace;
 
 /// List-schedules the application with every task pinned to the given
-/// processor (strict locality): EDF order, append placement, honouring
-/// windows and communication. Tasks must be eligible on their mapped
-/// processor's class. Runs in lateness mode (never aborts).
+/// processor (strict locality): EdfListScheduler in lateness mode (never
+/// aborts), append placement, each task a singleton CoLocation group fixed
+/// to its mapped processor. Deadlines are compared exactly, as everywhere
+/// in the list scheduler. Throws ConfigError when the mapping's size is
+/// wrong, a processor is out of range or a task is ineligible on its
+/// processor's class.
 SchedulerResult schedule_with_fixed_mapping(
     const Application& app, const DeadlineAssignment& assignment,
     const Platform& platform, const std::vector<ProcessorId>& mapping);

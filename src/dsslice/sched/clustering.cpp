@@ -93,131 +93,4 @@ Clustering cluster_by_communication(const Application& app,
   return clustering;
 }
 
-ClusteredScheduler::ClusteredScheduler(Clustering clustering,
-                                       bool abort_on_miss)
-    : clustering_(std::move(clustering)), abort_on_miss_(abort_on_miss) {}
-
-SchedulerResult ClusteredScheduler::run(const Application& app,
-                                        const DeadlineAssignment& assignment,
-                                        const Platform& platform) const {
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
-  const std::size_t m = platform.processor_count();
-  DSSLICE_REQUIRE(assignment.windows.size() == n, "assignment size mismatch");
-  DSSLICE_REQUIRE(clustering_.cluster_of.size() == n,
-                  "clustering size mismatch");
-
-  SchedulerResult result{Schedule(n, m), false, std::nullopt, "", {}};
-  Schedule& schedule = result.schedule;
-
-  constexpr ProcessorId kUnpinned = static_cast<ProcessorId>(-1);
-  std::vector<ProcessorId> cluster_proc(clustering_.cluster_count, kUnpinned);
-
-  // A cluster may only be pinned to a processor whose class every member is
-  // eligible on.
-  const auto cluster_eligible = [&](std::size_t cluster, ProcessorId p) {
-    const ProcessorClassId e = platform.class_of(p);
-    for (NodeId v = 0; v < n; ++v) {
-      if (clustering_.cluster_of[v] == cluster && !app.task(v).eligible(e)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::vector<std::size_t> unscheduled_preds(n);
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < n; ++v) {
-    unscheduled_preds[v] = g.in_degree(v);
-    if (unscheduled_preds[v] == 0) {
-      ready.push_back(v);
-    }
-  }
-
-  const auto fail = [&](NodeId v, std::string reason) {
-    result.success = false;
-    result.failed_task = v;
-    result.failure_reason = std::move(reason);
-    return result;
-  };
-
-  bool missed = false;
-  while (!ready.empty()) {
-    std::size_t pick = 0;
-    for (std::size_t k = 1; k < ready.size(); ++k) {
-      const Window& a = assignment.windows[ready[k]];
-      const Window& b = assignment.windows[ready[pick]];
-      if (a.deadline < b.deadline ||
-          (a.deadline == b.deadline &&
-           (a.arrival < b.arrival ||
-            (a.arrival == b.arrival && ready[k] < ready[pick])))) {
-        pick = k;
-      }
-    }
-    const NodeId v = ready[pick];
-    ready[pick] = ready.back();
-    ready.pop_back();
-
-    const std::size_t cluster = clustering_.cluster_of[v];
-    const Window& window = assignment.windows[v];
-
-    const auto start_on = [&](ProcessorId p) {
-      Time bound = std::max(window.arrival, schedule.processor_available(p));
-      for (const NodeId u : g.predecessors(v)) {
-        const ScheduledTask& pe = schedule.entry(u);
-        const double items = g.message_items(u, v).value_or(0.0);
-        bound = std::max(bound, pe.finish + platform.comm_delay(
-                                                pe.processor, p, items));
-      }
-      return bound;
-    };
-
-    ProcessorId chosen = kUnpinned;
-    if (cluster_proc[cluster] != kUnpinned) {
-      chosen = cluster_proc[cluster];
-    } else {
-      Time best_start = kTimeInfinity;
-      for (ProcessorId p = 0; p < m; ++p) {
-        if (!cluster_eligible(cluster, p)) {
-          continue;
-        }
-        const Time start = start_on(p);
-        if (start < best_start) {
-          best_start = start;
-          chosen = p;
-        }
-      }
-      if (chosen == kUnpinned) {
-        return fail(v, "cluster of task " + app.task(v).name +
-                           " has no commonly eligible processor");
-      }
-      cluster_proc[cluster] = chosen;
-    }
-
-    const Time start = start_on(chosen);
-    const Time finish =
-        start + app.task(v).wcet(platform.class_of(chosen));
-    if (finish > window.deadline) {
-      missed = true;
-      if (abort_on_miss_) {
-        return fail(v, "task " + app.task(v).name +
-                           " misses its deadline under clustering");
-      }
-      if (!result.failed_task.has_value()) {
-        result.failed_task = v;
-        result.failure_reason =
-            "task " + app.task(v).name + " missed its deadline";
-      }
-    }
-    schedule.place(v, chosen, start, finish);
-    for (const NodeId s : g.successors(v)) {
-      if (--unscheduled_preds[s] == 0) {
-        ready.push_back(s);
-      }
-    }
-  }
-  result.success = schedule.complete() && !missed;
-  return result;
-}
-
 }  // namespace dsslice

@@ -4,22 +4,20 @@
 // heavily and co-locate each cluster, converting expensive cross-processor
 // messages into free shared-memory accesses — the very behaviour the
 // slicing technique's "assume zero communication cost" prediction (§4.3)
-// banks on. This module provides:
-//
-//  * cluster_by_communication() — union-find merge of tasks connected by
-//    arcs whose message size meets a threshold, with a cluster-size cap so
-//    one cluster cannot exceed what a single processor can hold;
-//  * ClusteredScheduler — an EDF list scheduler that keeps every cluster on
-//    one processor: the cluster's processor is fixed by its first scheduled
-//    task (chosen greedily), and all later members follow it.
+// banks on. This module provides cluster_by_communication(): a union-find
+// merge of tasks connected by arcs whose message size meets a threshold,
+// with a cluster-size cap so one cluster cannot exceed what a single
+// processor can hold. Scheduling with the clusters co-located is
+// EdfListScheduler with Clustering::groups() as its co-location groups:
+// each cluster takes the processor its first scheduled member is placed on
+// (earliest start, then finish, then processor id, among the processors
+// every member can run on), and all later members follow it.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "dsslice/model/application.hpp"
-#include "dsslice/model/platform.hpp"
-#include "dsslice/model/task.hpp"
 #include "dsslice/sched/edf_list_scheduler.hpp"
 
 namespace dsslice {
@@ -30,6 +28,11 @@ struct Clustering {
   std::size_t cluster_count = 0;
 
   std::size_t size_of(std::size_t cluster) const;
+
+  /// The clusters as free co-location groups (borrows cluster_of, so a
+  /// temporary Clustering cannot hand them out).
+  CoLocation groups() const& { return {cluster_of, cluster_count}; }
+  CoLocation groups() && = delete;
 };
 
 /// Merges tasks along arcs with message_items >= threshold, largest
@@ -38,26 +41,5 @@ struct Clustering {
 Clustering cluster_by_communication(const Application& app,
                                     double message_threshold,
                                     std::size_t max_cluster_size);
-
-/// EDF list scheduler honouring co-location constraints: all tasks of a
-/// cluster run on the same processor. Placement is append-only; the
-/// cluster's processor is decided when its first task is placed (earliest
-/// start, requiring eligibility of ALL cluster members on that processor's
-/// class).
-class ClusteredScheduler {
- public:
-  explicit ClusteredScheduler(Clustering clustering,
-                              bool abort_on_miss = true);
-
-  SchedulerResult run(const Application& app,
-                      const DeadlineAssignment& assignment,
-                      const Platform& platform) const;
-
-  const Clustering& clustering() const { return clustering_; }
-
- private:
-  Clustering clustering_;
-  bool abort_on_miss_;
-};
 
 }  // namespace dsslice

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -28,10 +29,11 @@ EdfListScheduler::EdfListScheduler(SchedulerOptions options)
 SchedulerResult EdfListScheduler::run(const Application& app,
                                       const DeadlineAssignment& assignment,
                                       const Platform& platform,
-                                      const ResourceModel* resources) const {
+                                      const ResourceModel* resources,
+                                      const CoLocation* groups) const {
   SchedulerWorkspace ws;
   SchedulerResult result;
-  run_into(result, ws, app, assignment, platform, resources);
+  run_into(result, ws, app, assignment, platform, resources, groups);
   return result;
 }
 
@@ -39,7 +41,8 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
                                 const Application& app,
                                 const DeadlineAssignment& assignment,
                                 const Platform& platform,
-                                const ResourceModel* resources) const {
+                                const ResourceModel* resources,
+                                const CoLocation* groups) const {
   DSSLICE_SPAN("sched.list.run");
   DSSLICE_COUNT("sched.list.runs", 1);
   DSSLICE_REQUIRE(resources == nullptr ||
@@ -88,6 +91,52 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
   // Shared-resource availability (exclusive, held for the whole execution).
   ws.fill(ws.resource_available,
           resources != nullptr ? resources->resource_count() : 0, kTimeZero);
+
+  // Co-location: each group's processor (fixed, or kAnyProcessor until its
+  // first member is placed) and, for free groups, a row of m processor
+  // classes (group_class, group-major) in which a processor some member
+  // cannot run on reads as kNoClass, which the candidate loop's own class
+  // check rejects.
+  if (groups != nullptr) {
+    constexpr ProcessorClassId kNoClass =
+        std::numeric_limits<ProcessorClassId>::max();
+    const std::size_t gc = groups->group_count;
+    DSSLICE_REQUIRE(groups->group_of.size() == n,
+                    "co-location group table size mismatch");
+    DSSLICE_REQUIRE(groups->fixed_processor.empty() ||
+                        groups->fixed_processor.size() == gc,
+                    "co-location processor table size mismatch");
+    if (groups->fixed_processor.empty()) {
+      ws.fill(ws.group_proc, gc, kAnyProcessor);
+    } else {
+      ws.size(ws.group_proc, gc);
+      for (std::size_t k = 0; k < gc; ++k) {
+        const ProcessorId p = groups->fixed_processor[k];
+        DSSLICE_REQUIRE(p < m || p == kAnyProcessor,
+                        "co-location processor out of range");
+        ws.group_proc[k] = p;
+      }
+    }
+    ws.size(ws.group_class, gc * m);
+    for (std::size_t k = 0; k < gc; ++k) {
+      if (ws.group_proc[k] == kAnyProcessor) {
+        std::copy(ws.proc_class.begin(), ws.proc_class.end(),
+                  ws.group_class.begin() + static_cast<std::ptrdiff_t>(k * m));
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      const std::size_t k = groups->group_of[v];
+      DSSLICE_REQUIRE(k < gc, "co-location group out of range");
+      if (ws.group_proc[k] != kAnyProcessor) {
+        continue;
+      }
+      for (ProcessorId p = 0; p < m; ++p) {
+        if (!tasks[v].eligible(ws.proc_class[p])) {
+          ws.group_class[k * m + p] = kNoClass;
+        }
+      }
+    }
+  }
 
   // The paper's platform is a shared bus; devirtualize its delay model once
   // per run. The inlined arithmetic is the exact expression of
@@ -177,6 +226,21 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
       }
     }
 
+    // A placed or fixed group admits only its processor; a free group only
+    // the processors all its members can run on.
+    ProcessorId first_proc = 0;
+    ProcessorId end_proc = static_cast<ProcessorId>(m);
+    const ProcessorClassId* proc_class = ws.proc_class.data();
+    if (groups != nullptr) {
+      const std::size_t k = groups->group_of[v];
+      if (ws.group_proc[k] != kAnyProcessor) {
+        first_proc = ws.group_proc[k];
+        end_proc = first_proc + 1;
+      } else {
+        proc_class = &ws.group_class[k * m];
+      }
+    }
+
     // Evaluate every eligible processor; keep the earliest start (ties by
     // earliest finish, then processor id — §5.4).
     ProcessorId best_proc = 0;
@@ -188,8 +252,8 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     // the read itself is Task::wcet, sans the out-of-line calls.
     const double* wcets = task.wcet_by_class.data();
     const std::size_t class_count = task.wcet_by_class.size();
-    for (ProcessorId p = 0; p < m; ++p) {
-      const ProcessorClassId e = ws.proc_class[p];
+    for (ProcessorId p = first_proc; p < end_proc; ++p) {
+      const ProcessorClassId e = proc_class[p];
       if (e >= class_count) {
         continue;
       }
@@ -246,6 +310,13 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     }
 
     if (!found) {
+      const bool eligible_somewhere =
+          std::any_of(ws.proc_class.begin(), ws.proc_class.end(),
+                      [&](ProcessorClassId e) { return task.eligible(e); });
+      if (groups != nullptr && eligible_somewhere) {
+        return fail(v, {"group of task ", task.name,
+                        " has no commonly eligible processor"});
+      }
       return fail(v, {"task ", task.name,
                       " has no eligible processor on this platform"});
     }
@@ -264,6 +335,9 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     }
 
     schedule.place(v, best_proc, best_start, best_finish);
+    if (groups != nullptr) {
+      ws.group_proc[groups->group_of[v]] = best_proc;
+    }
     ws.placed_finish[v] = best_finish;
     ws.placed_proc[v] = best_proc;
     ws.proc_available[best_proc] =

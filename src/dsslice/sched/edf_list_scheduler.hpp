@@ -11,9 +11,15 @@
 //  * kAppend    — a task starts no earlier than the processor's last finish
 //                 (the paper's baseline).
 //  * kInsertion — a task may fill an earlier idle gap (extension, §7.3).
+//
+// Optional co-location groups restrict where tasks may go: communication
+// clustering (sched/clustering.hpp) and the annealer's fixed mappings
+// (sched/annealing_scheduler.hpp) both run through this one loop.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +76,23 @@ struct SchedulerResult {
   std::vector<BusTransfer> bus_transfers;
 };
 
+/// Co-location constraints: every task of a group runs on one processor.
+/// A group with a fixed processor runs there; a free group takes the
+/// processor its first member is placed on, chosen (by the usual earliest
+/// start, finish, id rule) only among processors whose class every member
+/// of the group can run on. Borrowed spans; they must outlive the run.
+struct CoLocation {
+  /// Group of each task, in [0, group_count).
+  std::span<const std::size_t> group_of;
+  std::size_t group_count = 0;
+  /// Processor per group, kAnyProcessor for a free group; empty when every
+  /// group is free.
+  std::span<const ProcessorId> fixed_processor = {};
+};
+
+/// CoLocation::fixed_processor entry of a free group.
+inline constexpr ProcessorId kAnyProcessor = static_cast<ProcessorId>(-1);
+
 class SchedulerWorkspace;
 
 class EdfListScheduler {
@@ -84,10 +107,13 @@ class EdfListScheduler {
   /// (§7.3 future work): a task additionally waits until every resource it
   /// requires is free, and holds them for its whole execution. Only
   /// supported with append placement.
+  ///
+  /// `groups` (optional) adds co-location constraints (see CoLocation).
   SchedulerResult run(const Application& app,
                       const DeadlineAssignment& assignment,
                       const Platform& platform,
-                      const ResourceModel* resources = nullptr) const;
+                      const ResourceModel* resources = nullptr,
+                      const CoLocation* groups = nullptr) const;
 
   /// Allocation-free variant for hot loops: writes the (bit-identical)
   /// result into `result`, reusing its storage and `ws`'s buffers. After a
@@ -96,7 +122,8 @@ class EdfListScheduler {
   void run_into(SchedulerResult& result, SchedulerWorkspace& ws,
                 const Application& app, const DeadlineAssignment& assignment,
                 const Platform& platform,
-                const ResourceModel* resources = nullptr) const;
+                const ResourceModel* resources = nullptr,
+                const CoLocation* groups = nullptr) const;
 
   const SchedulerOptions& options() const { return options_; }
 

@@ -214,7 +214,7 @@ class SchedulerWorkspace {
     }
   }
 
-  // ---- EDF list scheduler / fixed-mapping scheduler ----
+  // ---- EDF list scheduler ----
   ReadyTaskHeap ready;
   std::vector<std::size_t> pred_count;      // unscheduled predecessors
   std::vector<ProcessorTimeline> timelines; // insertion placement
@@ -226,11 +226,12 @@ class SchedulerWorkspace {
   std::vector<BusTransfer> best_transfers;
   std::vector<Time> pred_finish;            // per-predecessor caches of the
   std::vector<ProcessorId> pred_proc;       //   task being placed
-  std::vector<double> pred_items;
   std::vector<ProcessorClassId> proc_class; // platform.class_of, cached per run
   std::vector<Time> proc_available;         // mirror of append availability
   std::vector<Time> placed_finish;          // per-task placement mirror, so
   std::vector<ProcessorId> placed_proc;     //   pred lookups skip Schedule::entry
+  std::vector<ProcessorId> group_proc;      // co-location: processor per group
+  std::vector<ProcessorClassId> group_class;  //   and m-class rows
 
   // ---- time-marching dispatcher ----
   std::vector<Window> windows;
@@ -283,6 +284,7 @@ class SchedulerWorkspace {
   std::vector<std::vector<BnbOption>> bnb_option_pool;
 
   // ---- annealing ----
+  std::vector<std::size_t> singleton_groups;  // identity group table
   std::vector<ProcessorId> current_mapping;
   std::vector<ProcessorId> neighbour_mapping;
   std::vector<ProcessorId> eligible_targets;

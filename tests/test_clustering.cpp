@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dsslice/core/slicing.hpp"
+#include "dsslice/sched/annealing_scheduler.hpp"
 #include "dsslice/sched/clustering.hpp"
+#include "dsslice/sched/scheduler_workspace.hpp"
 #include "dsslice/sched/validation.hpp"
 #include "test_util.hpp"
 
@@ -65,8 +70,9 @@ TEST(ClusteredScheduler, CoLocatesClusterMembers) {
       {{0.0, 50.0}, {50.0, 140.0}, {50.0, 140.0}, {140.0, 200.0}});
   const Clustering c = cluster_by_communication(app, 1.0, 4);
   ASSERT_EQ(c.cluster_count, 1u);
-  const ClusteredScheduler scheduler(c);
-  const auto r = scheduler.run(app, a, Platform::identical(3));
+  const CoLocation groups = c.groups();
+  const auto r = EdfListScheduler().run(app, a, Platform::identical(3),
+                                        nullptr, &groups);
   ASSERT_TRUE(r.success) << r.failure_reason;
   const ProcessorId p = r.schedule.entry(0).processor;
   for (NodeId v = 1; v < 4; ++v) {
@@ -77,24 +83,62 @@ TEST(ClusteredScheduler, CoLocatesClusterMembers) {
 }
 
 TEST(ClusteredScheduler, SingletonClustersBehaveLikeListEdf) {
-  const Scenario sc = generate_scenario_at(testing::small_generator(96), 0);
-  const auto est = estimate_wcets(sc.application, WcetEstimation::kAverage);
-  const auto a = run_slicing(sc.application, est,
-                             DeadlineMetric(MetricKind::kAdaptL),
-                             sc.platform.processor_count());
-  // Threshold above every message size → all singletons.
-  const Clustering c = cluster_by_communication(sc.application, 1e9, 1);
-  EXPECT_EQ(c.cluster_count, sc.application.task_count());
-  SchedulerOptions lateness_mode;
-  lateness_mode.abort_on_miss = false;
-  const auto plain = EdfListScheduler(lateness_mode)
-                         .run(sc.application, a, sc.platform);
-  const ClusteredScheduler clustered(c, /*abort_on_miss=*/false);
-  const auto result = clustered.run(sc.application, a, sc.platform);
-  ASSERT_TRUE(result.schedule.complete());
-  // Same success verdict (placements may differ: the clustered scheduler
-  // pins on earliest start only, ignoring the finish tie-break).
-  EXPECT_EQ(result.success, plain.success);
+  // Singleton clusters constrain nothing, so the clustered run must place
+  // every task exactly as the plain list scheduler does (same processor,
+  // start, finish and verdict), in abort and in lateness mode, over 3,072
+  // paper-size scenarios at seed 20250707: m ∈ {2, 3, 4, 6} × OLR ∈
+  // {0.6, 0.8, 1.2} × 256 graphs, ADAPT-L windows.
+  SchedulerWorkspace ws;
+  SchedulerResult plain;
+  SchedulerResult clustered;
+  std::size_t scenarios = 0;
+  std::size_t successes = 0;
+  for (const std::size_t m : {2u, 3u, 4u, 6u}) {
+    for (const double olr : {0.6, 0.8, 1.2}) {
+      GeneratorConfig cfg = testing::paper_generator(20250707, m);
+      cfg.workload.olr = olr;
+      for (std::size_t k = 0; k < 256; ++k) {
+        const Scenario sc = generate_scenario_at(cfg, k);
+        const Application& app = sc.application;
+        const auto est = estimate_wcets(app, WcetEstimation::kAverage);
+        const auto a = run_slicing(app, est,
+                                   DeadlineMetric(MetricKind::kAdaptL), m);
+        // Threshold above every message size → all singletons.
+        const Clustering c = cluster_by_communication(app, 1e9, 1);
+        ASSERT_EQ(c.cluster_count, app.task_count());
+        const CoLocation groups = c.groups();
+        for (const bool abort_on_miss : {true, false}) {
+          SchedulerOptions options;
+          options.abort_on_miss = abort_on_miss;
+          const EdfListScheduler scheduler(options);
+          scheduler.run_into(plain, ws, app, a, sc.platform);
+          scheduler.run_into(clustered, ws, app, a, sc.platform, nullptr,
+                             &groups);
+          const std::string label =
+              "m=" + std::to_string(m) + " olr=" + std::to_string(olr) +
+              " k=" + std::to_string(k) +
+              (abort_on_miss ? " abort" : " lateness");
+          ASSERT_EQ(clustered.success, plain.success) << label;
+          ASSERT_EQ(clustered.failed_task, plain.failed_task) << label;
+          ASSERT_EQ(clustered.failure_reason, plain.failure_reason) << label;
+          for (NodeId v = 0; v < app.task_count(); ++v) {
+            ASSERT_EQ(clustered.schedule.placed(v), plain.schedule.placed(v))
+                << label << " task " << v;
+            if (plain.schedule.placed(v)) {
+              ASSERT_EQ(clustered.schedule.entry(v), plain.schedule.entry(v))
+                  << label << " task " << v;
+            }
+          }
+          ++scenarios;
+          successes += plain.success ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(scenarios, 2u * 3072u);
+  // Both verdicts occur, so placements past a miss are compared too.
+  EXPECT_GT(successes, 0u);
+  EXPECT_LT(successes, scenarios);
 }
 
 TEST(ClusteredScheduler, EligibilityMustHoldClusterWide) {
@@ -112,10 +156,30 @@ TEST(ClusteredScheduler, EligibilityMustHoldClusterWide) {
   const auto a = windows({{0.0, 50.0}, {50.0, 100.0}});
   const Clustering c = cluster_by_communication(app, 1.0, 2);
   ASSERT_EQ(c.cluster_count, 1u);
-  const auto r = ClusteredScheduler(c).run(app, a, plat);
+  const CoLocation groups = c.groups();
+  const auto r = EdfListScheduler().run(app, a, plat, nullptr, &groups);
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.failure_reason.find("no commonly eligible processor"),
             std::string::npos);
+
+  // With one common class the cluster lands there, although u alone would
+  // finish earlier on the other processor.
+  ApplicationBuilder b2;
+  const NodeId u2 = b2.add_task("u", {10.0, 20.0});
+  const NodeId v2 = b2.add_task("v", {kIneligibleWcet, 10.0});
+  b2.add_precedence(u2, v2, 10.0);
+  b2.set_input_arrival(u2, 0.0);
+  b2.set_ete_deadline(v2, 100.0);
+  const Application app2 = b2.build(2);
+  const Clustering c2 = cluster_by_communication(app2, 1.0, 2);
+  const CoLocation groups2 = c2.groups();
+  const auto plain = EdfListScheduler().run(app2, a, plat);
+  ASSERT_TRUE(plain.success) << plain.failure_reason;
+  EXPECT_EQ(plain.schedule.entry(u2).processor, 0u);
+  const auto r2 = EdfListScheduler().run(app2, a, plat, nullptr, &groups2);
+  ASSERT_TRUE(r2.success) << r2.failure_reason;
+  EXPECT_EQ(r2.schedule.entry(u2).processor, 1u);
+  EXPECT_EQ(r2.schedule.entry(v2).processor, 1u);
 }
 
 TEST(ClusteredScheduler, EliminatesCrossProcessorTrafficOnHeavyArcs) {
@@ -141,8 +205,10 @@ TEST(ClusteredScheduler, EliminatesCrossProcessorTrafficOnHeavyArcs) {
     const Clustering c = cluster_by_communication(
         sc.application, 20.0, std::max<std::size_t>(
                                   2, sc.application.task_count() / 3));
-    const auto clustered = ClusteredScheduler(c, /*abort_on_miss=*/false)
-                               .run(sc.application, a, sc.platform);
+    const CoLocation groups = c.groups();
+    const auto clustered = EdfListScheduler(lateness_mode)
+                               .run(sc.application, a, sc.platform, nullptr,
+                                    &groups);
     ASSERT_TRUE(plain.schedule.complete());
     ASSERT_TRUE(clustered.schedule.complete());
     const auto cross_items = [&](const Schedule& schedule) {
@@ -166,6 +232,85 @@ TEST(ClusteredScheduler, EliminatesCrossProcessorTrafficOnHeavyArcs) {
     }
   }
   EXPECT_LT(clustered_cross_items, plain_cross_items);
+}
+
+TEST(ClusteredScheduler, FixedGroupsRunOnTheirProcessor) {
+  // Source and sink share a group fixed to processor 2; the two middle
+  // tasks form a free group, which follows its first placed member.
+  const Application app = testing::make_diamond(10.0, 20.0, 20.0, 10.0,
+                                                200.0, 8.0);
+  const auto a = windows(
+      {{0.0, 50.0}, {50.0, 140.0}, {50.0, 140.0}, {140.0, 200.0}});
+  const std::vector<std::size_t> group_of{0, 1, 1, 0};
+  const std::vector<ProcessorId> fixed{2, kAnyProcessor};
+  const CoLocation groups{group_of, 2, fixed};
+  const Platform platform = Platform::identical(3);
+  const auto r = EdfListScheduler().run(app, a, platform, nullptr, &groups);
+  ASSERT_TRUE(r.success) << r.failure_reason;
+  EXPECT_EQ(r.schedule.entry(0).processor, 2u);
+  EXPECT_EQ(r.schedule.entry(3).processor, 2u);
+  // The first middle task can start at its arrival anywhere, so the §5.4
+  // tie rule puts it on processor 0; the second follows it there and
+  // serializes behind it.
+  EXPECT_EQ(r.schedule.entry(1).processor, 0u);
+  EXPECT_EQ(r.schedule.entry(2).processor, 0u);
+  EXPECT_EQ(r.schedule.entry(2).start, r.schedule.entry(1).finish);
+  EXPECT_TRUE(validate_schedule(app, platform, a, r.schedule).empty());
+}
+
+TEST(ClusteredScheduler, RejectsMalformedGroups) {
+  const Application app = testing::make_chain(2, 10.0, 100.0);
+  const auto a = windows({{0.0, 50.0}, {50.0, 100.0}});
+  const Platform platform = Platform::identical(2);
+  const EdfListScheduler scheduler;
+  const std::vector<std::size_t> short_table{0};
+  const std::vector<std::size_t> two_groups{0, 1};
+  const std::vector<ProcessorId> off_platform{0, 2};
+  const CoLocation bad[] = {
+      {short_table, 1},             // one group id for two tasks
+      {two_groups, 1},              // group 1 of a single group
+      {two_groups, 2, off_platform},  // processor 2 on two processors
+      {two_groups, 2, std::span<const ProcessorId>(off_platform).first(1)},
+  };
+  for (const CoLocation& groups : bad) {
+    EXPECT_THROW(scheduler.run(app, a, platform, nullptr, &groups),
+                 ConfigError);
+  }
+}
+
+TEST(ClusteredScheduler, WarmCoLocatedRunsGrowZeroBuffers) {
+  SchedulerWorkspace ws;
+  SchedulerResult result;
+  SchedulerOptions lateness_mode;
+  lateness_mode.abort_on_miss = false;
+  const EdfListScheduler scheduler(lateness_mode);
+  const auto run_batch = [&] {
+    for (std::size_t k = 0; k < 6; ++k) {
+      const Scenario sc =
+          generate_scenario_at(testing::paper_generator(98), k);
+      const auto est =
+          estimate_wcets(sc.application, WcetEstimation::kAverage);
+      const auto a = run_slicing(sc.application, est,
+                                 DeadlineMetric(MetricKind::kAdaptL),
+                                 sc.platform.processor_count());
+      const Clustering c = cluster_by_communication(sc.application, 20.0, 4);
+      const CoLocation groups = c.groups();
+      scheduler.run_into(result, ws, sc.application, a, sc.platform, nullptr,
+                         &groups);
+      std::vector<ProcessorId> mapping(sc.application.task_count());
+      for (NodeId v = 0; v < mapping.size(); ++v) {
+        mapping[v] = result.schedule.entry(v).processor;
+      }
+      schedule_with_fixed_mapping_into(result, ws, sc.application, a,
+                                       sc.platform, mapping);
+    }
+  };
+  run_batch();  // cold: sizes every buffer for the batch's largest scenario
+  run_batch();  // settle
+  const std::uint64_t warm = ws.grow_events();
+  run_batch();
+  EXPECT_EQ(ws.grow_events(), warm)
+      << "warm co-located runs must not grow workspace buffers";
 }
 
 TEST(Clustering, RejectsBadCap) {

@@ -96,7 +96,9 @@ TEST(CrossScheduler, AllEnginesAgreeOnSerialChains) {
   const auto dispatch = EdfDispatchScheduler().run(app, a, platform);
   const auto preemptive = PreemptiveEdfScheduler().run(app, a, platform);
   const Clustering singletons = cluster_by_communication(app, 1e9, 1);
-  const auto clustered = ClusteredScheduler(singletons).run(app, a, platform);
+  const CoLocation groups = singletons.groups();
+  const auto clustered =
+      EdfListScheduler().run(app, a, platform, nullptr, &groups);
 
   ASSERT_TRUE(list.success);
   ASSERT_TRUE(dispatch.success);

@@ -1,6 +1,5 @@
-// Slicing edge cases: anchor clamping across cross arcs, the
-// clamp_to_anchors ablation switch, wide fan-in/fan-out structures, and
-// multi-source/multi-sink anchoring.
+// Slicing edge cases: anchor clamping across cross arcs, wide
+// fan-in/fan-out structures, and multi-source/multi-sink anchoring.
 #include <gtest/gtest.h>
 
 #include "dsslice/core/slicing.hpp"
@@ -40,27 +39,6 @@ TEST(SlicingEdgeCases, CrossArcAnchorsAreClampedIntoWindows) {
         << to_string(kind) << ": "
         << (problems.empty() ? "" : problems.front());
   }
-}
-
-TEST(SlicingEdgeCases, DisablingClampCanViolateNonOverlap) {
-  // Documentation-by-test of why clamping is the default: some seed/metric
-  // combinations violate non-overlap without it. We only assert the default
-  // never does (the ablation flag exists for experimentation, with no
-  // correctness promise).
-  const Application app = ladder();
-  const auto est = estimate_wcets(app, WcetEstimation::kAverage);
-  SlicingOptions unclamped;
-  unclamped.clamp_to_anchors = false;
-  std::size_t violations_without_clamp = 0;
-  for (const MetricKind kind : all_metric_kinds()) {
-    const auto a = run_slicing(app, est, DeadlineMetric(kind), 2, nullptr,
-                               unclamped);
-    violations_without_clamp += validate_assignment(app, a).empty() ? 0 : 1;
-  }
-  // At minimum, the clamped variant is never worse: counted above in
-  // CrossArcAnchorsAreClampedIntoWindows (zero violations).
-  SUCCEED() << violations_without_clamp
-            << " metric(s) violate non-overlap without clamping";
 }
 
 TEST(SlicingEdgeCases, WideFanOutSlicesEveryBranch) {
