@@ -244,5 +244,35 @@ TEST(RobustnessRows, OverrunSweepCellsMatchRunRobustnessBitwise) {
   }
 }
 
+// The run_robustness references above share dispatch_faulted with the
+// batch path, so a change to what that function is handed (windows,
+// estimates, scratch) would move both sides alike. This pin does not: an
+// FNV-1a digest over every cell's bits of a small surface with all three
+// migrating or shedding policies, on pools of 1 and 3 workers.
+TEST(RobustnessRows, DegradationSurfaceMatchesPinnedDigest) {
+  const RobustnessConfig base = grid_base();
+  const std::vector<RecoveryPolicy> policies = {
+      RecoveryPolicy::kMigrate, RecoveryPolicy::kShedOptional,
+      RecoveryPolicy::kDegradeThenMigrate};
+  for (const std::size_t workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    const DegradationSurface surface = sweep_degradation(
+        base, kTechniques, policies, kFactors, kFractions, pool);
+    std::string bytes = std::to_string(surface.scenarios) + "\n";
+    for (const DegradationSeries& series : surface.series) {
+      bytes += series.name + "\n";
+      for (const DegradationCell& cell : series.cells) {
+        for (const double x : {cell.overrun_factor, cell.optional_fraction,
+                               cell.success_ratio, cell.ci95, cell.quality}) {
+          bytes += std::to_string(bits(x)) + " ";
+        }
+        bytes += std::to_string(cell.shed_tasks) + " " +
+                 std::to_string(cell.degraded_completions) + "\n";
+      }
+    }
+    EXPECT_EQ(testing::fnv1a(bytes), 0x0767eba46c580640ULL) << "workers " << workers;
+  }
+}
+
 }  // namespace
 }  // namespace dsslice
