@@ -146,6 +146,14 @@ stream_smoke() {
   [[ "$(head -n 1 "$out/no-kernel.txt")" == "$(head -n 1 "$out/stdout.txt")" ]] ||
     { echo "stream smoke [$tag]: --no-batch-kernel summary differs from" \
            "the kernel run" >&2; exit 1; }
+  # parallel_for runs the shards inline on a one-worker pool and on pool
+  # lanes otherwise (4 shards of 1024 over 3 workers): both must print the
+  # same aggregate summary.
+  "$build/tools/sweep_runner" --scenarios 4096 --threads 1 > "$out/threads1.txt"
+  "$build/tools/sweep_runner" --scenarios 4096 --threads 3 > "$out/threads3.txt"
+  [[ "$(head -n 1 "$out/threads1.txt")" == "$(head -n 1 "$out/threads3.txt")" ]] ||
+    { echo "stream smoke [$tag]: --threads 1 and --threads 3 summaries" \
+           "differ" >&2; exit 1; }
   # A malformed count is a ConfigError naming the flag, with exit code 1
   # (not an uncaught exception, and not a negative value wrapped to a huge
   # size).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "dsslice/analysis/graph_analysis.hpp"
+#include "dsslice/baselines/kao_garcia_molina.hpp"
 #include "dsslice/graph/algorithms.hpp"
 #include "dsslice/util/check.hpp"
 
@@ -13,8 +13,6 @@ DeadlineAssignment distribute_bettati_liu(const Application& app,
   const TaskGraph& g = app.graph();
   const std::size_t n = g.node_count();
   DSSLICE_REQUIRE(est_wcet.size() == n, "estimate vector size mismatch");
-  const GraphAnalysis& analysis = app.analysis();
-  const std::span<const NodeId> topo = analysis.topological_order();
 
   // Common origin: the earliest input arrival.
   Time origin = kTimeInfinity;
@@ -23,20 +21,7 @@ DeadlineAssignment distribute_bettati_liu(const Application& app,
   }
   DSSLICE_REQUIRE(origin < kTimeInfinity, "application has no input task");
 
-  // Governing E-T-E deadline per task: min over reachable outputs.
-  std::vector<Time> governing(n, kTimeInfinity);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    if (g.is_output(v)) {
-      DSSLICE_REQUIRE(app.has_ete_deadline(v),
-                      "output task without an E-T-E deadline");
-      governing[v] = app.ete_deadline(v);
-      continue;
-    }
-    for (const NodeId w : g.successors(v)) {
-      governing[v] = std::min(governing[v], governing[w]);
-    }
-  }
+  const std::vector<Time> governing = governing_deadlines(app);
 
   const auto levels = node_levels(g);
   const double depth = static_cast<double>(graph_depth(g));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "dsslice/analysis/graph_analysis.hpp"
 #include "dsslice/baselines/kao_garcia_molina.hpp"
 #include "dsslice/sched/edf_list_scheduler.hpp"
 #include "dsslice/util/check.hpp"
@@ -15,8 +14,7 @@ DeadlineAssignment distribute_iterative(const Application& app,
                                         const Platform& platform,
                                         const IterativeOptions& options,
                                         IterativeInfo* info) {
-  const TaskGraph& g = app.graph();
-  const std::size_t n = g.node_count();
+  const std::size_t n = app.task_count();
   DSSLICE_REQUIRE(est_wcet.size() == n, "estimate vector size mismatch");
   DSSLICE_REQUIRE(options.max_iterations >= 1, "need at least one iteration");
   DSSLICE_REQUIRE(options.relax_gain > 0.0, "relax gain must be positive");
@@ -24,21 +22,7 @@ DeadlineAssignment distribute_iterative(const Application& app,
                   "tighten_keep must be in [0, 1]");
 
   // Governing E-T-E deadline per task: the hard ceiling for relaxation.
-  const GraphAnalysis& analysis = app.analysis();
-  const std::span<const NodeId> topo = analysis.topological_order();
-  std::vector<Time> governing(n, kTimeInfinity);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    if (g.is_output(v)) {
-      DSSLICE_REQUIRE(app.has_ete_deadline(v),
-                      "output task without an E-T-E deadline");
-      governing[v] = app.ete_deadline(v);
-      continue;
-    }
-    for (const NodeId w : g.successors(v)) {
-      governing[v] = std::min(governing[v], governing[w]);
-    }
-  }
+  const std::vector<Time> governing = governing_deadlines(app);
 
   // Initial assignment: equal flexibility (the strongest single-shot Kao
   // strategy); its arrivals (communication-free ESTs) stay fixed across
@@ -67,7 +51,7 @@ DeadlineAssignment distribute_iterative(const Application& app,
       const double lateness =
           result.schedule.entry(v).finish - current.windows[v].deadline;
       max_lateness = std::max(max_lateness, lateness);
-      if (lateness > 1e-9) {
+      if (lateness > kTimeTolerance) {
         ++misses;
       }
     }
@@ -88,10 +72,10 @@ DeadlineAssignment distribute_iterative(const Application& app,
       const Time finish = result.schedule.entry(v).finish;
       Window& w = current.windows[v];
       const double lateness = finish - w.deadline;
-      if (lateness > 1e-9) {
+      if (lateness > kTimeTolerance) {
         w.deadline =
             std::min(governing[v], w.deadline + options.relax_gain * lateness);
-      } else if (lateness < -1e-9) {
+      } else if (lateness < -kTimeTolerance) {
         const Time floor_deadline = w.arrival + est_wcet[v];
         const Time target = finish + options.tighten_keep * (-lateness);
         w.deadline = std::max(floor_deadline, std::min(w.deadline, target));

@@ -21,6 +21,25 @@ std::string to_string(KaoStrategy strategy) {
   return "unknown";
 }
 
+std::vector<Time> governing_deadlines(const Application& app) {
+  const TaskGraph& g = app.graph();
+  const std::span<const NodeId> topo = app.analysis().topological_order();
+  std::vector<Time> governing(g.node_count(), kTimeInfinity);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const NodeId v = *it;
+    if (g.is_output(v)) {
+      DSSLICE_REQUIRE(app.has_ete_deadline(v),
+                      "output task without an E-T-E deadline");
+      governing[v] = app.ete_deadline(v);
+      continue;
+    }
+    for (const NodeId w : g.successors(v)) {
+      governing[v] = std::min(governing[v], governing[w]);
+    }
+  }
+  return governing;
+}
+
 DeadlineAssignment distribute_kao(const Application& app,
                                   std::span<const double> est_wcet,
                                   KaoStrategy strategy) {
@@ -40,17 +59,14 @@ DeadlineAssignment distribute_kao(const Application& app,
     est[v] = bound;
   }
 
-  // Backward passes: governing E-T-E deadline (min over reachable outputs),
-  // static level SL_i, and hop count of the chain realizing SL_i.
-  std::vector<Time> governing(n, kTimeInfinity);
+  // Backward passes: governing E-T-E deadline, then static level SL_i and
+  // hop count of the chain realizing SL_i.
+  const std::vector<Time> governing = governing_deadlines(app);
   std::vector<double> level(n, 0.0);
   std::vector<std::size_t> hops(n, 1);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId v = *it;
     if (g.is_output(v)) {
-      DSSLICE_REQUIRE(app.has_ete_deadline(v),
-                      "output task without an E-T-E deadline");
-      governing[v] = app.ete_deadline(v);
       level[v] = est_wcet[v];
       hops[v] = 1;
       continue;
@@ -58,7 +74,6 @@ DeadlineAssignment distribute_kao(const Application& app,
     double best_level = 0.0;
     std::size_t best_hops = 0;
     for (const NodeId w : g.successors(v)) {
-      governing[v] = std::min(governing[v], governing[w]);
       if (level[w] > best_level) {
         best_level = level[w];
         best_hops = hops[w];

@@ -23,6 +23,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "dsslice/model/application.hpp"
 #include "dsslice/model/task.hpp"
@@ -37,6 +38,12 @@ enum class KaoStrategy {
 };
 
 std::string to_string(KaoStrategy strategy);
+
+/// Governing E-T-E deadline of every task: the minimum E-T-E deadline over
+/// the output tasks it reaches (an output's own). One reverse-topological
+/// pass; shared by the Kao, Bettati-Liu and iterative-refinement
+/// baselines. Requires an E-T-E deadline on every output task.
+std::vector<Time> governing_deadlines(const Application& app);
 
 /// Distributes deadlines per the selected strategy. `est_wcet` are the
 /// estimated WCETs c̄_i used for all workload terms.

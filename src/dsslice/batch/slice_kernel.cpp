@@ -73,15 +73,15 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
   // Result slots are grow-only: shrinking the outer vectors would destroy
   // the per-slot window capacity a smaller batch had already paid for.
   if (assignments_.size() < b) {
-    reserve_grow(assignments_, b, b);
+    growth_.reserve(assignments_, b, b);
     assignments_.resize(b);
   }
   if (stats_.size() < b) {
-    reserve_grow(stats_, b, b);
+    growth_.reserve(stats_, b, b);
     stats_.resize(b);
   }
   if (outcome_min_laxity_.size() < b) {
-    reserve_grow(outcome_min_laxity_, b, b);
+    growth_.reserve(outcome_min_laxity_, b, b);
     outcome_min_laxity_.resize(b);
   }
 
@@ -110,15 +110,15 @@ void BatchSliceKernel::run(std::span<const Scenario> scenarios,
     // precise one peels straight from c̄, as the scalar pipeline does), then
     // the metric weights. Reserving ahead keeps the growth accounting in
     // one place; the helpers' resizes then never re-allocate.
-    reserve_grow(est_, n, node_hint());
+    growth_.reserve(est_, n, node_hint());
     estimate_wcets_into(app, config.wcet_strategy, est_);
     std::span<const double> slice_est = est_;
     if (app.has_optional_work()) {
-      reserve_grow(mandatory_, n, node_hint());
+      growth_.reserve(mandatory_, n, node_hint());
       mandatory_estimates_into(app, est_, mandatory_);
       slice_est = mandatory_;
     }
-    reserve_grow(weights_, n, node_hint());
+    growth_.reserve(weights_, n, node_hint());
     metric.weights_into(app, slice_est, processors, nullptr, weights_,
                         &metric_ws_);
 
@@ -153,9 +153,9 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
   const std::span<const double> weights = weights_;
 
   DeadlineAssignment& assignment = assignments_[k];
-  reserve_grow(assignment.windows, n, node_hint());
+  growth_.reserve(assignment.windows, n, node_hint());
   assignment.windows.resize(n);
-  reserve_grow(assignment.pass_of, n, node_hint());
+  growth_.reserve(assignment.pass_of, n, node_hint());
   assignment.pass_of.resize(n);
 
   const std::size_t words = (n + 63) / 64;
@@ -164,23 +164,23 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
   DSSLICE_REQUIRE(adj_size <= std::numeric_limits<std::uint32_t>::max(),
                   "too many arcs for the slicing kernel");
 
-  reserve_grow(arrival_, n, node_hint());
+  growth_.reserve(arrival_, n, node_hint());
   arrival_.resize(n);
-  reserve_grow(deadline_, n, node_hint());
+  growth_.reserve(deadline_, n, node_hint());
   deadline_.resize(n);
-  reserve_grow(pos_of_, n, node_hint());
+  growth_.reserve(pos_of_, n, node_hint());
   pos_of_.resize(n);
-  reserve_grow(live_, n, node_hint());
+  growth_.reserve(live_, n, node_hint());
   live_.resize(n);
-  reserve_grow(adj_, adj_size, 2 * max_arcs_seen_);
+  growth_.reserve(adj_, adj_size, 2 * max_arcs_seen_);
   adj_.resize(adj_size);
-  reserve_grow(lw_, n, node_hint());
+  growth_.reserve(lw_, n, node_hint());
   lw_.resize(n);
-  reserve_grow(dp_, n, node_hint());
+  growth_.reserve(dp_, n, node_hint());
   dp_.resize(n);
-  reserve_grow(path_nodes_, n, node_hint());
+  growth_.reserve(path_nodes_, n, node_hint());
   path_nodes_.resize(n);
-  reserve_grow(sink_bits_, words, word_hint);
+  growth_.reserve(sink_bits_, words, word_hint);
   sink_bits_.assign(words, 0);
 
   // Dirty sets (topological-position indexed): which nodes each peel pass
@@ -192,9 +192,9 @@ void BatchSliceKernel::peel_scenario(std::size_t k, const Application& app,
   // stops the propagation, so every value a pass *reads* is bitwise what a
   // full recompute would have produced — the incremental walk is exact,
   // not approximate.
-  reserve_grow(dirty_back_, words, word_hint);
+  growth_.reserve(dirty_back_, words, word_hint);
   dirty_back_.assign(words, 0);
-  reserve_grow(dirty_fwd_, words, word_hint);
+  growth_.reserve(dirty_fwd_, words, word_hint);
   dirty_fwd_.assign(words, 0);
 
   // Setup, in reverse topological order, fused with pass 0's dense backward

@@ -70,6 +70,7 @@
 #include "dsslice/core/wcet_estimate.hpp"
 #include "dsslice/gen/taskgraph_generator.hpp"
 #include "dsslice/model/task.hpp"
+#include "dsslice/util/growth.hpp"
 
 namespace dsslice {
 
@@ -108,24 +109,9 @@ class BatchSliceKernel {
   }
   /// Capacity growths of any kernel-owned buffer since construction. Warm
   /// re-runs at previously-seen shapes must not move this counter.
-  std::uint64_t grow_events() const { return grow_events_; }
+  std::uint64_t grow_events() const { return growth_.grow_events(); }
 
  private:
-  /// Capacity-growth accounting with an over-reservation hint: when a buffer
-  /// must grow it is reserved to the larger of the requested count and
-  /// `hint`, so a buffer jumps straight to the largest task count seen so
-  /// far — also one that only some scenarios touch (the mandatory-demand
-  /// buffer, a result slot). Without the hint a late sweep scenario larger
-  /// than any that buffer had held, though no larger than the sweep's
-  /// largest, would re-allocate mid-steady-state and trip the
-  /// zero-warm-growth gate.
-  template <typename T>
-  void reserve_grow(std::vector<T>& v, std::size_t count, std::size_t hint) {
-    if (v.capacity() < count) {
-      ++grow_events_;
-      v.reserve(std::max(count, hint));
-    }
-  }
   /// Hint for per-node buffers: the largest task count ever seen.
   std::size_t node_hint() const { return max_tasks_seen_; }
 
@@ -191,7 +177,13 @@ class BatchSliceKernel {
   std::vector<std::uint64_t> dirty_fwd_;        // forward-pass work list
   std::vector<NodeId> path_nodes_;        // current spine
 
-  std::uint64_t grow_events_ = 0;
+  // Every buffer grows through growth_.reserve with a hint: the largest
+  // task count seen for per-node buffers, so a buffer jumps straight to
+  // that size. Without the hint, a late scenario larger than any this
+  // buffer had held (one only some scenarios touch: the mandatory-demand
+  // buffer, a result slot), though no larger than the sweep's largest,
+  // would re-allocate mid-steady-state and trip the zero-warm-growth gate.
+  GrowthCounter growth_;
 };
 
 }  // namespace dsslice

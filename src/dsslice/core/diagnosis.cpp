@@ -81,7 +81,7 @@ MissDiagnosis diagnose_failure(const Application& app,
   }
   diag.earliest_possible_start = earliest;
 
-  if (window.length() + 1e-9 < best_wcet) {
+  if (window.length() + kTimeTolerance < best_wcet) {
     diag.cause = MissCause::kWindowTooSmall;
     diag.summary = "task " + task.name + ": window " + to_string(window) +
                    " shorter than its fastest execution " +
@@ -89,7 +89,7 @@ MissDiagnosis diagnose_failure(const Application& app,
                    " — a deadline-distribution failure";
     return diag;
   }
-  if (earliest > diag.latest_feasible_start + 1e-9) {
+  if (earliest > diag.latest_feasible_start + kTimeTolerance) {
     diag.cause = MissCause::kCommunication;
     diag.summary = "task " + task.name + ": predecessor data arrives at " +
                    format_fixed(earliest, 1) + ", after the latest feasible"
@@ -101,8 +101,8 @@ MissDiagnosis diagnose_failure(const Application& app,
   diag.cause = MissCause::kContention;
   for (const NodeId other : result.schedule.on_processor(best_proc)) {
     const ScheduledTask& e = result.schedule.entry(other);
-    if (e.finish > window.arrival + 1e-9 &&
-        e.start < window.deadline - 1e-9) {
+    if (e.finish > window.arrival + kTimeTolerance &&
+        e.start < window.deadline - kTimeTolerance) {
       diag.rivals.push_back(other);
     }
   }

@@ -9,12 +9,6 @@
 
 namespace dsslice {
 
-namespace {
-
-constexpr double kEps = 1e-9;
-
-}  // namespace
-
 double worst_interval_load(const Application& app,
                            const DeadlineAssignment& assignment,
                            const Platform& platform) {
@@ -37,13 +31,13 @@ double worst_interval_load(const Application& app,
   double worst = 0.0;
   for (const Time a : starts) {
     for (const Time d : ends) {
-      if (d <= a + kEps) {
+      if (d <= a + kTimeTolerance) {
         continue;
       }
       double demand = 0.0;
       for (NodeId v = 0; v < n; ++v) {
         const Window& w = assignment.windows[v];
-        if (w.arrival >= a - kEps && w.deadline <= d + kEps) {
+        if (w.arrival >= a - kTimeTolerance && w.deadline <= d + kTimeTolerance) {
           demand += c_min[v];
         }
       }
@@ -63,7 +57,7 @@ FeasibilityReport check_necessary_conditions(
 
   // Window fit.
   for (NodeId v = 0; v < n; ++v) {
-    if (assignment.windows[v].length() + kEps < c_min[v]) {
+    if (assignment.windows[v].length() + kTimeTolerance < c_min[v]) {
       report.violations.push_back(
           "task " + app.task(v).name + ": window " +
           to_string(assignment.windows[v]) + " cannot hold its fastest WCET " +
@@ -78,7 +72,7 @@ FeasibilityReport check_necessary_conditions(
     const Window& wu = assignment.windows[arc.from];
     const Window& wv = assignment.windows[arc.to];
     const Time span = wv.deadline - wu.arrival;
-    if (span + kEps < c_min[arc.from] + c_min[arc.to]) {
+    if (span + kTimeTolerance < c_min[arc.from] + c_min[arc.to]) {
       report.violations.push_back(
           "arc " + app.task(arc.from).name + " -> " + app.task(arc.to).name +
           ": combined span " + format_fixed(span, 2) +
@@ -88,7 +82,7 @@ FeasibilityReport check_necessary_conditions(
 
   // Interval demand bound.
   const double load = worst_interval_load(app, assignment, platform);
-  if (load > 1.0 + kEps) {
+  if (load > 1.0 + kTimeTolerance) {
     report.violations.push_back(
         "interval demand exceeds capacity by factor " +
         format_fixed(load, 3));
@@ -106,7 +100,7 @@ FeasibilityReport check_necessary_conditions(
     }
   }
   const double cp = critical_path_length(g, c_min);
-  if (earliest_arrival + cp > latest_deadline + kEps) {
+  if (earliest_arrival + cp > latest_deadline + kTimeTolerance) {
     report.violations.push_back(
         "fastest critical path " + format_fixed(cp, 2) +
         " exceeds every end-to-end budget");

@@ -9,10 +9,7 @@ void ScenarioBatch::generate(const GeneratorConfig& config,
                              std::uint64_t first_index, std::size_t count) {
   DSSLICE_SPAN("gen.batch");
   config.validate();
-  if (scenarios_.capacity() < count) {
-    ++grow_events_;
-    scenarios_.reserve(count);
-  }
+  scratch_.reserve(scenarios_, count, count);
   for (std::size_t k = 0; k < count; ++k) {
     const std::uint64_t seed =
         derive_seed(config.base_seed, first_index + static_cast<std::uint64_t>(k));

@@ -36,11 +36,9 @@ class ScenarioBatch {
   }
 
   /// Capacity growths of the batch storage plus the generator scratch since
-  /// construction (PR 3 contract: a warm batch refilled at the same or a
-  /// smaller window size must not move this counter).
-  std::uint64_t grow_events() const {
-    return grow_events_ + scratch_.grow_events();
-  }
+  /// construction, both counted by the scratch: a warm batch refilled at
+  /// the same or a smaller window size must not move this counter.
+  std::uint64_t grow_events() const { return scratch_.grow_events(); }
 
   GeneratorScratch& scratch() { return scratch_; }
 
@@ -48,7 +46,6 @@ class ScenarioBatch {
   std::vector<Scenario> scenarios_;
   std::size_t size_ = 0;
   GeneratorScratch scratch_;
-  std::uint64_t grow_events_ = 0;
 };
 
 }  // namespace dsslice

@@ -220,7 +220,7 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
             ? c_mean
             : rng.uniform(c_mean * (1.0 - config.etd),
                           c_mean * (1.0 + config.etd));
-    scr.resize(t.wcet_by_class, class_count);
+    scr.size(t.wcet_by_class, class_count);
     for (ProcessorClassId e = 0; e < class_count; ++e) {
       const double scale =
           class_model == ClassModel::kUniformFactors

@@ -15,6 +15,7 @@
 #include "dsslice/model/application.hpp"
 #include "dsslice/model/platform.hpp"
 #include "dsslice/model/resources.hpp"
+#include "dsslice/util/growth.hpp"
 
 namespace dsslice {
 
@@ -32,51 +33,13 @@ struct Scenario {
 /// the drawn arc list and degrees, per-task WCET snapshots) instead of
 /// reallocating them per scenario.
 ///
-/// grow_events() follows the PR 3 contract: it counts every capacity growth
-/// of a scratch-managed buffer, so tests can warm a scratch on a batch,
+/// grow_events() (the GrowthCounter base) counts every capacity growth of a
+/// scratch-managed buffer, so tests can warm a scratch on a batch,
 /// regenerate, and assert the counter did not move. Buffer reuse never
 /// changes the RNG draw sequence — a scenario generated through a scratch
 /// is bit-identical to one generated without (pinned by test).
-class GeneratorScratch {
+class GeneratorScratch : public GrowthCounter {
  public:
-  std::uint64_t grow_events() const { return grow_events_; }
-
-  /// vec.assign(count, value) with capacity-growth accounting.
-  template <typename T>
-  void fill(std::vector<T>& vec, std::size_t count, const T& value) {
-    if (vec.capacity() < count) {
-      ++grow_events_;
-    }
-    vec.assign(count, value);
-  }
-
-  /// Growth-accounted push_back for buffers filled incrementally.
-  template <typename T>
-  void push(std::vector<T>& vec, const T& value) {
-    if (vec.size() == vec.capacity()) {
-      ++grow_events_;
-    }
-    vec.push_back(value);
-  }
-
-  /// vec.resize(count) with capacity-growth accounting (task-slot reuse).
-  template <typename T>
-  void resize(std::vector<T>& vec, std::size_t count) {
-    if (vec.capacity() < count) {
-      ++grow_events_;
-    }
-    vec.resize(count);
-  }
-
-  /// Growth-accounted push_back of a moved-from slot (spare-pool shuffling).
-  template <typename T>
-  void push_move(std::vector<T>& vec, T&& value) {
-    if (vec.size() == vec.capacity()) {
-      ++grow_events_;
-    }
-    vec.push_back(std::move(value));
-  }
-
   /// Resizes `tasks` to `count` task slots, parking surplus slots in
   /// `spare_tasks` (and refilling from it) instead of destroying them: task
   /// counts vary per scenario, and a destroyed slot would reallocate its
@@ -90,7 +53,7 @@ class GeneratorScratch {
       push_move(tasks, std::move(spare_tasks.back()));
       spare_tasks.pop_back();
     }
-    resize(tasks, count);
+    size(tasks, count);
   }
 
   std::vector<std::size_t> level_sizes;   // tasks per DAG level
@@ -117,9 +80,6 @@ class GeneratorScratch {
   std::vector<Task> tasks;
   std::vector<Task> spare_tasks;
   PlatformDraw platform;
-
- private:
-  std::uint64_t grow_events_ = 0;
 };
 
 /// Generates a random application for an existing platform. The E-T-E

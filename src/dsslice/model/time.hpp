@@ -20,6 +20,13 @@ using Time = double;
 inline constexpr Time kTimeZero = 0.0;
 inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::infinity();
 
+/// Absolute tolerance of the time comparisons that forgive floating-point
+/// representation error (the dispatcher's and the preemptive simulator's
+/// event instants, the validators' defaults, recovery, diagnosis,
+/// feasibility, branch and bound, iterative refinement and the robustness
+/// harness's E-T-E check). The list scheduler compares deadlines exactly.
+inline constexpr Time kTimeTolerance = 1e-9;
+
 /// Half-open / closed execution window [arrival, deadline] of a task.
 struct Window {
   Time arrival = kTimeZero;     ///< earliest start time a_i

@@ -10,12 +10,6 @@
 
 namespace dsslice {
 
-namespace {
-
-constexpr double kEps = 1e-9;
-
-}  // namespace
-
 std::string to_string(RecoveryPolicy policy) {
   switch (policy) {
     case RecoveryPolicy::kNone:
@@ -107,7 +101,7 @@ std::optional<ProcessorId> choose_migration_target(
   Time best_load = kTimeInfinity;
   double best_wcet = kTimeInfinity;
   for (ProcessorId p = 0; p < m; ++p) {
-    if (down_at[p] <= now + kEps) {
+    if (down_at[p] <= now + kTimeTolerance) {
       continue;  // already halted (or halting right now)
     }
     const ProcessorClassId e = platform.class_of(p);
@@ -116,10 +110,10 @@ std::optional<ProcessorId> choose_migration_target(
     }
     const Time load = std::max(busy_until[p], now);
     const double c = task.wcet(e);
-    const bool wins = !best.has_value() || load < best_load - kEps ||
-                      (load <= best_load + kEps &&
-                       (c < best_wcet - kEps ||
-                        (c <= best_wcet + kEps && p < *best)));
+    const bool wins = !best.has_value() || load < best_load - kTimeTolerance ||
+                      (load <= best_load + kTimeTolerance &&
+                       (c < best_wcet - kTimeTolerance ||
+                        (c <= best_wcet + kTimeTolerance && p < *best)));
     if (wins) {
       best = p;
       best_load = load;
@@ -173,6 +167,50 @@ void RecoveryEngine::shed_optionals(const View& view) {
   }
 }
 
+void RecoveryEngine::reslice(const View& view, std::vector<Window>& windows) {
+  DSSLICE_SPAN("recovery.reslice");
+  windows = redistribute_slack(app_, live_est_, view, windows);
+  ++stats_.reslices;
+  DSSLICE_COUNT("recovery.reslices", 1);
+}
+
+bool RecoveryEngine::migrate(const View& view, NodeId v,
+                             std::vector<ProcessorId>& pinned) {
+  const auto target = choose_migration_target(
+      app_.task(v), view.platform, view.busy_until, view.down_at, view.now);
+  if (!target.has_value()) {
+    return false;
+  }
+  pinned[v] = *target;
+  ++stats_.migrations;
+  DSSLICE_COUNT("recovery.migrations", 1);
+  return true;
+}
+
+void RecoveryEngine::rehome_stranded(const View& view, ProcessorId p,
+                                     std::vector<ProcessorId>& pinned) {
+  for (NodeId v = 0; v < app_.task_count(); ++v) {
+    if (view.started[v] || view.done[v] || pinned[v] != p) {
+      continue;
+    }
+    if (!migrate(view, v, pinned)) {
+      pinned[v] = kUnpinnedProcessor;
+    }
+  }
+}
+
+void RecoveryEngine::migrate_or_abandon(const View& view, NodeId v,
+                                        std::vector<ProcessorId>& pinned,
+                                        std::vector<NodeId>& revived) {
+  if (!migrate(view, v, pinned)) {
+    ++stats_.abandoned;
+    return;
+  }
+  ++stats_.revived;
+  DSSLICE_COUNT("recovery.revived", 1);
+  revived.push_back(v);
+}
+
 void RecoveryEngine::on_completion(const View& view, NodeId, bool missed,
                                    std::vector<Window>& windows) {
   if (!missed) {
@@ -189,10 +227,7 @@ void RecoveryEngine::on_completion(const View& view, NodeId, bool missed,
     case RecoveryPolicy::kRedistributeSlack:
       break;
   }
-  DSSLICE_SPAN("recovery.reslice");
-  windows = redistribute_slack(app_, live_est_, view, windows);
-  ++stats_.reslices;
-  DSSLICE_COUNT("recovery.reslices", 1);
+  reslice(view, windows);
 }
 
 std::vector<NodeId> RecoveryEngine::on_processor_failure(
@@ -212,10 +247,7 @@ std::vector<NodeId> RecoveryEngine::on_processor_failure(
       if (policy_ == RecoveryPolicy::kShedOptional) {
         shed_optionals(view);
       }
-      DSSLICE_SPAN("recovery.reslice");
-      windows = redistribute_slack(app_, live_est_, view, windows);
-      ++stats_.reslices;
-      DSSLICE_COUNT("recovery.reslices", 1);
+      reslice(view, windows);
       stats_.revived += victims.size();
       DSSLICE_COUNT("recovery.revived", victims.size());
       return victims;
@@ -224,36 +256,10 @@ std::vector<NodeId> RecoveryEngine::on_processor_failure(
     case RecoveryPolicy::kMigrate: {
       // Unstarted tasks previously pinned to the dead processor must find a
       // new home too (cascading failures).
-      for (NodeId v = 0; v < app_.task_count(); ++v) {
-        if (view.started[v] || view.done[v] || pinned[v] != p) {
-          continue;
-        }
-        const auto target = choose_migration_target(
-            app_.task(v), view.platform, view.busy_until, view.down_at,
-            view.now);
-        if (target.has_value()) {
-          pinned[v] = *target;
-          ++stats_.migrations;
-          DSSLICE_COUNT("recovery.migrations", 1);
-        } else {
-          pinned[v] = kUnpinnedProcessor;
-        }
-      }
+      rehome_stranded(view, p, pinned);
       std::vector<NodeId> revived;
       for (const NodeId v : victims) {
-        const auto target = choose_migration_target(
-            app_.task(v), view.platform, view.busy_until, view.down_at,
-            view.now);
-        if (!target.has_value()) {
-          ++stats_.abandoned;
-          continue;
-        }
-        pinned[v] = *target;
-        ++stats_.migrations;
-        DSSLICE_COUNT("recovery.migrations", 1);
-        ++stats_.revived;
-        DSSLICE_COUNT("recovery.revived", 1);
-        revived.push_back(v);
+        migrate_or_abandon(view, v, pinned, revived);
       }
       return revived;
     }
@@ -265,26 +271,8 @@ std::vector<NodeId> RecoveryEngine::on_processor_failure(
       // escalate to migration, pinning the task to the least-loaded
       // surviving processor of an eligible class.
       shed_optionals(view);
-      DSSLICE_SPAN("recovery.reslice");
-      windows = redistribute_slack(app_, live_est_, view, windows);
-      ++stats_.reslices;
-      DSSLICE_COUNT("recovery.reslices", 1);
-      // Unpin / re-home unstarted tasks stranded on the dead processor.
-      for (NodeId v = 0; v < app_.task_count(); ++v) {
-        if (view.started[v] || view.done[v] || pinned[v] != p) {
-          continue;
-        }
-        const auto target = choose_migration_target(
-            app_.task(v), view.platform, view.busy_until, view.down_at,
-            view.now);
-        if (target.has_value()) {
-          pinned[v] = *target;
-          ++stats_.migrations;
-          DSSLICE_COUNT("recovery.migrations", 1);
-        } else {
-          pinned[v] = kUnpinnedProcessor;
-        }
-      }
+      reslice(view, windows);
+      rehome_stranded(view, p, pinned);
       std::vector<NodeId> revived;
       for (const NodeId v : victims) {
         if (windows[v].fits(live_est_[v])) {
@@ -296,19 +284,7 @@ std::vector<NodeId> RecoveryEngine::on_processor_failure(
           revived.push_back(v);
           continue;
         }
-        const auto target = choose_migration_target(
-            app_.task(v), view.platform, view.busy_until, view.down_at,
-            view.now);
-        if (!target.has_value()) {
-          ++stats_.abandoned;
-          continue;
-        }
-        pinned[v] = *target;
-        ++stats_.migrations;
-        DSSLICE_COUNT("recovery.migrations", 1);
-        ++stats_.revived;
-        DSSLICE_COUNT("recovery.revived", 1);
-        revived.push_back(v);
+        migrate_or_abandon(view, v, pinned, revived);
       }
       return revived;
     }

@@ -110,6 +110,21 @@ class RecoveryEngine final : public DispatchControl {
   /// tallies the reclaimed time. No-op when the host provides no shed
   /// channel or nothing is left to shed.
   void shed_optionals(const View& view);
+  /// Re-runs the residual-budget distribution (redistribute_slack) over
+  /// live_est_.
+  void reslice(const View& view, std::vector<Window>& windows);
+  /// Pins task v to choose_migration_target's processor; false (pin left
+  /// alone) when every eligible processor is down.
+  bool migrate(const View& view, NodeId v, std::vector<ProcessorId>& pinned);
+  /// Re-homes every unstarted task pinned to the failed processor p, or
+  /// unpins it when no eligible processor survives.
+  void rehome_stranded(const View& view, ProcessorId p,
+                       std::vector<ProcessorId>& pinned);
+  /// Migrates killed task v and re-releases it (appended to `revived`), or
+  /// abandons it when no eligible processor survives.
+  void migrate_or_abandon(const View& view, NodeId v,
+                          std::vector<ProcessorId>& pinned,
+                          std::vector<NodeId>& revived);
 
   RecoveryPolicy policy_;
   const Application& app_;

@@ -72,8 +72,6 @@ std::string RobustnessResult::summary(const std::string& label) const {
 
 namespace {
 
-constexpr double kEps = 1e-9;
-
 /// Tag mixed into the base seeds of replicate r > 0, so every replicate
 /// draws an independent workload + fault stream while replicate 0 keeps the
 /// original single-replicate seeds bit-identically.
@@ -113,7 +111,7 @@ RobustnessOutcome dispatch_faulted(const RobustnessConfig& config,
       continue;
     }
     ++outcome.deadline_outputs;
-    if (telemetry.completion[v] > app.ete_deadline(v) + kEps) {
+    if (telemetry.completion[v] > app.ete_deadline(v) + kTimeTolerance) {
       ++outcome.ete_misses;  // finished late, or never (completion = ∞)
     }
   }
@@ -180,12 +178,14 @@ std::vector<RobustnessResult> run_robustness_cells(
   std::vector<RobustnessResult> results =
       detail::run_figure_rows<RobustnessResult>(
           streams, replicates, pool, [&](std::size_t cell, std::size_t k) {
+            const RobustnessConfig& config = cells[cell];
             const ArenaDistribution arena =
-                distribute_arena_scenario(cells[cell].base);
-            return dispatch_faulted(cells[cell], arena.scenario,
-                                    arena.assignment, arena.est,
-                                    derive_seed(cells[cell].faults.seed, k),
-                                    arena.scratch);
+                distribute_arena_scenario(config.base);
+            return dispatch_faulted(
+                config, arena.scenario, arena.assignment,
+                arena.scratch.estimate(arena.scenario.application,
+                                       config.base.wcet_strategy),
+                derive_seed(config.faults.seed, k), arena.scratch);
           });
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
@@ -248,13 +248,13 @@ RobustnessOutcome evaluate_robust_scenario(const RobustnessConfig& config,
   const Scenario scenario =
       generate_scenario(config.base.generator, workload_seed);
   ScenarioScratch scratch;
-  estimate_wcets_into(scenario.application, config.base.wcet_strategy,
-                      scratch.est);
+  const std::span<const double> est =
+      scratch.estimate(scenario.application, config.base.wcet_strategy);
   const DeadlineAssignment assignment =
       distribute_for_config(config.base, scenario.application,
-                            scenario.platform, scratch.est, nullptr, &scratch);
-  return dispatch_faulted(config, scenario, assignment, scratch.est,
-                          fault_seed, scratch);
+                            scenario.platform, est, nullptr, &scratch);
+  return dispatch_faulted(config, scenario, assignment, est, fault_seed,
+                          scratch);
 }
 
 RobustnessResult run_robustness(const RobustnessConfig& config,
@@ -304,7 +304,7 @@ std::vector<BreakdownPoint> breakdown_overrun_factors(const SweepResult& sweep,
     point.factor = sweep.x.empty() ? 0.0 : sweep.x.back();
     for (std::size_t i = 0; i < sweep.x.size(); ++i) {
       const double miss = 1.0 - series.success_ratio[i];
-      if (miss <= miss_threshold + kEps) {
+      if (miss <= miss_threshold + kTimeTolerance) {
         point.factor = sweep.x[i];
         continue;
       }
@@ -317,7 +317,7 @@ std::vector<BreakdownPoint> breakdown_overrun_factors(const SweepResult& sweep,
       const double prev_miss = 1.0 - series.success_ratio[i - 1];
       const double span = miss - prev_miss;
       const double t =
-          span > kEps ? (miss_threshold - prev_miss) / span : 0.0;
+          span > kTimeTolerance ? (miss_threshold - prev_miss) / span : 0.0;
       point.factor = sweep.x[i - 1] + t * (sweep.x[i] - sweep.x[i - 1]);
       break;
     }

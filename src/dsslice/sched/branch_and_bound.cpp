@@ -90,7 +90,7 @@ struct SearchState {
         start = std::max(start, ws.lb_finish[u]);
       }
       ws.lb_finish[v] = start + ws.min_wcet[v];
-      if (ws.lb_finish[v] > assignment.windows[v].deadline + 1e-9) {
+      if (ws.lb_finish[v] > assignment.windows[v].deadline + kTimeTolerance) {
         return false;
       }
     }
@@ -156,7 +156,7 @@ struct SearchState {
                                              pitems[k]));
         }
         const Time end = bound + task.wcet(e);
-        if (end > assignment.windows[v].deadline + 1e-9) {
+        if (end > assignment.windows[v].deadline + kTimeTolerance) {
           continue;  // this placement misses — prune the branch
         }
         // Symmetry: identical (start, finish) options are interchangeable.

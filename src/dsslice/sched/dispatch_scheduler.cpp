@@ -36,12 +36,6 @@ std::vector<NodeId> DispatchControl::on_processor_failure(
 EdfDispatchScheduler::EdfDispatchScheduler(DispatchOptions options)
     : options_(options) {}
 
-namespace {
-
-constexpr double kEps = 1e-9;
-
-}  // namespace
-
 SchedulerResult EdfDispatchScheduler::run(const Application& app,
                                           const DeadlineAssignment& assignment,
                                           const Platform& platform) const {
@@ -282,14 +276,14 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   // is filed afresh.
   const auto file_candidate = [&](NodeId v) {
     const Time arrival = windows[v].arrival;
-    if (arrival > now + kEps) {
+    if (arrival > now + kTimeTolerance) {
       ws.push(ws.arrival_heap, std::make_pair(arrival, v));
       std::push_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
                      arrival_later);
     } else {
       arrived[v >> 6] |= bit(v);
     }
-    if (ws.dispatch_last_ready[v] > std::max(now + kEps, arrival)) {
+    if (ws.dispatch_last_ready[v] > std::max(now + kTimeTolerance, arrival)) {
       wait[v >> 6] |= bit(v);
     }
   };
@@ -382,7 +376,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     // scan — m is small, failures are rare, and the scan preserves the
     // exact p-ascending handling and v-ascending kill order.
     for (ProcessorId p = 0; p < m; ++p) {
-      if (ws.failure_handled[p] || ws.surprise_down[p] > now + kEps) {
+      if (ws.failure_handled[p] || ws.surprise_down[p] > now + kTimeTolerance) {
         continue;
       }
       ws.failure_handled[p] = 1;
@@ -392,7 +386,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
         for (std::uint64_t bits = running[w]; bits != 0; bits &= bits - 1) {
           const NodeId v = bit_id(w, bits);
           if (ws.proc_of[v] != p ||
-              !(ws.finish[v] > ws.surprise_down[p] + kEps)) {
+              !(ws.finish[v] > ws.surprise_down[p] + kTimeTolerance)) {
             continue;
           }
           victims.push_back(v);
@@ -432,7 +426,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     for (std::size_t w = 0; w < words; ++w) {
       for (std::uint64_t bits = running[w]; bits != 0; bits &= bits - 1) {
         const NodeId v = bit_id(w, bits);
-        if (ws.finish[v] > now + kEps) {
+        if (ws.finish[v] > now + kTimeTolerance) {
           continue;
         }
         running[w] &= ~bit(v);
@@ -449,7 +443,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
         if (ws.shed[v]) {
           ++obs_tally.degraded;
         }
-        const bool late = ws.finish[v] > windows[v].deadline + kEps;
+        const bool late = ws.finish[v] > windows[v].deadline + kTimeTolerance;
         if (late) {
           missed = true;
           ++obs_tally.misses;
@@ -488,7 +482,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     }
     // Candidates whose arrival has been reached join the arrived set.
     while (!ws.arrival_heap.empty() &&
-           ws.arrival_heap.front().first <= now + kEps) {
+           ws.arrival_heap.front().first <= now + kTimeTolerance) {
       const NodeId v = ws.arrival_heap.front().second;
       arrived[v >> 6] |= bit(v);
       std::pop_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
@@ -505,11 +499,11 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       ++obs_tally.rescans;
       ws.free_procs.clear();
       for (ProcessorId p = 0; p < m; ++p) {
-        if (ws.busy_until[p] > now + kEps) {
+        if (ws.busy_until[p] > now + kTimeTolerance) {
           continue;
         }
-        if (now + kEps < ws.known_from[p] ||
-            now + kEps >= ws.surprise_down[p]) {
+        if (now + kTimeTolerance < ws.known_from[p] ||
+            now + kTimeTolerance >= ws.surprise_down[p]) {
           continue;  // not yet up / observed dead
         }
         ws.push(ws.free_procs, p);
@@ -524,7 +518,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
                bits &= bits - 1) {
             const NodeId v = bit_id(w, bits);
             const Time deadline = windows[v].deadline;
-            if (best < n && !(deadline < best_deadline - kEps)) {
+            if (best < n && !(deadline < best_deadline - kTimeTolerance)) {
               continue;  // cannot change the outcome (see above)
             }
             // Idle, available, eligible processor with data present; prefer
@@ -544,10 +538,10 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
                 continue;  // Task::eligible, as direct reads
               }
               const double c = adjust_wcet(v, wcets[e]);
-              if (now + c > ws.known_until[p] + kEps) {
+              if (now + c > ws.known_until[p] + kTimeTolerance) {
                 continue;  // would outlive the planned availability window
               }
-              if (ws.dispatch_ready_at[v * m + p] > now + kEps) {
+              if (ws.dispatch_ready_at[v * m + p] > now + kTimeTolerance) {
                 continue;
               }
               if (!found || c < chosen_wcet) {
@@ -585,14 +579,14 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     Time next = kTimeInfinity;
     bool known_ahead = false;
     for (ProcessorId p = 0; p < m; ++p) {
-      if (ws.busy_until[p] > now + kEps) {
+      if (ws.busy_until[p] > now + kTimeTolerance) {
         next = std::min(next, ws.busy_until[p]);
       }
       if (!ws.failure_handled[p] && ws.surprise_down[p] < kTimeInfinity &&
-          ws.surprise_down[p] > now + kEps) {
+          ws.surprise_down[p] > now + kTimeTolerance) {
         next = std::min(next, ws.surprise_down[p]);
       }
-      known_ahead = known_ahead || now + kEps < ws.known_from[p];
+      known_ahead = known_ahead || now + kTimeTolerance < ws.known_from[p];
     }
     if (!ws.arrival_heap.empty()) {
       next = std::min(next, ws.arrival_heap.front().first);
@@ -617,15 +611,15 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
             continue;
           }
           eligible = true;
-          if (now + kEps >= ws.surprise_down[p]) {
+          if (now + kTimeTolerance >= ws.surprise_down[p]) {
             continue;
           }
           if (ws.pinned[v] != kUnpinnedProcessor && ws.pinned[v] != p) {
             continue;
           }
-          if (now + kEps < ws.known_from[p]) {
+          if (now + kTimeTolerance < ws.known_from[p]) {
             next = std::min(next, ws.known_from[p]);
-          } else if (ready_row[p] > now + kEps) {
+          } else if (ready_row[p] > now + kTimeTolerance) {
             next = std::min(next, ready_row[p]);
           }
         }
@@ -633,7 +627,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
           return fail(v, "task " + task.name +
                              " has no eligible processor on this platform");
         }
-        if (!(ws.dispatch_last_ready[v] > now + kEps)) {
+        if (!(ws.dispatch_last_ready[v] > now + kTimeTolerance)) {
           wait[w] &= ~bit(v);
         }
       }

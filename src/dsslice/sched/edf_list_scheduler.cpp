@@ -360,7 +360,7 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
       }
     }
   }
-  ws.note_growth(heap_cap, ws.ready.capacity());
+  ws.note(heap_cap, ws.ready.capacity());
 
   if (!schedule.complete()) {
     if (result.failed_task.has_value()) {

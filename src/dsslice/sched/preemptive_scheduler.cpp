@@ -17,7 +17,6 @@ PreemptiveEdfScheduler::PreemptiveEdfScheduler(PreemptiveOptions options)
 
 namespace {
 
-constexpr double kEps = 1e-9;
 constexpr ProcessorId kUnbound = static_cast<ProcessorId>(-1);
 
 }  // namespace
@@ -107,10 +106,10 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
                 : platform.comm_delay(ws.task_processor[u], p, pitems[k]);
         rel = std::max(rel, result.completion[u] + d);
       }
-      if (best == kUnbound || rel < best_release - kEps ||
-          (std::abs(rel - best_release) <= kEps &&
-           (ws.backlog[p] < best_backlog - kEps ||
-            (std::abs(ws.backlog[p] - best_backlog) <= kEps && p < best)))) {
+      if (best == kUnbound || rel < best_release - kTimeTolerance ||
+          (std::abs(rel - best_release) <= kTimeTolerance &&
+           (ws.backlog[p] < best_backlog - kTimeTolerance ||
+            (std::abs(ws.backlog[p] - best_backlog) <= kTimeTolerance && p < best)))) {
         best = p;
         best_release = rel;
         best_backlog = ws.backlog[p];
@@ -152,8 +151,8 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
     for (std::size_t k = 1; k < queue.size(); ++k) {
       const Time da = assignment.windows[queue[k]].deadline;
       const Time db = assignment.windows[queue[pick]].deadline;
-      if (da < db - kEps ||
-          (std::abs(da - db) <= kEps && queue[k] < queue[pick])) {
+      if (da < db - kTimeTolerance ||
+          (std::abs(da - db) <= kTimeTolerance && queue[k] < queue[pick])) {
         pick = k;
       }
     }
@@ -191,7 +190,7 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
         continue;
       }
       const Time projected = ws.dispatched_at[p] + ws.task_remaining[v];
-      if (projected > now + kEps) {
+      if (projected > now + kTimeTolerance) {
         continue;
       }
       result.slices.push_back(ExecutionSlice{v, p, ws.dispatched_at[p], now});
@@ -201,7 +200,7 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
       ws.backlog[p] -= app.task(v).wcet(platform.class_of(p));
       ws.running[p] = static_cast<NodeId>(n);
       --incomplete;
-      if (now > assignment.windows[v].deadline + kEps) {
+      if (now > assignment.windows[v].deadline + kTimeTolerance) {
         missed = true;
         if (options_.abort_on_miss) {
           return fail(v, "task " + app.task(v).name +
@@ -228,7 +227,7 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
     // 2. Releases due at `now` move to their processor's ready set,
     //    preempting a less urgent running task.
     for (std::size_t k = 0; k < ws.release_queue.size();) {
-      if (ws.release_queue[k].first > now + kEps) {
+      if (ws.release_queue[k].first > now + kTimeTolerance) {
         ++k;
         continue;
       }
@@ -239,9 +238,9 @@ void PreemptiveEdfScheduler::run_into(PreemptiveResult& result,
       const ProcessorId p = ws.task_processor[v];
       const NodeId cur = ws.running[p];
       if (cur < n && assignment.windows[v].deadline <
-                         assignment.windows[cur].deadline - kEps) {
+                         assignment.windows[cur].deadline - kTimeTolerance) {
         // Preempt: bank the partial slice, requeue the victim.
-        if (now > ws.dispatched_at[p] + kEps) {
+        if (now > ws.dispatched_at[p] + kTimeTolerance) {
           result.slices.push_back(
               ExecutionSlice{cur, p, ws.dispatched_at[p], now});
           ws.task_remaining[cur] -= now - ws.dispatched_at[p];

@@ -85,6 +85,6 @@ class PreemptiveEdfScheduler {
 std::vector<std::string> validate_preemptive_trace(
     const Application& app, const Platform& platform,
     const DeadlineAssignment& assignment, const PreemptiveResult& result,
-    bool check_deadlines = true, double epsilon = 1e-9);
+    bool check_deadlines = true, double epsilon = kTimeTolerance);
 
 }  // namespace dsslice

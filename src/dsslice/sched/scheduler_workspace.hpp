@@ -24,11 +24,11 @@
 //    instant sequence, and with it every eps tie-break, is reproduced
 //    exactly (see dispatch_scheduler.cpp).
 //
-//  * Observable allocation behaviour. grow_events() counts every time a
-//    workspace-managed buffer had to grow its capacity. Tests warm a
-//    workspace on a scenario batch, re-run the batch, and assert the
-//    counter did not move — the allocation-free claim is enforced, not
-//    assumed (same pattern as GraphAnalysis::construction_count()).
+//  * Observable allocation behaviour. grow_events() (util/growth.hpp)
+//    counts every time a workspace-managed buffer had to grow its
+//    capacity. Tests warm a workspace on a scenario batch, re-run the
+//    batch, and assert the counter did not move — the allocation-free
+//    claim is enforced, not assumed.
 #pragma once
 
 #include <algorithm>
@@ -41,6 +41,7 @@
 #include "dsslice/model/time.hpp"
 #include "dsslice/sched/edf_list_scheduler.hpp"
 #include "dsslice/sched/insertion_scheduler.hpp"
+#include "dsslice/util/growth.hpp"
 
 namespace dsslice {
 
@@ -174,46 +175,10 @@ struct BnbOption {
   Time finishing = kTimeZero;
 };
 
-class SchedulerWorkspace {
+/// Engine state for every scheduler in sched/; the GrowthCounter base
+/// sizes its buffers (fill/size/push) and counts their capacity growths.
+class SchedulerWorkspace : public GrowthCounter {
  public:
-  /// Number of capacity growths across all managed buffers since
-  /// construction. Stable counter ⇒ the warm path ran allocation-free.
-  std::uint64_t grow_events() const { return grow_events_; }
-
-  /// vec.assign(count, value) with capacity-growth accounting.
-  template <typename T>
-  void fill(std::vector<T>& vec, std::size_t count, const T& value) {
-    if (vec.capacity() < count) {
-      ++grow_events_;
-    }
-    vec.assign(count, value);
-  }
-
-  /// vec.resize(count) (values unspecified) with growth accounting.
-  template <typename T>
-  void size(std::vector<T>& vec, std::size_t count) {
-    if (vec.capacity() < count) {
-      ++grow_events_;
-    }
-    vec.resize(count);
-  }
-
-  /// Growth-accounted push_back for buffers filled incrementally.
-  template <typename T>
-  void push(std::vector<T>& vec, const T& value) {
-    if (vec.size() == vec.capacity()) {
-      ++grow_events_;
-    }
-    vec.push_back(value);
-  }
-
-  /// Records an external growth observation (heap / timeline capacities).
-  void note_growth(std::size_t capacity_before, std::size_t capacity_after) {
-    if (capacity_after > capacity_before) {
-      ++grow_events_;
-    }
-  }
-
   // ---- EDF list scheduler ----
   ReadyTaskHeap ready;
   std::vector<std::size_t> pred_count;      // unscheduled predecessors
@@ -290,9 +255,6 @@ class SchedulerWorkspace {
   std::vector<ProcessorId> eligible_targets;
   SchedulerResult trial_result;
   SchedulerResult seed_result;
-
- private:
-  std::uint64_t grow_events_ = 0;
 };
 
 /// Clears a SchedulerResult for a new run of `tasks` × `processors`,

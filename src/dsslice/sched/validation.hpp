@@ -28,8 +28,9 @@ struct ValidationOptions {
   /// structural constraints still are).
   bool check_deadlines = true;
   /// Numerical slack for comparisons (all quantities derive from integral
-  /// inputs, so the default 1e-9 only forgives representation error).
-  double epsilon = 1e-9;
+  /// inputs, so the default kTimeTolerance only forgives representation
+  /// error).
+  double epsilon = kTimeTolerance;
 };
 
 /// Returns a list of violated constraints (empty = valid schedule).
@@ -43,7 +44,7 @@ std::vector<std::string> validate_schedule(const Application& app,
 /// resource may overlap in time, regardless of their processors.
 std::vector<std::string> validate_resource_exclusivity(
     const Application& app, const Schedule& schedule,
-    const ResourceModel& resources, double epsilon = 1e-9);
+    const ResourceModel& resources, double epsilon = kTimeTolerance);
 
 /// Validates the bus reservations produced by the scheduler's
 /// simulate_bus_contention mode against a schedule:
@@ -56,7 +57,7 @@ std::vector<std::string> validate_resource_exclusivity(
 std::vector<std::string> validate_bus_transfers(
     const Application& app, const Platform& platform,
     const Schedule& schedule, const std::vector<BusTransfer>& transfers,
-    double epsilon = 1e-9);
+    double epsilon = kTimeTolerance);
 
 /// Validates a deadline assignment against the application's end-to-end
 /// requirements: for every arc u→v, D_u ≤ a_v (slice non-overlap, I1/I2);
@@ -64,6 +65,6 @@ std::vector<std::string> validate_bus_transfers(
 /// the per-path constraint Σ d_i ≤ D_ete (Eq. 1).
 std::vector<std::string> validate_assignment(const Application& app,
                                              const DeadlineAssignment& assignment,
-                                             double epsilon = 1e-9);
+                                             double epsilon = kTimeTolerance);
 
 }  // namespace dsslice

@@ -13,12 +13,28 @@ std::string ExperimentConfig::display_label() const {
   return label.empty() ? to_string(technique) : label;
 }
 
+std::span<const double> ScenarioScratch::estimate(const Application& app,
+                                                  WcetEstimation strategy) {
+  est_growth.size(est, app.task_count());
+  estimate_wcets_into(app, strategy, est);
+  return est;
+}
+
+// A null scratch means a fresh ScenarioScratch for the call: each public
+// entry point forwards to itself with a local one, so every engine below
+// runs through run_into on one set of buffers.
+
 DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
                                          const Application& app,
                                          const Platform& platform,
                                          std::span<const double> est_wcet,
                                          std::size_t* slicing_passes,
                                          ScenarioScratch* scratch) {
+  if (scratch == nullptr) {
+    ScenarioScratch local;
+    return distribute_for_config(config, app, platform, est_wcet,
+                                 slicing_passes, &local);
+  }
   if (slicing_passes != nullptr) {
     *slicing_passes = 0;
   }
@@ -28,23 +44,16 @@ DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
   // workloads (no optional parts anywhere) skip the scaling entirely and
   // keep the estimate vector bit-identical.
   if (app.has_optional_work()) {
-    if (scratch != nullptr) {
-      mandatory_estimates_into(app, est_wcet, scratch->mandatory_est);
-      est_wcet = scratch->mandatory_est;
-    } else {
-      thread_local std::vector<double> buffer;
-      mandatory_estimates_into(app, est_wcet, buffer);
-      est_wcet = buffer;
-    }
+    scratch->est_growth.size(scratch->mandatory_est, app.task_count());
+    mandatory_estimates_into(app, est_wcet, scratch->mandatory_est);
+    est_wcet = scratch->mandatory_est;
   }
   if (is_slicing(config.technique)) {
     SlicingStats stats;
     const DeadlineMetric metric(metric_of(config.technique),
                                 config.metric_params);
     SlicingOptions options;
-    if (scratch != nullptr) {
-      options.workspace = &scratch->slicing;
-    }
+    options.workspace = &scratch->slicing;
     DeadlineAssignment assignment = run_slicing(
         app, est_wcet, metric, platform.processor_count(), &stats, options);
     if (slicing_passes != nullptr) {
@@ -65,19 +74,17 @@ GraphOutcome evaluate_scenario(const ExperimentConfig& config,
 GraphOutcome evaluate_generated(const ExperimentConfig& config,
                                 const Scenario& scenario,
                                 ScenarioScratch* scratch) {
+  if (scratch == nullptr) {
+    ScenarioScratch local;
+    return evaluate_generated(config, scenario, &local);
+  }
   DSSLICE_SPAN("sim.scenario");
-  const Application& app = scenario.application;
-  const Platform& platform = scenario.platform;
-
-  std::vector<double> local_est;
-  std::vector<double>& est_buf =
-      scratch != nullptr ? scratch->est : local_est;
-  estimate_wcets_into(app, config.wcet_strategy, est_buf);
-  std::span<const double> est = est_buf;
-
+  const std::span<const double> est =
+      scratch->estimate(scenario.application, config.wcet_strategy);
   std::size_t slicing_passes = 0;
-  const DeadlineAssignment assignment = distribute_for_config(
-      config, app, platform, est, &slicing_passes, scratch);
+  const DeadlineAssignment assignment =
+      distribute_for_config(config, scenario.application, scenario.platform,
+                            est, &slicing_passes, scratch);
   return evaluate_scheduled(config, scenario, assignment,
                             min_laxity(assignment, est), slicing_passes,
                             scratch);
@@ -89,6 +96,11 @@ GraphOutcome evaluate_scheduled(const ExperimentConfig& config,
                                 double pre_min_laxity,
                                 std::size_t slicing_passes,
                                 ScenarioScratch* scratch) {
+  if (scratch == nullptr) {
+    ScenarioScratch local;
+    return evaluate_scheduled(config, scenario, assignment, pre_min_laxity,
+                              slicing_passes, &local);
+  }
   const Application& app = scenario.application;
   const Platform& platform = scenario.platform;
 
@@ -101,14 +113,9 @@ GraphOutcome evaluate_scheduled(const ExperimentConfig& config,
     // The preemptive simulator has its own trace-based result shape.
     PreemptiveOptions options;
     options.abort_on_miss = config.scheduler.abort_on_miss;
-    const PreemptiveEdfScheduler scheduler(options);
-    PreemptiveResult local_pre;
-    PreemptiveResult& pre = scratch != nullptr ? scratch->pre_result : local_pre;
-    if (scratch != nullptr) {
-      scheduler.run_into(pre, scratch->sched, app, assignment, platform);
-    } else {
-      pre = scheduler.run(app, assignment, platform);
-    }
+    PreemptiveResult& pre = scratch->pre_result;
+    PreemptiveEdfScheduler(options).run_into(pre, scratch->sched, app,
+                                             assignment, platform);
     outcome.scheduled = pre.success;
     if (pre.success || !config.scheduler.abort_on_miss) {
       double worst = -std::numeric_limits<double>::infinity();
@@ -127,25 +134,15 @@ GraphOutcome evaluate_scheduled(const ExperimentConfig& config,
     return outcome;
   }
 
-  SchedulerResult local_sched;
-  SchedulerResult& sched =
-      scratch != nullptr ? scratch->sched_result : local_sched;
+  SchedulerResult& sched = scratch->sched_result;
   if (config.algorithm == SchedulerAlgorithm::kDispatchEdf) {
     DispatchOptions options;
     options.abort_on_miss = config.scheduler.abort_on_miss;
-    const EdfDispatchScheduler scheduler(options);
-    if (scratch != nullptr) {
-      scheduler.run_into(sched, scratch->sched, app, assignment, platform);
-    } else {
-      sched = scheduler.run(app, assignment, platform);
-    }
+    EdfDispatchScheduler(options).run_into(sched, scratch->sched, app,
+                                           assignment, platform);
   } else {
-    const EdfListScheduler scheduler(config.scheduler);
-    if (scratch != nullptr) {
-      scheduler.run_into(sched, scratch->sched, app, assignment, platform);
-    } else {
-      sched = scheduler.run(app, assignment, platform);
-    }
+    EdfListScheduler(config.scheduler)
+        .run_into(sched, scratch->sched, app, assignment, platform);
   }
   outcome.scheduled = sched.success;
   if (sched.schedule.complete()) {

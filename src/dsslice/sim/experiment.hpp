@@ -23,6 +23,7 @@
 #include "dsslice/sched/edf_list_scheduler.hpp"
 #include "dsslice/sched/preemptive_scheduler.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
+#include "dsslice/util/growth.hpp"
 
 namespace dsslice {
 
@@ -54,10 +55,12 @@ struct GraphOutcome {
 };
 
 /// Reusable per-worker scratch for batch evaluation. Passing one instance to
-/// consecutive evaluate_scenario calls on the same thread keeps both the
-/// slicing and the scheduling hot paths allocation-free: buffers (including
-/// the scheduler result shells below) are recycled between scenarios and
-/// only grow when a scenario exceeds every previous shape.
+/// consecutive evaluate_* calls on the same thread keeps both the slicing
+/// and the scheduling hot paths allocation-free: buffers (including the
+/// scheduler result shells below) are recycled between scenarios and only
+/// grow when a scenario exceeds every previous shape. Every entry point
+/// below treats a null scratch as a fresh one for that call, so results
+/// never depend on whether (or which) scratch is passed.
 struct ScenarioScratch {
   SlicingWorkspace slicing;
   SchedulerWorkspace sched;
@@ -65,13 +68,19 @@ struct ScenarioScratch {
   PreemptiveResult pre_result;
   std::vector<double> mandatory_est;  // mandatory-demand estimate buffer
   std::vector<double> est;            // estimated-WCET buffer
+  GrowthCounter est_growth;           // growths of the two estimate buffers
+
+  /// Fills `est` with the WCET estimates of `app` under `strategy` and
+  /// returns it.
+  std::span<const double> estimate(const Application& app,
+                                   WcetEstimation strategy);
 };
 
 /// Runs the configured deadline-distribution technique (slicing or direct)
 /// over one scenario. When `slicing_passes` is non-null it receives the
-/// slicer's pass count (0 for non-slicing techniques). `scratch`, when
-/// given, supplies reusable buffers for the slicing techniques. Shared by
-/// evaluate_scenario and the robustness harness.
+/// slicer's pass count (0 for non-slicing techniques). The scalar
+/// distribution of evaluate_generated, of distribute_arena_scenario without
+/// the batch kernel and of evaluate_robust_scenario.
 DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
                                          const Application& app,
                                          const Platform& platform,
@@ -81,8 +90,7 @@ DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
 
 /// Evaluates a single scenario generated from `seed` under the
 /// configuration (the per-graph unit of work; exposed for tests and custom
-/// drivers). `scratch` is optional reusable per-thread scratch (see
-/// ScenarioScratch).
+/// drivers).
 GraphOutcome evaluate_scenario(const ExperimentConfig& config,
                                std::uint64_t seed,
                                ScenarioScratch* scratch = nullptr);

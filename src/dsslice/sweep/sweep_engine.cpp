@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dsslice/batch/slice_kernel.hpp"
+#include "dsslice/core/quality.hpp"
 #include "dsslice/gen/scenario_batch.hpp"
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sweep/checkpoint.hpp"
@@ -34,27 +35,12 @@ class SweepArena {
   ScenarioBatch batch;
   ScenarioScratch scratch;
   BatchSliceKernel kernel;
-  DeadlineAssignment assignment;  // distribute_arena_scenario, non-slicing
-
-  /// Counts capacity growths of the scratch buffers that no workspace
-  /// accounts for itself (the estimate vectors). Called after every
-  /// evaluation — once warm these capacities are stable.
-  void note_extra_capacity() {
-    extra_grow_ += scratch.est.capacity() > est_cap_ ? 1u : 0u;
-    est_cap_ = std::max(est_cap_, scratch.est.capacity());
-    extra_grow_ += scratch.mandatory_est.capacity() > mand_cap_ ? 1u : 0u;
-    mand_cap_ = std::max(mand_cap_, scratch.mandatory_est.capacity());
-  }
+  DeadlineAssignment assignment;  // distribute_arena_scenario, scalar route
 
   std::uint64_t grow_events() const {
     return batch.grow_events() + scratch.sched.grow_events() +
-           kernel.grow_events() + extra_grow_;
+           scratch.est_growth.grow_events() + kernel.grow_events();
   }
-
- private:
-  std::uint64_t extra_grow_ = 0;
-  std::size_t est_cap_ = 0;
-  std::size_t mand_cap_ = 0;
 };
 
 struct ArenaRegistry {
@@ -125,43 +111,34 @@ void generate_arena_scenario(const GeneratorConfig& generator,
   local_arena().batch.generate(generator, index, SweepOptions::gen_chunk);
 }
 
-GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
-                                     bool use_batch_kernel) {
+ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config,
+                                            bool use_batch_kernel) {
   SweepArena& arena = local_arena();
   const Scenario& scenario = arena.batch[0];
-  GraphOutcome outcome;
-  // Slicing techniques route the generated scenario through the batch
-  // kernel, then join back into the scheduler half. The kernel's
-  // bit-identity contract makes the outcome indistinguishable from the
-  // scalar path.
+  // The kernel is bit-identical to the scalar route below (its equivalence
+  // contract), so the choice never shows in a result.
   if (use_batch_kernel && is_slicing(config.technique)) {
     arena.kernel.run(arena.batch.scenarios(), kernel_config(config));
-    outcome = evaluate_scheduled(config, scenario, arena.kernel.assignment(0),
-                                 arena.kernel.outcome_min_laxity(0),
-                                 arena.kernel.stats(0).passes, &arena.scratch);
-  } else {
-    outcome = evaluate_generated(config, scenario, &arena.scratch);
+    return {scenario, arena.kernel.assignment(0),
+            arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
+            arena.scratch};
   }
-  arena.note_extra_capacity();
-  return outcome;
+  const std::span<const double> est =
+      arena.scratch.estimate(scenario.application, config.wcet_strategy);
+  std::size_t passes = 0;
+  arena.assignment =
+      distribute_for_config(config, scenario.application, scenario.platform,
+                            est, &passes, &arena.scratch);
+  return {scenario, arena.assignment, min_laxity(arena.assignment, est),
+          passes, arena.scratch};
 }
 
-ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config) {
-  SweepArena& arena = local_arena();
-  const Scenario& scenario = arena.batch[0];
-  estimate_wcets_into(scenario.application, config.wcet_strategy,
-                      arena.scratch.est);
-  const DeadlineAssignment* assignment = &arena.assignment;
-  if (is_slicing(config.technique)) {
-    arena.kernel.run(arena.batch.scenarios(), kernel_config(config));
-    assignment = &arena.kernel.assignment(0);
-  } else {
-    arena.assignment =
-        distribute_for_config(config, scenario.application, scenario.platform,
-                              arena.scratch.est, nullptr, &arena.scratch);
-  }
-  arena.note_extra_capacity();
-  return {scenario, *assignment, arena.scratch.est, arena.scratch};
+GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
+                                     bool use_batch_kernel) {
+  const ArenaDistribution d =
+      distribute_arena_scenario(config, use_batch_kernel);
+  return evaluate_scheduled(config, d.scenario, d.assignment, d.min_laxity,
+                            d.passes, &d.scratch);
 }
 
 SweepAggregate run_sweep_shard(const ExperimentConfig& config,
@@ -284,12 +261,8 @@ SweepReport run_sweep(const ExperimentConfig& config,
   for (std::size_t wave = 0; wave < pending.size(); wave += wave_width) {
     const std::size_t wave_end = std::min(wave + wave_width, pending.size());
     const auto wave_t0 = std::chrono::steady_clock::now();
-    parallel_for(pool, wave_end - wave, 1,
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t k = begin; k < end; ++k) {
-                     run_one_shard(pending[wave + k]);
-                   }
-                 });
+    parallel_for(pool, wave_end - wave,
+                 [&](std::size_t k) { run_one_shard(pending[wave + k]); });
     const double wave_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wave_t0)

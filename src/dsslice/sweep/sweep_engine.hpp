@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "dsslice/sim/experiment.hpp"
@@ -94,31 +93,36 @@ SweepReport run_sweep(const ExperimentConfig& config,
 void generate_arena_scenario(const GeneratorConfig& generator,
                              std::uint64_t index);
 
-/// Evaluates the arena's current scenario under `config`: through the batch
-/// slicing kernel and evaluate_scheduled for a slicing technique when
-/// use_batch_kernel is set, through evaluate_generated otherwise. This is
-/// the one evaluation driver: run_sweep_shard folds its outcomes directly,
-/// and a figure row (sim/figure_rows.hpp) evaluates one generated scenario
-/// under every cell that shares its generator config. `config.generator`
-/// must be the stream the scenario was drawn from. Allocation-free once
-/// warm.
-GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
-                                     bool use_batch_kernel = true);
-
-/// The arena's current scenario and its deadline assignment under `config`,
-/// for an evaluator that schedules the scenario itself (the robustness
-/// harness dispatches it under faults). Slicing techniques take the batch
-/// kernel's windows, others distribute_for_config's; `est` holds the
-/// estimates under config.wcet_strategy. Every member refers into the
-/// calling thread's arena and stays valid until its next arena call;
-/// the scheduler buffers of `scratch` are free for the evaluator.
+/// The arena's current scenario and its deadline assignment under
+/// `config`, with the distribution's contributions to the outcome:
+/// `min_laxity` over the original estimates and the slicer's pass count.
+/// This is the one place that picks the distribution route: a slicing
+/// technique goes through the batch slicing kernel when use_batch_kernel is
+/// set, everything else through distribute_for_config on the arena's
+/// scratch (bit-identical either way). `config.generator` must be the
+/// stream the scenario was drawn from. Every member refers into the calling
+/// thread's arena and stays valid until its next arena call; the scheduler
+/// buffers of `scratch` are free for the caller (the robustness harness
+/// estimates into its `est` and dispatches the scenario under faults).
 struct ArenaDistribution {
   const Scenario& scenario;
   const DeadlineAssignment& assignment;
-  std::span<const double> est;
+  double min_laxity;
+  std::size_t passes;
   ScenarioScratch& scratch;
 };
-ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config);
+ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config,
+                                            bool use_batch_kernel = true);
+
+/// Evaluates the arena's current scenario under `config`:
+/// distribute_arena_scenario, then evaluate_scheduled on the arena's
+/// scratch, so it equals evaluate_generated on the same scenario bit for
+/// bit. This is the one evaluation driver: run_sweep_shard folds its
+/// outcomes directly, and a figure row (sim/figure_rows.hpp) evaluates one
+/// generated scenario under every cell that shares its generator config.
+/// Allocation-free once warm on the batch kernel route.
+GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,
+                                     bool use_batch_kernel = true);
 
 /// One shard of a sweep: generates and evaluates scenarios [first, last)
 /// on the calling thread's arena and folds their outcomes in index order.
@@ -130,9 +134,9 @@ SweepAggregate run_sweep_shard(const ExperimentConfig& config,
                                std::size_t first, std::size_t last,
                                bool use_batch_kernel = true);
 
-/// Capacity growths observed inside the sweep's per-thread arenas
+/// Capacity growths counted inside the sweep's per-thread arenas
 /// (generator batch storage + scratch, scheduler workspaces, estimate
-/// buffers) since process start, including arenas of exited threads. Warm
+/// buffers, batch kernel; util/growth.hpp) since process start, including arenas of exited threads. Warm
 /// sweeps must not move this counter — the zero-allocation gate enforced by
 /// the sweep tests and reported as *.grow_events by the repo benchmark.
 std::uint64_t sweep_arena_grow_events();

@@ -100,26 +100,11 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
-  parallel_for(pool, count, 1,
-               [&body](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   body(i);
-                 }
-               });
-}
-
-void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) {
-    return;
-  }
-  DSSLICE_REQUIRE(grain >= 1, "parallel_for grain must be at least 1");
-  const std::size_t chunks = (count + grain - 1) / grain;
-  // For tiny batches, skip the pool entirely: determinism is unaffected and
-  // the dispatch overhead would dominate.
-  if (chunks == 1 || pool.size() == 1) {
-    for (std::size_t begin = 0; begin < count; begin += grain) {
-      body(begin, std::min(count, begin + grain));
+  // One item or one worker: run inline on the caller. Determinism is
+  // unaffected and the dispatch overhead would dominate.
+  if (count <= 1 || pool.size() == 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      body(i);
     }
     return;
   }
@@ -133,7 +118,7 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   // is the unlock after counting itself done, and the caller only returns
   // once it holds the same mutex and sees every lane counted, so no lane
   // can still be reading the frame when it goes out of scope.
-  const std::size_t lanes = std::min(pool.size(), chunks);
+  const std::size_t lanes = std::min(pool.size(), count);
   std::size_t done_lanes = 0;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
@@ -141,14 +126,12 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     pool.submit([&] {
       for (;;) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= chunks || failed.load(std::memory_order_relaxed)) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count || failed.load(std::memory_order_relaxed)) {
           break;
         }
-        const std::size_t begin = k * grain;
-        const std::size_t end = std::min(count, begin + grain);
         try {
-          body(begin, end);
+          body(i);
         } catch (...) {
           std::lock_guard lock(error_mutex);
           if (!failed.exchange(true)) {
@@ -168,11 +151,6 @@ void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
   if (first_error) {
     std::rethrow_exception(first_error);
   }
-}
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_for(global_pool(), count, body);
 }
 
 ThreadPool& global_pool() {

@@ -65,24 +65,11 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, count) across the pool, blocking until done.
-/// Work is distributed by an atomic index so uneven item costs balance.
-/// Exceptions thrown by `body` propagate to the caller (first one wins).
-/// Delegates to the chunked overload below with a grain of one.
+/// Work is distributed by an atomic index so uneven item costs balance; a
+/// single item or a one-worker pool runs inline on the caller. The first
+/// exception thrown by `body` propagates to the caller once every running
+/// item has finished; no new item starts after it.
 void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& body);
-
-/// Chunked variant: covers [0, count) with half-open ranges of up to `grain`
-/// consecutive indices and runs body(begin, end) for each, distributed
-/// dynamically across the pool (an atomic chunk counter balances uneven
-/// costs). Larger grains amortize the per-task dispatch and allow the body
-/// to reuse scratch state across the indices of a chunk; grain 1 degenerates
-/// to the per-index overload. Exceptions propagate (first one wins; a chunk
-/// that throws is not resumed, but other chunks already running complete).
-void parallel_for(ThreadPool& pool, std::size_t count, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Convenience overload using a process-wide shared pool.
-void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body);
 
 /// Lazily-constructed process-wide pool sized to hardware concurrency.
