@@ -108,6 +108,15 @@ TEST(ScenarioBatch, GeneratorBranchesMatchPinnedDigests) {
          c.workload.max_degree = 3;
        },
        0xb910e55659ac087dULL},
+      // Every pool is trimmed to nothing: over these 16 scenarios the
+      // anchor pool falls back to the whole previous level 152 times and
+      // the successor pool to the whole current level 144 times.
+      {"saturated-degree-1",
+       [](GeneratorConfig& c) {
+         c.workload.min_degree = 1;
+         c.workload.max_degree = 1;
+       },
+       0xaf6fae4acdf8b085ULL},
       {"real-valued-messages",
        [](GeneratorConfig& c) { c.workload.integral_messages = false; },
        0x91d2ac1ac7223903ULL},
