@@ -261,10 +261,12 @@ cmake --build --preset tsan -j "$jobs"
 ./build-tsan/tests/dsslice_tests
 
 # FMA build: with -march=x86-64-v3 the compiler may fuse a*b+c into an FMA
-# instruction wherever the source allows it. The library compiles with
-# -ffp-contract=off, so the batch kernel, the scenario generator, the sweep
-# engine and the pinned figure digests must still match bit for bit. Only
-# on CPUs with FMA and AVX2, where an x86-64-v3 binary can run.
+# instruction wherever the source allows it, and may emit popcnt, roundsd
+# and cmov for the branch-free helpers and selects. The library compiles
+# with -ffp-contract=off, so the batch kernel, the scenario generator, the
+# sweep engine, the pinned figure digests, the branch-free helpers and heap,
+# and the scheduler and slicing equivalence suites must still match bit for
+# bit. Only on CPUs with FMA and AVX2, where an x86-64-v3 binary can run.
 if grep -qw fma /proc/cpuinfo 2>/dev/null &&
    grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
   echo "==> fma build [x86-64-v3, bit-identity suites]"
@@ -272,7 +274,7 @@ if grep -qw fma /proc/cpuinfo 2>/dev/null &&
     -DCMAKE_CXX_FLAGS=-march=x86-64-v3
   cmake --build build-fma -j "$jobs" --target dsslice_tests
   ./build-fma/tests/dsslice_tests \
-    --gtest_filter='BatchKernelTest.*:ScenarioBatch.*:SweepEngine.*:Sweeps.*'
+    --gtest_filter='BatchKernelTest.*:ScenarioBatch.*:SweepEngine.*:Sweeps.*:BranchFree.*:TaskHeap.*:SchedulerEquivalence.*:SlicingEquivalence.*'
 else
   echo "==> fma build skipped: this CPU lists no fma or no avx2"
 fi

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "dsslice/obs/trace.hpp"
+#include "dsslice/util/branch_free.hpp"
 #include "dsslice/util/check.hpp"
 
 namespace dsslice {
@@ -14,7 +15,7 @@ std::atomic<std::uint64_t> g_construction_count{0};
 std::size_t row_popcount(const std::uint64_t* row, std::size_t words) {
   std::size_t count = 0;
   for (std::size_t k = 0; k < words; ++k) {
-    count += static_cast<std::size_t>(std::popcount(row[k]));
+    count += static_cast<std::size_t>(popcount64(row[k]));
   }
   return count;
 }
@@ -36,20 +37,24 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   // Kahn topological order — same FIFO discipline (ascending seed scan,
   // first in first out) as algorithms::topological_order, so the orders are
   // identical. topo_ is its own queue: [head, tail) is ready, not expanded.
+  // Appends are branch-free: every candidate is stored at topo_[tail], and
+  // tail advances past it only if it is ready. Every store is in bounds,
+  // cyclic input included. A seed store has tail <= v < n. An expansion
+  // store follows a decrement of in_left_[w] from at least 1 (each arc
+  // into w is walked at most once, as each node is expanded at most once),
+  // so w is not queued yet and tail counts at most n - 1 queued nodes.
   topo_.resize(n_);
   in_left_.resize(n_);
   std::size_t tail = 0;
   for (NodeId v = 0; v < n_; ++v) {
     in_left_[v] = g.in_degree(v);
-    if (in_left_[v] == 0) {
-      topo_[tail++] = v;
-    }
+    topo_[tail] = v;
+    tail += in_left_[v] == 0;
   }
   for (std::size_t head = 0; head < tail; ++head) {
     for (const NodeId w : g.successors(topo_[head])) {
-      if (--in_left_[w] == 0) {
-        topo_[tail++] = w;
-      }
+      topo_[tail] = w;
+      tail += --in_left_[w] == 0;
     }
   }
   DSSLICE_REQUIRE(tail == n_, "graph analysis requires an acyclic graph");

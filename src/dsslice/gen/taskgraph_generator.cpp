@@ -7,6 +7,7 @@
 
 #include "dsslice/gen/platform_generator.hpp"
 #include "dsslice/obs/trace.hpp"
+#include "dsslice/util/branch_free.hpp"
 #include "dsslice/util/check.hpp"
 
 namespace dsslice {
@@ -31,6 +32,26 @@ void draw_level_sizes(std::size_t n, std::size_t depth, Xoshiro256& rng,
     scratch.level_start[l] = next;
     next += static_cast<NodeId>(scratch.level_sizes[l]);
   }
+}
+
+/// Fills `pool` with the ids in [first, last) whose degree is below `cap`,
+/// ascending, by branch-free compaction: every id is written, and the
+/// write position advances only past the ones that qualify.
+void compact_below(GeneratorScratch& scratch, std::vector<NodeId>& pool,
+                   NodeId first, NodeId last,
+                   const std::vector<std::size_t>& degree, std::size_t cap) {
+  scratch.size(pool, last - first);
+  std::size_t kept = 0;
+  for (NodeId u = first; u < last; ++u) {
+    pool[kept] = u;
+    kept += degree[u] < cap;
+  }
+  pool.resize(kept);
+}
+
+/// Removes `id` from an ascending pool that holds it.
+void trim(std::vector<NodeId>& pool, NodeId id) {
+  pool.erase(std::lower_bound(pool.begin(), pool.end(), id));
 }
 
 /// Draws the layered precedence structure into scratch.arcs: each task
@@ -61,6 +82,19 @@ void draw_structure(const WorkloadConfig& cfg, std::size_t n,
     const NodeId start = scratch.level_start[l];
     const NodeId end = start + static_cast<NodeId>(scratch.level_sizes[l]);
     const std::size_t prev_size = scratch.level_sizes[l - 1];
+    // The anchor pool (previous-level tasks with spare out-capacity,
+    // ascending) is built once per level and trimmed when an arc fills a
+    // member, so each draw sees exactly what a rescan would. A member lies
+    // on the previous level and reaches max_degree from below; an arc from
+    // an earlier level, or from an already full task, trims nothing.
+    compact_below(scratch, scratch.with_capacity, prev_start, start,
+                  scratch.out_degree, cfg.max_degree);
+    const auto add_pred = [&](NodeId u, NodeId v) {
+      add_arc(u, v);
+      if (u >= prev_start && scratch.out_degree[u] == cfg.max_degree) {
+        trim(scratch.with_capacity, u);
+      }
+    };
     for (NodeId v = start; v < end; ++v) {
       const auto want = static_cast<std::size_t>(rng.uniform_int(
           static_cast<std::int64_t>(cfg.min_degree),
@@ -69,12 +103,6 @@ void draw_structure(const WorkloadConfig& cfg, std::size_t n,
       // One predecessor always comes from the immediately preceding level:
       // it pins v's topological depth to its layer. Prefer predecessors with
       // spare out-capacity so out-degrees also stay in the configured band.
-      scratch.with_capacity.clear();
-      for (NodeId u = prev_start; u < start; ++u) {
-        if (scratch.out_degree[u] < cfg.max_degree) {
-          scratch.push(scratch.with_capacity, u);
-        }
-      }
       const std::size_t anchor_count = scratch.with_capacity.empty()
                                            ? prev_size
                                            : scratch.with_capacity.size();
@@ -85,7 +113,7 @@ void draw_structure(const WorkloadConfig& cfg, std::size_t n,
                                 : scratch.with_capacity[a];
       // v's in-arcs are exactly the arcs drawn from here on.
       const std::size_t first_in = scratch.arcs.size();
-      add_arc(anchor, v);
+      add_pred(anchor, v);
 
       // Remaining predecessors per the edge-locality mode.
       const bool any_earlier =
@@ -101,31 +129,34 @@ void draw_structure(const WorkloadConfig& cfg, std::size_t n,
         const auto in_arcs = std::span(scratch.arcs).subspan(first_in);
         if (std::none_of(in_arcs.begin(), in_arcs.end(),
                          [u](const Arc& arc) { return arc.from == u; })) {
-          add_arc(u, v);
+          add_pred(u, v);
         }
       }
     }
     // Every previous-level task must have at least one successor (only the
     // final level may contain output tasks). Such a u has no out-arc yet,
-    // so no current-level task is already its successor.
+    // so no current-level task is already its successor. The successor
+    // pool (current-level tasks with spare in-capacity, ascending) is built
+    // once and trimmed like the anchor pool.
+    compact_below(scratch, scratch.candidates, start, end, scratch.in_degree,
+                  cfg.max_degree);
     for (NodeId u = prev_start; u < start; ++u) {
       if (scratch.out_degree[u] != 0) {
         continue;
       }
       // Prefer a current-level task with spare in-capacity, else any.
-      scratch.candidates.clear();
-      for (NodeId v = start; v < end; ++v) {
-        if (scratch.in_degree[v] < cfg.max_degree) {
-          scratch.push(scratch.candidates, v);
-        }
-      }
       const bool any = scratch.candidates.empty();
       const std::size_t count =
           any ? static_cast<std::size_t>(end - start)
               : scratch.candidates.size();
       const auto j = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(count) - 1));
-      add_arc(u, any ? start + static_cast<NodeId>(j) : scratch.candidates[j]);
+      const NodeId v = any ? start + static_cast<NodeId>(j)
+                           : scratch.candidates[j];
+      add_arc(u, v);
+      if (scratch.in_degree[v] == cfg.max_degree) {
+        trim(scratch.candidates, v);
+      }
     }
   }
 }
@@ -227,7 +258,7 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
               ? platform.processor_class(e).speed_factor
               : rng.uniform(1.0 - class_deviation, 1.0 + class_deviation);
       // Execution times are integral time units (§3.1), floor at 1.
-      t.wcet_by_class[e] = std::max(1.0, std::round(base * scale));
+      t.wcet_by_class[e] = std::max(1.0, round_half_away(base * scale));
     }
     // 5% per-(task, class) ineligibility; keep >= 1 populated class.
     scr.fill(scr.drawn_wcet, t.wcet_by_class.size(), 0.0);
@@ -279,7 +310,7 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
             ? 1.0
             : rng.uniform(1.0 - config.olr_spread, 1.0 + config.olr_spread);
     app.set_ete_deadline(out,
-                         std::round(config.olr * avg_workload * spread));
+                         round_half_away(config.olr * avg_workload * spread));
   }
   for (NodeId in = 0; in < n; ++in) {
     if (app.graph().is_input(in)) {

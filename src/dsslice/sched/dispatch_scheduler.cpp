@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
+#include "dsslice/util/branch_free.hpp"
 #include "dsslice/util/check.hpp"
 
 namespace dsslice {
@@ -245,7 +245,10 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   ws.size(ws.dispatch_ready_at, n * m);
   ws.size(ws.dispatch_last_ready, n);
   ws.size(ws.local_pred_bound, m);
-  ws.arrival_heap.clear();
+  // Each candidate is filed at most once between two refilings, so the
+  // arrival heap never holds more than n entries.
+  ws.note(ws.arrivals.capacity(), n);
+  ws.arrivals.reset(n);
   std::uint64_t* const cand = ws.dispatch_cand.data();
   std::uint64_t* const arrived = ws.dispatch_arrived.data();
   std::uint64_t* const running = ws.dispatch_running.data();
@@ -255,7 +258,6 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     return static_cast<NodeId>(
         (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
   };
-  const auto arrival_later = std::greater<std::pair<Time, NodeId>>();
 
   // Task::eligible against the cached class table, as direct reads.
   const auto eligible_on = [&](const Task& task, ProcessorId p) {
@@ -277,9 +279,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   const auto file_candidate = [&](NodeId v) {
     const Time arrival = windows[v].arrival;
     if (arrival > now + kTimeTolerance) {
-      ws.push(ws.arrival_heap, std::make_pair(arrival, v));
-      std::push_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
-                     arrival_later);
+      ws.arrivals.push({{arrival}, v});
     } else {
       arrived[v >> 6] |= bit(v);
     }
@@ -343,7 +343,7 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
   // Pins and deadlines are read live, so only arrivals need the refiling.
   bool control_called = false;
   const auto refile_candidates = [&] {
-    ws.arrival_heap.clear();
+    ws.arrivals.reset(n);
     std::fill_n(arrived, words, std::uint64_t{0});
     std::fill_n(wait, words, std::uint64_t{0});
     for (std::size_t w = 0; w < words; ++w) {
@@ -422,14 +422,20 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
     }
 
     // Complete the running tasks whose finish instant has been reached, in
-    // ascending task id — the order of the legacy full scan.
+    // ascending task id — the order of the legacy full scan. A word's due
+    // tasks are gathered into a mask first (completing a task changes no
+    // other running task's finish), so only the completions branch.
     for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t due = 0;
       for (std::uint64_t bits = running[w]; bits != 0; bits &= bits - 1) {
         const NodeId v = bit_id(w, bits);
-        if (ws.finish[v] > now + kTimeTolerance) {
-          continue;
-        }
-        running[w] &= ~bit(v);
+        due |= static_cast<std::uint64_t>(
+                   !(ws.finish[v] > now + kTimeTolerance))
+               << (v & 63);
+      }
+      running[w] &= ~due;
+      for (; due != 0; due &= due - 1) {
+        const NodeId v = bit_id(w, due);
         ws.done[v] = 1;
         --remaining;
         result.schedule.place(v, ws.proc_of[v], ws.start_time[v],
@@ -481,13 +487,10 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       control_called = false;
     }
     // Candidates whose arrival has been reached join the arrived set.
-    while (!ws.arrival_heap.empty() &&
-           ws.arrival_heap.front().first <= now + kTimeTolerance) {
-      const NodeId v = ws.arrival_heap.front().second;
+    while (!ws.arrivals.empty() &&
+           ws.arrivals.top().key[0] <= now + kTimeTolerance) {
+      const NodeId v = ws.arrivals.pop();
       arrived[v >> 6] |= bit(v);
-      std::pop_heap(ws.arrival_heap.begin(), ws.arrival_heap.end(),
-                    arrival_later);
-      ws.arrival_heap.pop_back();
     }
 
     // Dispatch pass(es) at the current instant: repeatedly hand the
@@ -522,41 +525,37 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
               continue;  // cannot change the outcome (see above)
             }
             // Idle, available, eligible processor with data present; prefer
-            // the fastest class, then the lowest id (deterministic).
+            // the fastest class, then the lowest id (deterministic). Every
+            // check but the class range folds into one flag and a select.
             ProcessorId chosen = 0;
             double chosen_wcet = 0.0;
             bool found = false;
             const Task& task = app.task(v);
             const double* wcets = task.wcet_by_class.data();
             const std::size_t class_count = task.wcet_by_class.size();
+            const ProcessorId pin = ws.pinned[v];
+            const Time* ready_row = ws.dispatch_ready_at.data() + v * m;
             for (const ProcessorId p : ws.free_procs) {
-              if (ws.pinned[v] != kUnpinnedProcessor && ws.pinned[v] != p) {
-                continue;
-              }
               const ProcessorClassId e = ws.proc_class[p];
-              if (e >= class_count || wcets[e] < 0.0) {
-                continue;  // Task::eligible, as direct reads
+              if (e >= class_count) {
+                continue;  // no wcet entry: not Task::eligible
               }
               const double c = adjust_wcet(v, wcets[e]);
-              if (now + c > ws.known_until[p] + kTimeTolerance) {
-                continue;  // would outlive the planned availability window
-              }
-              if (ws.dispatch_ready_at[v * m + p] > now + kTimeTolerance) {
-                continue;
-              }
-              if (!found || c < chosen_wcet) {
-                found = true;
-                chosen = p;
-                chosen_wcet = c;
-              }
+              const bool usable =
+                  ((pin == kUnpinnedProcessor) | (pin == p)) &
+                  !(wcets[e] < 0.0) &  // Task::eligible, as a direct read
+                  // fits the planned availability window
+                  !(now + c > ws.known_until[p] + kTimeTolerance) &
+                  !(ready_row[p] > now + kTimeTolerance);  // data present
+              const bool better = usable & (!found | (c < chosen_wcet));
+              found |= usable;
+              chosen = choose(better, p, chosen);
+              chosen_wcet = choose(better, c, chosen_wcet);
             }
-            if (!found) {
-              continue;
-            }
-            best = v;
-            best_proc = chosen;
-            best_wcet = chosen_wcet;
-            best_deadline = deadline;
+            best = choose(found, v, best);
+            best_proc = choose(found, chosen, best_proc);
+            best_wcet = choose(found, chosen_wcet, best_wcet);
+            best_deadline = choose(found, deadline, best_deadline);
           }
         }
       }
@@ -588,8 +587,8 @@ void EdfDispatchScheduler::run_into(SchedulerResult& result,
       }
       known_ahead = known_ahead || now + kTimeTolerance < ws.known_from[p];
     }
-    if (!ws.arrival_heap.empty()) {
-      next = std::min(next, ws.arrival_heap.front().first);
+    if (!ws.arrivals.empty()) {
+      next = std::min(next, ws.arrivals.top().key[0]);
     }
     // Arrived candidates propose, per eligible processor they may use, its
     // known_from while it is not yet up, else their data-ready instant.

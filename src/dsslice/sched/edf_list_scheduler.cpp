@@ -9,6 +9,7 @@
 #include "dsslice/obs/trace.hpp"
 #include "dsslice/sched/insertion_scheduler.hpp"
 #include "dsslice/sched/scheduler_workspace.hpp"
+#include "dsslice/util/branch_free.hpp"
 #include "dsslice/util/check.hpp"
 
 namespace dsslice {
@@ -157,14 +158,18 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
 
   // Ready bookkeeping: a task becomes ready once all predecessors are
   // scheduled. The heap pops the exact (deadline, arrival, id) minimum the
-  // legacy linear scan selected.
-  const std::size_t heap_cap = ws.ready.capacity();
-  ws.ready.reset(assignment.windows);
+  // legacy linear scan selected; it holds each task at most once.
+  ws.note(ws.ready.capacity(), n);
+  ws.ready.reset(n);
+  const auto make_ready = [&](NodeId v) {
+    const Window& w = assignment.windows[v];
+    ws.ready.push({{w.deadline, w.arrival}, v});
+  };
   ws.size(ws.pred_count, n);
   for (NodeId v = 0; v < n; ++v) {
     ws.pred_count[v] = g.predecessors(v).size();
     if (ws.pred_count[v] == 0) {
-      ws.ready.push(v);
+      make_ready(v);
     }
   }
 
@@ -297,14 +302,15 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
         start = std::max(bound, ws.proc_available[p]);
       }
       const Time finish = start + c;
-      if (!found || start < best_start ||
-          (start == best_start &&
-           (finish < best_finish ||
-            (finish == best_finish && p < best_proc)))) {
-        found = true;
-        best_proc = p;
-        best_start = start;
-        best_finish = finish;
+      // Processors are visited in ascending id, so the id tie-break never
+      // favours p over an incumbent; the select below is branch-free.
+      const bool better = !found | (start < best_start) |
+                          ((start == best_start) & (finish < best_finish));
+      found = true;
+      best_proc = choose(better, p, best_proc);
+      best_start = choose(better, start, best_start);
+      best_finish = choose(better, finish, best_finish);
+      if (bus_model != nullptr && better) {
         std::swap(ws.best_transfers, ws.cand_transfers);
       }
     }
@@ -356,11 +362,10 @@ void EdfListScheduler::run_into(SchedulerResult& result, SchedulerWorkspace& ws,
     }
     for (const NodeId s : g.successors(v)) {
       if (--ws.pred_count[s] == 0) {
-        ws.ready.push(s);
+        make_ready(s);
       }
     }
   }
-  ws.note(heap_cap, ws.ready.capacity());
 
   if (!schedule.complete()) {
     if (result.failed_task.has_value()) {

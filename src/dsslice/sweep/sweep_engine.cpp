@@ -121,7 +121,7 @@ ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config,
     arena.kernel.run(arena.batch.scenarios(), kernel_config(config));
     return {scenario, arena.kernel.assignment(0),
             arena.kernel.outcome_min_laxity(0), arena.kernel.stats(0).passes,
-            arena.scratch};
+            {}, arena.scratch};
   }
   const std::span<const double> est =
       arena.scratch.estimate(scenario.application, config.wcet_strategy);
@@ -130,7 +130,7 @@ ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config,
       distribute_for_config(config, scenario.application, scenario.platform,
                             est, &passes, &arena.scratch);
   return {scenario, arena.assignment, min_laxity(arena.assignment, est),
-          passes, arena.scratch};
+          passes, est, arena.scratch};
 }
 
 GraphOutcome evaluate_arena_scenario(const ExperimentConfig& config,

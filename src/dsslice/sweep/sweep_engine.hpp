@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "dsslice/sim/experiment.hpp"
@@ -103,12 +104,15 @@ void generate_arena_scenario(const GeneratorConfig& generator,
 /// stream the scenario was drawn from. Every member refers into the calling
 /// thread's arena and stays valid until its next arena call; the scheduler
 /// buffers of `scratch` are free for the caller (the robustness harness
-/// estimates into its `est` and dispatches the scenario under faults).
+/// dispatches the scenario under faults). `est` holds the scenario's WCET
+/// estimates under config.wcet_strategy where the route made them (the
+/// scalar route, in scratch.est) and is empty on the batch kernel route.
 struct ArenaDistribution {
   const Scenario& scenario;
   const DeadlineAssignment& assignment;
   double min_laxity;
   std::size_t passes;
+  std::span<const double> est;
   ScenarioScratch& scratch;
 };
 ArenaDistribution distribute_arena_scenario(const ExperimentConfig& config,
