@@ -180,6 +180,106 @@ TEST(GraphAnalysis, RebuildRejectsCyclicGraph) {
   expect_same_analysis(a, GraphAnalysis(diamond()));
 }
 
+// A generated DAG with its ids shuffled, so that arcs point both up and
+// down in id order and Kahn's order is far from the identity.
+TaskGraph relabelled_dag(std::size_t n, std::uint64_t seed) {
+  GeneratorConfig cfg = testing::small_generator(seed);
+  cfg.workload.min_tasks = n;
+  cfg.workload.max_tasks = n;
+  cfg.workload.min_depth = 8;
+  cfg.workload.max_depth = 12;
+  const TaskGraph g = generate_scenario_at(cfg, 0).application.graph();
+  std::vector<NodeId> label(n);
+  for (NodeId v = 0; v < n; ++v) {
+    label[v] = v;
+  }
+  Xoshiro256 rng(seed);
+  std::shuffle(label.begin(), label.end(), rng);
+  std::vector<Arc> arcs;
+  for (const Arc& arc : g.arcs()) {
+    arcs.push_back({label[arc.from], label[arc.to], arc.message_items});
+  }
+  return TaskGraph(n, std::move(arcs));
+}
+
+// Nodes reachable from `from` by one or more arcs, by breadth-first search.
+std::vector<bool> bfs_descendants(const TaskGraph& g, NodeId from) {
+  std::vector<bool> seen(g.node_count(), false);
+  std::vector<NodeId> queue(g.successors(from).begin(),
+                            g.successors(from).end());
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    if (seen[v]) {
+      continue;
+    }
+    seen[v] = true;
+    for (const NodeId w : g.successors(v)) {
+      queue.push_back(w);
+    }
+  }
+  return seen;
+}
+
+// Around one 64-bit word (63, 64, 65 nodes) and across three (130), on
+// relabelled ids: the order equals algorithms::topological_order, and every
+// reach and co-reach bit and every count equals BFS reachability.
+TEST(GraphAnalysis, RelabelledDagMatchesBfsAcrossWordBoundaries) {
+  for (const std::size_t n : {63u, 64u, 65u, 130u}) {
+    const TaskGraph g = relabelled_dag(n, 40 + n);
+    const GraphAnalysis a(g);
+    const auto reference = topological_order(g);
+    ASSERT_TRUE(reference.has_value());
+    const auto topo = a.topological_order();
+    ASSERT_TRUE(std::equal(topo.begin(), topo.end(), reference->begin(),
+                           reference->end()))
+        << n;
+    EXPECT_FALSE(std::is_sorted(topo.begin(), topo.end())) << n;
+    std::vector<std::size_t> anc(n, 0);
+    for (NodeId u = 0; u < n; ++u) {
+      const std::vector<bool> desc = bfs_descendants(g, u);
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(a.reaches(u, v), desc[v]) << n << ": " << u << "->" << v;
+        EXPECT_EQ(bool((a.coreach_row(v)[u / 64] >> (u % 64)) & 1), desc[v])
+            << n << ": " << u << "->" << v;
+        anc[v] += desc[v];
+      }
+      const auto d = static_cast<std::size_t>(
+          std::count(desc.begin(), desc.end(), true));
+      EXPECT_EQ(a.descendant_count(u), d) << n << ": " << u;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(a.ancestor_count(v), anc[v]) << n << ": " << v;
+      EXPECT_EQ(a.parallel_set_size(v),
+                n - 1 - a.descendant_count(v) - anc[v])
+          << n << ": " << v;
+      // No bit beyond the last node is ever set.
+      const std::uint64_t tail_bits = n % 64 == 0
+                                          ? 0
+                                          : ~((std::uint64_t{1} << (n % 64)) - 1);
+      EXPECT_EQ(a.reach_row(v).back() & tail_bits, 0u) << n << ": " << v;
+      EXPECT_EQ(a.coreach_row(v).back() & tail_bits, 0u) << n << ": " << v;
+    }
+  }
+}
+
+// Kahn's pass expands the acyclic prefix {0, 4, 5} and then stops short of
+// the cycle 1 -> 2 -> 3 -> 1: the rebuild throws, and the object can be
+// rebuilt for a valid graph afterwards.
+TEST(GraphAnalysis, RebuildRejectsCycleBehindAnAcyclicPrefix) {
+  TaskGraph cyclic(6);
+  cyclic.add_arc(0, 1);
+  cyclic.add_arc(1, 2);
+  cyclic.add_arc(2, 3);
+  cyclic.add_arc(3, 1);
+  cyclic.add_arc(0, 4);
+  cyclic.add_arc(4, 5);
+  EXPECT_THROW(GraphAnalysis{cyclic}, ConfigError);
+  GraphAnalysis a(diamond());
+  EXPECT_THROW(a.rebuild(cyclic), ConfigError);
+  a.rebuild(diamond());
+  expect_same_analysis(a, GraphAnalysis(diamond()));
+}
+
 TEST(ApplicationAnalysisCache, BuiltOnceAndSharedByCopies) {
   const Application app = testing::make_diamond(1.0, 2.0, 3.0, 1.0, 20.0);
   const std::uint64_t before = GraphAnalysis::construction_count();

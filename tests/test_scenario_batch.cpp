@@ -139,6 +139,19 @@ TEST(ScenarioBatch, GeneratorBranchesMatchPinnedDigests) {
          c.platform.processor_count = 4;
        },
        0xd78d10f49dc0744dULL},
+      // Three classes on two processors leave at least one class
+      // unpopulated, and 60% ineligibility often leaves a task no populated
+      // class: the fallback draw runs, and each task's average WCET is over
+      // a varying number of eligible classes.
+      {"heavy-ineligibility",
+       [](GeneratorConfig& c) {
+         c.workload.ineligible_probability = 0.6;
+         c.platform.min_class_count = 3;
+         c.platform.max_class_count = 3;
+         c.platform.processor_count = 2;
+         c.platform.class_model = ClassModel::kUnrelated;
+       },
+       0x5f8b7165df6c53e9ULL},
   };
   for (const Pin& pin : pins) {
     GeneratorConfig cfg;

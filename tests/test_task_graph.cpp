@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -205,6 +206,69 @@ TEST(TaskGraph, AssignRejectsMalformedArcsAndLeavesTheGraphEmpty) {
     EXPECT_EQ(g.add_node(), 0u);  // usable again, from empty
     EXPECT_TRUE(g.successors(0).empty());
     EXPECT_THROW(TaskGraph(3, bad), ConfigError);
+  }
+}
+
+// A repeated predecessor is caught wherever it sits in its target's
+// predecessor bucket, not only next to its twin: the two 70 -> 90 arcs are
+// four arcs apart, and 90's bucket reads {70, 10, 3, 70}. Ids above 63 keep
+// the check honest beyond one 64-bit word.
+TEST(TaskGraph, AssignRejectsNonAdjacentParallelArcsInOneBucket) {
+  constexpr std::size_t kNodes = 100;
+  const std::vector<Arc> bad = {{70, 90, 1.0}, {10, 90, 0.0}, {5, 20, 0.0},
+                                {3, 90, 0.0},  {70, 90, 2.0}, {20, 95, 0.0}};
+  TaskGraph g(3);
+  g.add_arc(1, 2);
+  std::vector<Arc> arcs = bad;
+  try {
+    g.assign(kNodes, arcs);
+    ADD_FAILURE() << "parallel arcs accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel arcs are not allowed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(g.node_count(), 0u);
+  EXPECT_EQ(g.arc_count(), 0u);
+  // A range error anywhere in the list is reported before the parallel arc.
+  arcs = bad;
+  arcs.push_back({0, kNodes, 0.0});
+  try {
+    g.assign(kNodes, arcs);
+    ADD_FAILURE() << "out-of-range arc accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("node id out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  // Without the repeat the same arcs form a valid graph, and a predecessor
+  // shared by two buckets (70 -> 90, 70 -> 91) is not a parallel arc.
+  arcs = bad;
+  arcs[4] = {70, 91, 2.0};
+  g.assign(kNodes, arcs);
+  EXPECT_EQ(g.arc_count(), bad.size());
+  EXPECT_EQ(g.in_degree(90), 3u);
+}
+
+// A star whose hub has in-degree 199 and no parallel arc is accepted, on a
+// fresh graph and again on the graph that held it (a stale duplicate check
+// from the previous assign must not fire).
+TEST(TaskGraph, AssignAcceptsHighInDegreeStar) {
+  constexpr NodeId kHub = 199;
+  std::vector<Arc> star;
+  for (NodeId u = 0; u < kHub; ++u) {
+    star.push_back({(u * 37) % kHub, kHub, 1.0});
+  }
+  TaskGraph g;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<Arc> arcs = star;
+    g.assign(kHub + 1, arcs);
+    ASSERT_EQ(g.in_degree(kHub), std::size_t{kHub}) << round;
+    const auto preds = g.predecessors(kHub);
+    for (NodeId k = 0; k < kHub; ++k) {
+      EXPECT_EQ(preds[k], star[k].from) << round;
+    }
+    EXPECT_EQ(g.input_nodes().size(), std::size_t{kHub});
   }
 }
 
