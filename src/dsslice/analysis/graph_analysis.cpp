@@ -43,20 +43,31 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   // store follows a decrement of in_left_[w] from at least 1 (each arc
   // into w is walked at most once, as each node is expanded at most once),
   // so w is not queued yet and tail counts at most n - 1 queued nodes.
+  //
+  // The pass also records every arc it expands, in expansion order: arcs_
+  // groups the arcs by source, with the sources in topological order, so
+  // every arc out of s comes after every arc into s. The sweeps below are
+  // flat loops over that record, with no trip count per node.
   topo_.resize(n_);
   in_left_.resize(n_);
+  arcs_.resize(g.arc_count());
   std::size_t tail = 0;
   for (NodeId v = 0; v < n_; ++v) {
     in_left_[v] = g.in_degree(v);
     topo_[tail] = v;
     tail += in_left_[v] == 0;
   }
+  std::size_t recorded = 0;
   for (std::size_t head = 0; head < tail; ++head) {
-    for (const NodeId w : g.successors(topo_[head])) {
+    const NodeId s = topo_[head];
+    for (const NodeId w : g.successors(s)) {
+      arcs_[recorded++] = {s, w};
       topo_[tail] = w;
       tail += --in_left_[w] == 0;
     }
   }
+  // A cyclic graph stops early and leaves the record short; no sweep reads
+  // it then.
   DSSLICE_REQUIRE(tail == n_, "graph analysis requires an acyclic graph");
 
   reach_.assign(n_ * words_, 0);
@@ -66,32 +77,32 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   parallel_size_.resize(n_);
 
   // Reverse sweep: reach_row(u) = ∪ over successors s of (reach_row(s) ∪ {s}).
-  // Row u is final once its successors are merged, so its popcount is u's
-  // descendant count.
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const NodeId u = *it;
+  // Walking the record backwards merges row s into its predecessors only
+  // after every arc out of s has been merged into row s.
+  for (std::size_t k = arcs_.size(); k-- > 0;) {
+    const auto [u, s] = arcs_[k];
     std::uint64_t* ru = reach_.data() + u * words_;
-    for (const NodeId s : g.successors(u)) {
-      const std::uint64_t* rs = reach_.data() + s * words_;
-      for (std::size_t k = 0; k < words_; ++k) {
-        ru[k] |= rs[k];
-      }
-      ru[s / 64] |= std::uint64_t{1} << (s % 64);
+    const std::uint64_t* rs = reach_.data() + s * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      ru[w] |= rs[w];
     }
-    descendants_[u] = row_popcount(ru, words_);
+    ru[s / 64] |= std::uint64_t{1} << (s % 64);
   }
   // Forward sweep: coreach_row(v) = ∪ over predecessors u of
-  // (coreach_row(u) ∪ {u}), then v's ancestor count and |Ψ_v|.
-  for (const NodeId v : topo_) {
+  // (coreach_row(u) ∪ {u}). Walking the record forwards merges row u into
+  // its successors only after every arc into u has been merged into row u.
+  for (const auto& [u, v] : arcs_) {
     std::uint64_t* cv = coreach_.data() + v * words_;
-    for (const NodeId u : g.predecessors(v)) {
-      const std::uint64_t* cu = coreach_.data() + u * words_;
-      for (std::size_t k = 0; k < words_; ++k) {
-        cv[k] |= cu[k];
-      }
-      cv[u / 64] |= std::uint64_t{1} << (u % 64);
+    const std::uint64_t* cu = coreach_.data() + u * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      cv[w] |= cu[w];
     }
-    ancestors_[v] = row_popcount(cv, words_);
+    cv[u / 64] |= std::uint64_t{1} << (u % 64);
+  }
+  // Descendant and ancestor counts are the rows' popcounts; |Ψ_v| follows.
+  for (NodeId v = 0; v < n_; ++v) {
+    descendants_[v] = row_popcount(reach_.data() + v * words_, words_);
+    ancestors_[v] = row_popcount(coreach_.data() + v * words_, words_);
     parallel_size_[v] = n_ - 1 - descendants_[v] - ancestors_[v];
   }
 }

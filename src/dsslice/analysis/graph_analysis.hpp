@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dsslice/graph/task_graph.hpp"
@@ -135,8 +136,10 @@ class GraphAnalysis {
   std::vector<std::size_t> descendants_;
   std::vector<std::size_t> ancestors_;
   std::vector<std::size_t> parallel_size_;
-  // Kahn's remaining in-degree per node.
+  // Kahn's remaining in-degree per node, and the arcs its pass expanded,
+  // as (source, target) in expansion order.
   std::vector<std::size_t> in_left_;
+  std::vector<std::pair<NodeId, NodeId>> arcs_;
 };
 
 }  // namespace dsslice

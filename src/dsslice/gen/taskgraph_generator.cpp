@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "dsslice/gen/platform_generator.hpp"
 #include "dsslice/obs/trace.hpp"
@@ -49,9 +50,17 @@ void compact_below(GeneratorScratch& scratch, std::vector<NodeId>& pool,
   pool.resize(kept);
 }
 
-/// Removes `id` from an ascending pool that holds it.
+/// Removes `id` from an ascending pool that holds it, by branch-free stable
+/// compaction: every member is written back, and the write position
+/// advances past all but `id`. A pool spans one level, so the pass is
+/// short, where a binary search would branch on random data.
 void trim(std::vector<NodeId>& pool, NodeId id) {
-  pool.erase(std::lower_bound(pool.begin(), pool.end(), id));
+  std::size_t kept = 0;
+  for (const NodeId u : pool) {
+    pool[kept] = u;
+    kept += u != id;
+  }
+  pool.resize(kept);
 }
 
 /// Draws the layered precedence structure into scratch.arcs: each task
@@ -206,8 +215,9 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
                                ClassModel class_model, double class_deviation,
                                GeneratorScratch* scratch) {
   DSSLICE_SPAN("gen.taskgraph");
-  GeneratorScratch local_scratch;
-  GeneratorScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  std::optional<GeneratorScratch> local_scratch;
+  GeneratorScratch& scr =
+      scratch != nullptr ? *scratch : local_scratch.emplace();
   const auto n = static_cast<std::size_t>(
       rng.uniform_int(static_cast<std::int64_t>(config.min_tasks),
                       static_cast<std::int64_t>(config.max_tasks)));
@@ -224,18 +234,25 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
 
   // Classes that actually have processors: eligibility must keep at least
   // one of these per task or the task could never be scheduled.
-  const std::size_t class_count = platform.class_count();
+  const std::vector<ProcessorClass>& classes = platform.classes();
+  const std::size_t class_count = classes.size();
   scr.populated.clear();
   for (ProcessorClassId e = 0; e < class_count; ++e) {
     if (platform.processors_in_class(e) > 0) {
       scr.push(scr.populated, e);
     }
   }
-  std::vector<ProcessorClassId>& populated = scr.populated;
+  const std::vector<ProcessorClassId>& populated = scr.populated;
   DSSLICE_CHECK(!populated.empty(), "platform without populated classes");
 
+  // One pass per task draws its WCETs, writes its row once and adds its
+  // term of the average accumulated workload (mean WCET across eligible
+  // classes, summed over tasks in id order) for the E-T-E deadline below.
   const double c_mean = config.mean_execution_time;
   scr.resize_task_slots(n);
+  scr.size(scr.drawn_wcet, class_count);
+  std::vector<double>& drawn = scr.drawn_wcet;
+  double avg_workload = 0.0;
   for (NodeId i = 0; i < n; ++i) {
     Task& t = scr.tasks[i];
     // "t<i>" fits the small-string buffer: no heap for generated names.
@@ -251,54 +268,48 @@ void generate_application_into(Application& app, const WorkloadConfig& config,
             ? c_mean
             : rng.uniform(c_mean * (1.0 - config.etd),
                           c_mean * (1.0 + config.etd));
-    scr.size(t.wcet_by_class, class_count);
     for (ProcessorClassId e = 0; e < class_count; ++e) {
       const double scale =
           class_model == ClassModel::kUniformFactors
-              ? platform.processor_class(e).speed_factor
+              ? classes[e].speed_factor
               : rng.uniform(1.0 - class_deviation, 1.0 + class_deviation);
       // Execution times are integral time units (§3.1), floor at 1.
-      t.wcet_by_class[e] = std::max(1.0, round_half_away(base * scale));
+      drawn[e] = std::max(1.0, round_half_away(base * scale));
     }
     // 5% per-(task, class) ineligibility; keep >= 1 populated class.
-    scr.fill(scr.drawn_wcet, t.wcet_by_class.size(), 0.0);
-    std::copy(t.wcet_by_class.begin(), t.wcet_by_class.end(),
-              scr.drawn_wcet.begin());
-    const std::vector<double>& drawn = scr.drawn_wcet;
+    scr.size(t.wcet_by_class, class_count);
     for (ProcessorClassId e = 0; e < class_count; ++e) {
-      if (rng.bernoulli(config.ineligible_probability)) {
-        t.wcet_by_class[e] = kIneligibleWcet;
-      }
+      t.wcet_by_class[e] =
+          choose(rng.bernoulli(config.ineligible_probability),
+                 kIneligibleWcet, drawn[e]);
     }
-    const bool any_populated_eligible = std::any_of(
-        populated.begin(), populated.end(),
-        [&](ProcessorClassId e) { return t.eligible(e); });
+    bool any_populated_eligible = false;
+    for (const ProcessorClassId e : populated) {
+      any_populated_eligible |= t.eligible(e);
+    }
     if (!any_populated_eligible) {
       const auto j = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(populated.size()) - 1));
       const ProcessorClassId e = populated[j];
       t.wcet_by_class[e] = drawn[e];
     }
+    // Adding +0.0 for an ineligible class leaves the sum's bits as they
+    // are: the sum starts at +0.0 and never turns negative.
+    double sum = 0.0;
+    std::size_t k = 0;
+    for (const double wcet : t.wcet_by_class) {
+      const bool eligible = wcet >= 0.0;
+      sum += choose(eligible, wcet, 0.0);
+      k += eligible;
+    }
+    avg_workload += sum / static_cast<double>(k);
   }
 
   // Trade the freshly drawn storage for the target's previous storage; the
   // scratch recycles that capacity on the next call.
   app.rebuild_swap(scr.graph, scr.tasks);
 
-  // E-T-E deadline from the OLR over the average accumulated workload
-  // (mean WCET across eligible classes, summed over all tasks).
-  double avg_workload = 0.0;
-  for (const Task& t : app.tasks()) {
-    double sum = 0.0;
-    std::size_t k = 0;
-    for (const double wcet : t.wcet_by_class) {
-      if (wcet >= 0.0) {  // eligible
-        sum += wcet;
-        ++k;
-      }
-    }
-    avg_workload += sum / static_cast<double>(k);
-  }
+  // E-T-E deadlines from the OLR over the average accumulated workload.
   // Direct ascending scans visit outputs/inputs in the same order as the
   // materialized output_nodes()/input_nodes() lists, without allocating.
   for (NodeId out = 0; out < n; ++out) {

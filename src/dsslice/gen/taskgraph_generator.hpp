@@ -61,7 +61,7 @@ class GeneratorScratch : public GrowthCounter {
   std::vector<NodeId> with_capacity;      // spare-out-degree anchor pool
   std::vector<NodeId> candidates;         // successor-wiring pool
   std::vector<ProcessorClassId> populated;  // classes with processors
-  std::vector<double> drawn_wcet;         // pre-ineligibility WCET snapshot
+  std::vector<double> drawn_wcet;         // one task's WCETs as drawn
   std::vector<Arc> arcs;                  // drawn arcs, insertion order
   std::vector<std::size_t> out_degree;    // per node, arcs drawn so far
   std::vector<std::size_t> in_degree;

@@ -29,6 +29,7 @@ TaskGraph& TaskGraph::operator=(TaskGraph&& other) noexcept {
   pred_ = std::move(other.pred_);
   pred_items_ = std::move(other.pred_items_);
   pred_arc_ = std::move(other.pred_arc_);
+  stamp_ = std::move(other.stamp_);
   return *this;
 }
 
@@ -83,17 +84,21 @@ void TaskGraph::assign(std::size_t n, std::vector<Arc>& arcs) {
   }
   if (error == nullptr) {
     build_csr();
-    // Parallel arcs share a successor list, so one scan per list finds them.
-    for (NodeId v = 0; v < n_ && error == nullptr; ++v) {
-      const auto succ = successors(v);
-      for (std::size_t k = 1; k < succ.size(); ++k) {
-        const auto earlier = succ.first(k);
-        if (std::find(earlier.begin(), earlier.end(), succ[k]) !=
-            earlier.end()) {
-          error = "parallel arcs are not allowed";
-          break;
-        }
-      }
+    // Parallel arcs put one predecessor twice into the same predecessor
+    // bucket. The buckets are contiguous and ordered by target, so one flat
+    // pass finds every repeat: each slot stamps its predecessor with the
+    // bucket's target, and a predecessor met again inside that bucket
+    // finds its own stamp. Stamps are target + 1, so a cleared stamp never
+    // matches.
+    stamp_.assign(n_, 0);
+    bool parallel = false;
+    for (std::size_t p = 0; p < pred_.size(); ++p) {
+      const NodeId bucket = arcs_[pred_arc_[p]].to + 1;
+      parallel |= stamp_[pred_[p]] == bucket;
+      stamp_[pred_[p]] = bucket;
+    }
+    if (parallel) {
+      error = "parallel arcs are not allowed";
     }
   }
   if (error != nullptr) {

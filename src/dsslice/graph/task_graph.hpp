@@ -157,6 +157,9 @@ class TaskGraph {
   std::vector<NodeId> pred_;
   std::vector<double> pred_items_;
   std::vector<std::uint32_t> pred_arc_;
+  // assign()'s parallel-arc check: per node, the last predecessor bucket
+  // (target + 1) it was seen in. Kept only to recycle its capacity.
+  std::vector<NodeId> stamp_;
 };
 
 }  // namespace dsslice
