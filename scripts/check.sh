@@ -24,6 +24,42 @@ done
 echo "==> benchmark smoke"
 python3 benchmark/run.py --smoke
 
+# The committed end-to-end record, BENCH_benchmark.json (written by
+# `python3 benchmark/run.py --runs 5 --out BENCH_benchmark.json`), must parse
+# and hold 5 runs of each workload BENCHMARK.json declares, every run with
+# no failed check. Runs at the golden seed must carry the digest and success
+# count that benchmark/golden.json pins for full-size runs.
+echo "==> benchmark record [BENCH_benchmark.json]"
+python3 - <<'PY'
+import json
+import sys
+
+record = json.load(open("BENCH_benchmark.json", encoding="utf-8"))
+golden = json.load(open("benchmark/golden.json", encoding="utf-8"))
+spec = json.load(open("BENCHMARK.json", encoding="utf-8"))
+names = [w["name"] for w in spec["workloads"]]
+problems = []
+if sorted(record["workloads"]) != sorted(names):
+    problems.append(f"workloads {sorted(record['workloads'])}, "
+                    f"expected {sorted(names)}")
+for name in names:
+    runs = record["workloads"].get(name, [])
+    if len(runs) != 5:
+        problems.append(f"{name}: {len(runs)} runs, expected 5")
+    for i, run in enumerate(runs):
+        if run["failed"] != 0:
+            problems.append(f"{name} run {i}: {run['failed']} failed checks")
+        if run["seed"] == golden["seed"] and run["scale"] == 1:
+            pinned = golden["full"][name]
+            for key in ("digest", "successes"):
+                if run[key] != pinned[key]:
+                    problems.append(f"{name} run {i}: {key} {run[key]}, "
+                                    f"golden {pinned[key]}")
+for problem in problems:
+    print(f"BENCH_benchmark.json: {problem}", file=sys.stderr)
+sys.exit(1 if problems else 0)
+PY
+
 # Traced smokes, one table row per driver, each run under both presets: the
 # sanitize pass covers the scheduler workspaces, the batch kernel, the
 # shed/migrate recovery paths and the obs rings under ASan/UBSan. A row is
@@ -265,8 +301,9 @@ cmake --build --preset tsan -j "$jobs"
 # and cmov for the branch-free helpers and selects. The library compiles
 # with -ffp-contract=off, so the batch kernel, the scenario generator, the
 # sweep engine, the pinned figure digests, the branch-free helpers and heap,
-# and the scheduler and slicing equivalence suites must still match bit for
-# bit. Only on CPUs with FMA and AVX2, where an x86-64-v3 binary can run.
+# the scheduler and slicing equivalence suites, and the task graph and graph
+# analysis suites must still match bit for bit. Only on CPUs with FMA and
+# AVX2, where an x86-64-v3 binary can run.
 if grep -qw fma /proc/cpuinfo 2>/dev/null &&
    grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
   echo "==> fma build [x86-64-v3, bit-identity suites]"
@@ -274,7 +311,7 @@ if grep -qw fma /proc/cpuinfo 2>/dev/null &&
     -DCMAKE_CXX_FLAGS=-march=x86-64-v3
   cmake --build build-fma -j "$jobs" --target dsslice_tests
   ./build-fma/tests/dsslice_tests \
-    --gtest_filter='BatchKernelTest.*:ScenarioBatch.*:SweepEngine.*:Sweeps.*:BranchFree.*:TaskHeap.*:SchedulerEquivalence.*:SlicingEquivalence.*'
+    --gtest_filter='BatchKernelTest.*:ScenarioBatch.*:SweepEngine.*:Sweeps.*:BranchFree.*:TaskHeap.*:SchedulerEquivalence.*:SlicingEquivalence.*:TaskGraph.*:GraphAnalysis.*'
 else
   echo "==> fma build skipped: this CPU lists no fma or no avx2"
 fi
