@@ -9,8 +9,8 @@
 //     the "tracing compiled in but off costs nothing" guarantee.
 //  2. Enabled tax (reported): the same pair with recording enabled — the
 //     price of a clock read + ring/accumulator write per span.
-//  3. Pipeline delta (reported): a real evaluate_scenario batch off vs on,
-//     the end-to-end number a user sees when passing --trace to a bench.
+//  3. Pipeline delta (reported): one run_experiment batch off vs on, the
+//     end-to-end number a user sees when passing --trace to a bench.
 //  4. Streaming tax (GATED): the same pipeline batch with tracing ON, with
 //     and without a StreamSink flushing every 10 ms to scratch files — the
 //     price of concurrent ring drains on the recording threads. Gated at

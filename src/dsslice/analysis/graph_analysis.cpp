@@ -107,14 +107,6 @@ void GraphAnalysis::rebuild(const TaskGraph& g) {
   }
 }
 
-std::vector<NodeId> GraphAnalysis::parallel_set(NodeId i) const {
-  DSSLICE_REQUIRE(i < n_, "node id out of range");
-  std::vector<NodeId> out;
-  out.reserve(parallel_size_[i]);
-  for_each_parallel(i, [&](NodeId j) { out.push_back(j); });
-  return out;
-}
-
 std::uint64_t GraphAnalysis::construction_count() {
   return g_construction_count.load(std::memory_order_relaxed);
 }

@@ -116,10 +116,6 @@ class GraphAnalysis {
     }
   }
 
-  /// Ψ_i materialized as a node list (ascending) — convenience for tests and
-  /// cold paths; hot paths should use for_each_parallel.
-  std::vector<NodeId> parallel_set(NodeId i) const;
-
   /// Process-wide count of GraphAnalysis builds (constructions and
   /// rebuilds). Instrumentation for tests and the perf harness: lets callers
   /// assert that a hot loop runs zero closure/analysis builds (i.e. the

@@ -132,19 +132,4 @@ bool CriticalPathSearch::find(const TaskGraph& g,
   return true;
 }
 
-std::optional<CriticalPath> find_critical_path(
-    const TaskGraph& g, std::span<const NodeId> topo_order,
-    const AnchorState& anchors, std::span<const double> weights,
-    const DeadlineMetric& metric) {
-  DSSLICE_REQUIRE(topo_order.size() == g.node_count(),
-                  "topological order size mismatch");
-  const GraphAnalysis analysis(g);
-  CriticalPathSearch search;
-  CriticalPath path;
-  if (!search.find(g, analysis, anchors, weights, metric, path)) {
-    return std::nullopt;
-  }
-  return path;
-}
-
 }  // namespace dsslice

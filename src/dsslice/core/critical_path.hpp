@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,7 +94,8 @@ struct CriticalPath {
 class CriticalPathSearch {
  public:
   /// Finds the most critical remaining path into `out` (reusing its node
-  /// vector). Returns false when no unassigned task remains.
+  /// vector). `weights` are the metric weights (c̄ or ĉ) for all tasks.
+  /// Returns false when no unassigned task remains.
   bool find(const TaskGraph& g, const GraphAnalysis& analysis,
             const AnchorState& anchors, std::span<const double> weights,
             const DeadlineMetric& metric, CriticalPath& out);
@@ -106,16 +106,5 @@ class CriticalPathSearch {
   std::vector<Time> latest_;
   std::vector<Entry> dp_;
 };
-
-/// Finds the most critical remaining path, or nullopt when no unassigned
-/// task remains. `topo_order` is the full-graph topological order; `weights`
-/// are the metric weights (c̄ or ĉ) for all tasks. One-shot convenience
-/// wrapper over CriticalPathSearch — it rebuilds a GraphAnalysis per call,
-/// so hot loops should hold a CriticalPathSearch and a cached analysis
-/// instead.
-std::optional<CriticalPath> find_critical_path(
-    const TaskGraph& g, std::span<const NodeId> topo_order,
-    const AnchorState& anchors, std::span<const double> weights,
-    const DeadlineMetric& metric);
 
 }  // namespace dsslice

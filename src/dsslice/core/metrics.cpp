@@ -97,22 +97,6 @@ double DeadlineMetric::effective_threshold(
   return params_.threshold_factor * sum / static_cast<double>(est_wcet.size());
 }
 
-std::vector<double> DeadlineMetric::weights(
-    const Application& app, std::span<const double> est_wcet,
-    std::size_t processor_count) const {
-  std::vector<double> w;
-  weights_into(app, est_wcet, processor_count, nullptr, w);
-  return w;
-}
-
-std::vector<double> DeadlineMetric::weights(
-    const Application& app, std::span<const double> est_wcet,
-    std::size_t processor_count, const ResourceModel* resources) const {
-  std::vector<double> w;
-  weights_into(app, est_wcet, processor_count, resources, w);
-  return w;
-}
-
 void DeadlineMetric::weights_into(const Application& app,
                                   std::span<const double> est_wcet,
                                   std::size_t processor_count,
@@ -247,13 +231,6 @@ double DeadlineMetric::path_value(Time window, double sum_weight,
   return laxity / static_cast<double>(count);  // Eqs. 4 and shared ADAPT form
 }
 
-std::vector<double> DeadlineMetric::slices(
-    Time window, std::span<const double> path_weights) const {
-  std::vector<double> d;
-  slices_into(window, path_weights, d);
-  return d;
-}
-
 void DeadlineMetric::slices_into(Time window,
                                  std::span<const double> path_weights,
                                  std::vector<double>& out) const {
@@ -280,14 +257,6 @@ void DeadlineMetric::slices_into(Time window,
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = path_weights[i] + share;
   }
-}
-
-std::vector<double> DeadlineMetric::adaptive_slices(
-    Time window, std::span<const double> path_weights,
-    std::span<const double> path_est) const {
-  std::vector<double> d;
-  adaptive_slices_into(window, path_weights, path_est, d);
-  return d;
 }
 
 void DeadlineMetric::adaptive_slices_into(Time window,

@@ -1,14 +1,15 @@
 // Critical-path metrics for the slicing technique (§4.5).
 //
 // A metric does three jobs:
-//  1. `weights()` — per-task weight w_i used throughout one slicing run.
+//  1. `weights_into()` — per-task weight w_i used throughout one slicing
+//     run.
 //     For PURE/NORM this is the estimated WCET c̄_i; for the adaptive
 //     metrics it is the *virtual execution time* ĉ_i (Eqs. 6 and 8), which
 //     inflates c̄_i for tasks above the execution-time threshold in
 //     proportion to the contention they are expected to face.
 //  2. `path_value()` — the laxity-ratio R of a candidate path (Eqs. 2, 4);
 //     the critical path is the one *minimizing* R.
-//  3. `slices()` — the relative deadlines d_i that partition a path's
+//  3. `slices_into()` — the relative deadlines d_i that partition a path's
 //     window (Eqs. 3, 5): equal-share for PURE/ADAPT-*, proportional for
 //     NORM. Slices always tile the window exactly: Σ d_i = |window|.
 #pragma once
@@ -83,34 +84,23 @@ class DeadlineMetric {
   /// True for ADAPT-G / ADAPT-L (affects precomputation cost).
   bool is_adaptive() const;
 
-  /// Per-task weights for one slicing run. `est_wcet` is c̄;
+  /// Per-task weights for one slicing run, written into `out` (resized to
+  /// the task count); scratch data goes into `workspace` when given, so
+  /// repeated calls are allocation-free. `est_wcet` is c̄;
   /// `processor_count` is the m in the surplus factors. ADAPT-L reads the
   /// parallel sets from the application's memoized GraphAnalysis (built once
-  /// per graph, well inside the paper's O(n³) budget, §4.5); with a warm
-  /// cache every metric's weights are O(n) except the temporal /
+  /// per graph, well inside the paper's O(n³) budget, §4.5) and walks them
+  /// over the reach/co-reach bitset words instead of materializing them;
+  /// with a warm cache every metric's weights are O(n) except the temporal /
   /// resource-aware ADAPT-L variants, which scan the Ψ_i bitset rows
   /// (O(n²/64)).
-  std::vector<double> weights(const Application& app,
-                              std::span<const double> est_wcet,
-                              std::size_t processor_count) const;
-
-  /// Resource-aware weights (§7.3 future work): identical to weights() for
-  /// every metric except ADAPT-L, whose virtual execution time becomes
-  /// ĉ_i = c̄_i (1 + k_L·|Ψ_i|/m + k_R·|Ψ_i ∩ conflict(i)|) — parallel
-  /// tasks sharing an exclusive resource contend at full weight because a
-  /// resource, unlike the processor pool, admits one holder at a time.
-  /// Passing nullptr degenerates to weights().
-  std::vector<double> weights(const Application& app,
-                              std::span<const double> est_wcet,
-                              std::size_t processor_count,
-                              const ResourceModel* resources) const;
-
-  /// Allocation-free core of both weights() overloads: writes ĉ into `out`
-  /// (resized to the task count) and scratch data into `workspace` when
-  /// given. Consumes the application's memoized GraphAnalysis — no
-  /// transitive closure or topological order is rebuilt, and the ADAPT-L
-  /// parallel sets are walked directly over the reach/co-reach bitset words
-  /// instead of being materialized. Results are bit-identical to weights().
+  ///
+  /// Resource-aware weights (§7.3 future work), when `resources` is not
+  /// null: every metric is unchanged except ADAPT-L, whose virtual execution
+  /// time becomes ĉ_i = c̄_i (1 + k_L·|Ψ_i|/m + k_R·|Ψ_i ∩ conflict(i)|) —
+  /// parallel tasks sharing an exclusive resource contend at full weight
+  /// because a resource, unlike the processor pool, admits one holder at a
+  /// time.
   void weights_into(const Application& app, std::span<const double> est_wcet,
                     std::size_t processor_count,
                     const ResourceModel* resources, std::vector<double>& out,
@@ -123,11 +113,12 @@ class DeadlineMetric {
   double path_value(Time window, double sum_weight, std::size_t count) const;
 
   /// Relative deadlines d_i for the path tasks whose weights are given, so
-  /// that Σ d_i == window (exact tiling). Negative slices are possible when
-  /// the window is tighter than the weights — the schedulability test will
-  /// then fail, which is the intended signal.
-  std::vector<double> slices(Time window,
-                             std::span<const double> path_weights) const;
+  /// that Σ d_i == window (exact tiling), written into `out` (resized to the
+  /// path length; it must not alias the input spans). Negative slices are
+  /// possible when the window is tighter than the weights — the
+  /// schedulability test will then fail, which is the intended signal.
+  void slices_into(Time window, std::span<const double> path_weights,
+                   std::vector<double>& out) const;
 
   /// Slice computation for the adaptive metrics, which distinguishes the
   /// virtual execution times ĉ (`path_weights`) from the real estimates c̄
@@ -137,22 +128,14 @@ class DeadlineMetric {
   ///    adaptivity never consumes another task's required execution time
   ///    ("only certain tasks are allotted *extra* laxities", §4.5);
   ///  * laxity ≤ 0: degenerate to PURE on the real estimates.
-  /// Non-adaptive metrics delegate to slices(). Σ d_i == window always.
-  std::vector<double> adaptive_slices(Time window,
-                                      std::span<const double> path_weights,
-                                      std::span<const double> path_est) const;
-
-  /// Allocation-free variants of slices() / adaptive_slices(): the result is
-  /// written into `out` (resized to the path length). `out` must not alias
-  /// the input spans.
-  void slices_into(Time window, std::span<const double> path_weights,
-                   std::vector<double>& out) const;
+  /// Non-adaptive metrics delegate to slices_into(). Σ d_i == window always.
+  /// `out` as for slices_into().
   void adaptive_slices_into(Time window, std::span<const double> path_weights,
                             std::span<const double> path_est,
                             std::vector<double>& out) const;
 
-  /// The effective execution-time threshold used by weights() for the given
-  /// estimates (exposed for tests and diagnostics).
+  /// The effective execution-time threshold used by weights_into() for the
+  /// given estimates (exposed for tests and diagnostics).
   double effective_threshold(std::span<const double> est_wcet) const;
 
  private:

@@ -25,24 +25,11 @@ double min_laxity(const DeadlineAssignment& assignment,
   return *std::min_element(xs.begin(), xs.end());
 }
 
-std::vector<double> latenesses(const Schedule& schedule,
-                               const DeadlineAssignment& assignment) {
-  std::vector<double> out;
-  out.reserve(assignment.windows.size());
-  for (NodeId v = 0; v < assignment.windows.size(); ++v) {
-    if (schedule.placed(v)) {
-      out.push_back(schedule.entry(v).finish -
-                    assignment.windows[v].deadline);
-    }
-  }
-  return out;
-}
-
 double max_lateness(const Schedule& schedule,
                     const DeadlineAssignment& assignment) {
-  // One pass over latenesses() without materializing it. The fold keeps
-  // std::max_element's rule — replace only when `worst < x` — so NaNs and
-  // ties resolve exactly as they would over the vector.
+  // One pass over the scheduled tasks' latenesses, none materialized. The
+  // fold keeps std::max_element's rule — replace only when `worst < x` — so
+  // NaNs and ties resolve exactly as they would over a vector of them.
   bool any = false;
   double worst = 0.0;
   for (NodeId v = 0; v < assignment.windows.size(); ++v) {

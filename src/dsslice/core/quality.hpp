@@ -18,12 +18,9 @@ std::vector<double> laxities(const DeadlineAssignment& assignment,
 double min_laxity(const DeadlineAssignment& assignment,
                   std::span<const double> est_wcet);
 
-/// Lateness L_i = f_i − D_i of each scheduled task (non-positive for a
-/// valid schedule). Tasks absent from the schedule are skipped.
-std::vector<double> latenesses(const Schedule& schedule,
-                               const DeadlineAssignment& assignment);
-
-/// max_i L_i — the paper's secondary post-scheduling quality measure: how
+/// max_i L_i over the scheduled tasks, where the lateness L_i = f_i − D_i
+/// is non-positive for a valid schedule; tasks absent from the schedule are
+/// skipped. The paper's secondary post-scheduling quality measure: how
 /// close to infeasibility the schedule is (closest-to-zero lateness).
 double max_lateness(const Schedule& schedule,
                     const DeadlineAssignment& assignment);

@@ -85,7 +85,7 @@ struct SlicingWorkspace {
 
 struct SlicingOptions {
   /// Optional shared-resource requirements: consumed by the resource-aware
-  /// ADAPT-L weights (see DeadlineMetric::weights overload). Not owned.
+  /// ADAPT-L weights (see DeadlineMetric::weights_into). Not owned.
   const ResourceModel* resources = nullptr;
   /// When set, the run records every pass (path, window, metric value,
   /// slices) into this trace. Not owned; cleared at the start of the run.

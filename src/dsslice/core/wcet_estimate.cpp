@@ -65,13 +65,6 @@ void estimate_wcets_into(const Application& app, WcetEstimation strategy,
   }
 }
 
-std::vector<double> mandatory_estimates(const Application& app,
-                                        std::span<const double> est_wcet) {
-  std::vector<double> out;
-  mandatory_estimates_into(app, est_wcet, out);
-  return out;
-}
-
 void mandatory_estimates_into(const Application& app,
                               std::span<const double> est_wcet,
                               std::vector<double>& out) {

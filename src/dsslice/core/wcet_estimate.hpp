@@ -35,15 +35,12 @@ void estimate_wcets_into(const Application& app, WcetEstimation strategy,
 /// Single-task variant.
 double estimate_wcet(const Task& task, WcetEstimation strategy);
 
-/// Scales an estimate vector down to the *mandatory* demand of each task:
-/// out[i] = (1 − optional_fraction_i) · est_wcet[i]. Tasks with no optional
-/// part keep their estimate bit-identically. Deadline distribution plans
-/// against mandatory demand so the optional parts surface as recoverable
-/// slack (docs/ROBUSTNESS.md, "Graceful degradation").
-std::vector<double> mandatory_estimates(const Application& app,
-                                        std::span<const double> est_wcet);
-
-/// Allocation-free variant writing into a reusable buffer.
+/// Scales an estimate vector down to the *mandatory* demand of each task,
+/// written into a reusable buffer: out[i] = (1 − optional_fraction_i) ·
+/// est_wcet[i]. Tasks with no optional part keep their estimate
+/// bit-identically. Deadline distribution plans against mandatory demand so
+/// the optional parts surface as recoverable slack (docs/ROBUSTNESS.md,
+/// "Graceful degradation").
 void mandatory_estimates_into(const Application& app,
                               std::span<const double> est_wcet,
                               std::vector<double>& out);

@@ -212,7 +212,6 @@ class Registry {
   using StreamHook = std::function<void(ThreadBuffer&)>;
   bool attach_stream_hook(StreamHook hook);
   void detach_stream_hook();
-  bool stream_hook_attached();
 
   void count_allocation() {
     allocations_.fetch_add(1, std::memory_order_relaxed);

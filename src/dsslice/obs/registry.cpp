@@ -82,11 +82,6 @@ void Registry::detach_stream_hook() {
   stream_hook_ = nullptr;
 }
 
-bool Registry::stream_hook_attached() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<bool>(stream_hook_);
-}
-
 void Registry::set_ring_capacity(std::size_t capacity) {
   ring_capacity_.store(std::max<std::size_t>(1, capacity),
                        std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "dsslice/robust/recovery.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "dsslice/analysis/graph_analysis.hpp"
@@ -24,14 +23,6 @@ std::string to_string(RecoveryPolicy policy) {
       return "degrade-then-migrate";
   }
   return "unknown";
-}
-
-std::span<const RecoveryPolicy> all_recovery_policies() {
-  static constexpr std::array<RecoveryPolicy, 5> kAll = {
-      RecoveryPolicy::kNone, RecoveryPolicy::kRedistributeSlack,
-      RecoveryPolicy::kMigrate, RecoveryPolicy::kShedOptional,
-      RecoveryPolicy::kDegradeThenMigrate};
-  return kAll;
 }
 
 std::vector<Window> redistribute_slack(const Application& app,

@@ -51,9 +51,6 @@ enum class RecoveryPolicy {
 
 std::string to_string(RecoveryPolicy policy);
 
-/// All policies in presentation order.
-std::span<const RecoveryPolicy> all_recovery_policies();
-
 /// Recomputes the windows of every not-yet-started task from the live
 /// dispatch state: arrival = earliest start consistent with the actual
 /// finishes of started work (estimated WCETs for unstarted predecessors),

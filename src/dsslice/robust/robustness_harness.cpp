@@ -47,10 +47,6 @@ void RobustnessResult::add(const RobustnessOutcome& outcome) {
   recovery.merge(outcome.recovery);
 }
 
-double RobustnessResult::ete_miss_ratio() const {
-  return ete_met.trials() == 0 ? 0.0 : 1.0 - ete_met.ratio();
-}
-
 std::string RobustnessResult::summary(const std::string& label) const {
   std::ostringstream os;
   os << pad_right(label, 24) << " ete-met "

@@ -84,9 +84,6 @@ struct RobustnessResult {
 
   void add(const RobustnessOutcome& outcome);
 
-  /// Fraction of E-T-E deadlines missed across the batch (1 − met ratio).
-  double ete_miss_ratio() const;
-
   /// One-line human-readable summary.
   std::string summary(const std::string& label) const;
 };

@@ -65,12 +65,6 @@ DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
                     config.metric_params);
 }
 
-GraphOutcome evaluate_scenario(const ExperimentConfig& config,
-                               std::uint64_t seed, ScenarioScratch* scratch) {
-  const Scenario scenario = generate_scenario(config.generator, seed);
-  return evaluate_generated(config, scenario, scratch);
-}
-
 GraphOutcome evaluate_generated(const ExperimentConfig& config,
                                 const Scenario& scenario,
                                 ScenarioScratch* scratch) {

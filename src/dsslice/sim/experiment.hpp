@@ -88,17 +88,10 @@ DeadlineAssignment distribute_for_config(const ExperimentConfig& config,
                                          std::size_t* slicing_passes = nullptr,
                                          ScenarioScratch* scratch = nullptr);
 
-/// Evaluates a single scenario generated from `seed` under the
-/// configuration (the per-graph unit of work; exposed for tests and custom
-/// drivers).
-GraphOutcome evaluate_scenario(const ExperimentConfig& config,
-                               std::uint64_t seed,
-                               ScenarioScratch* scratch = nullptr);
-
-/// Evaluation half of evaluate_scenario for an already-generated scenario —
-/// the consumer side of the batched sweep pipeline (gen/scenario_batch.hpp
-/// produces, this evaluates). Identical outcome to evaluate_scenario on the
-/// seed the scenario was generated from.
+/// Evaluates one already-generated scenario under the configuration (the
+/// per-graph unit of work) — the consumer side of the batched sweep
+/// pipeline (gen/scenario_batch.hpp produces, this evaluates). The scenario
+/// of `seed` is generate_scenario(config.generator, seed).
 GraphOutcome evaluate_generated(const ExperimentConfig& config,
                                 const Scenario& scenario,
                                 ScenarioScratch* scratch = nullptr);

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dsslice/core/critical_path.hpp"
-#include "dsslice/graph/algorithms.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
@@ -11,8 +12,12 @@ std::optional<CriticalPath> find(const Application& app,
                                  const AnchorState& anchors,
                                  const std::vector<double>& weights,
                                  const DeadlineMetric& metric) {
-  const auto topo = topological_order(app.graph());
-  return find_critical_path(app.graph(), *topo, anchors, weights, metric);
+  CriticalPath path;
+  if (!CriticalPathSearch().find(app.graph(), app.analysis(), anchors,
+                                 weights, metric, path)) {
+    return std::nullopt;
+  }
+  return path;
 }
 
 TEST(CriticalPath, ChainIsItsOwnCriticalPath) {

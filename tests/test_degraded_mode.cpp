@@ -64,17 +64,19 @@ TEST(DegradedModel, MandatoryEstimates) {
   const std::vector<double> est{12.0, 8.0, 10.0};
   EXPECT_FALSE(precise.has_optional_work());
   // Precise tasks pass estimates through untouched (bitwise).
-  EXPECT_EQ(mandatory_estimates(precise, est), est);
+  std::vector<double> buffer;
+  mandatory_estimates_into(precise, est, buffer);
+  EXPECT_EQ(buffer, est);
 
   const Application imprecise = with_optional(precise, 0.5);
   EXPECT_TRUE(imprecise.has_optional_work());
-  const std::vector<double> mandatory = mandatory_estimates(imprecise, est);
+  std::vector<double> mandatory;
+  mandatory_estimates_into(imprecise, est, mandatory);
   ASSERT_EQ(mandatory.size(), est.size());
   for (std::size_t i = 0; i < est.size(); ++i) {
     EXPECT_DOUBLE_EQ(mandatory[i], est[i] * 0.5);
   }
-  // The _into variant reuses its output buffer.
-  std::vector<double> buffer;
+  // A reused output buffer is overwritten with the new result.
   mandatory_estimates_into(imprecise, est, buffer);
   EXPECT_EQ(buffer, mandatory);
 }

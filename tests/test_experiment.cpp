@@ -70,11 +70,16 @@ TEST(SweepAggregate, SummaryMentionsLabelAndRatio) {
   EXPECT_NE(s.find("100.0%"), std::string::npos);
 }
 
+// The outcome of the scenario generated from `seed`.
+GraphOutcome evaluate_seed(const ExperimentConfig& c, std::uint64_t seed) {
+  return evaluate_generated(c, generate_scenario(c.generator, seed));
+}
+
 TEST(EvaluateScenario, ProducesConsistentOutcome) {
   ExperimentConfig c;
   c.generator = testing::paper_generator(5);
   c.technique = DistributionTechnique::kSlicingAdaptL;
-  const GraphOutcome o = evaluate_scenario(c, derive_seed(5, 0));
+  const GraphOutcome o = evaluate_seed(c, derive_seed(5, 0));
   EXPECT_GE(o.task_count, c.generator.workload.min_tasks);
   EXPECT_LE(o.task_count, c.generator.workload.max_tasks);
   EXPECT_GE(o.slicing_passes, 1u);
@@ -89,8 +94,8 @@ TEST(EvaluateScenario, DeterministicForSameSeed) {
   ExperimentConfig c;
   c.generator = testing::paper_generator(6);
   c.technique = DistributionTechnique::kSlicingNorm;
-  const GraphOutcome a = evaluate_scenario(c, 12345);
-  const GraphOutcome b = evaluate_scenario(c, 12345);
+  const GraphOutcome a = evaluate_seed(c, 12345);
+  const GraphOutcome b = evaluate_seed(c, 12345);
   EXPECT_EQ(a.scheduled, b.scheduled);
   EXPECT_DOUBLE_EQ(a.min_laxity, b.min_laxity);
   EXPECT_EQ(a.task_count, b.task_count);
@@ -101,7 +106,7 @@ TEST(EvaluateScenario, BaselineTechniquesReportZeroPasses) {
   ExperimentConfig c;
   c.generator = testing::paper_generator(7);
   c.technique = DistributionTechnique::kKaoEQF;
-  const GraphOutcome o = evaluate_scenario(c, 99);
+  const GraphOutcome o = evaluate_seed(c, 99);
   EXPECT_EQ(o.slicing_passes, 0u);
 }
 
@@ -109,7 +114,7 @@ TEST(EvaluateScenario, IterativeTechniqueRunsThroughPlatformOverload) {
   ExperimentConfig c;
   c.generator = testing::small_generator(8);
   c.technique = DistributionTechnique::kIterative;
-  const GraphOutcome o = evaluate_scenario(c, 123);
+  const GraphOutcome o = evaluate_seed(c, 123);
   EXPECT_EQ(o.slicing_passes, 0u);
   EXPECT_GT(o.task_count, 0u);
 }
@@ -123,9 +128,9 @@ TEST(EvaluateScenario, DispatchAlgorithmIsUsedWhenSelected) {
   c.generator.workload.olr = 2.0;  // loose: both engines must succeed
   c.technique = DistributionTechnique::kSlicingAdaptL;
   c.algorithm = SchedulerAlgorithm::kDispatchEdf;
-  const GraphOutcome dispatch = evaluate_scenario(c, 7);
+  const GraphOutcome dispatch = evaluate_seed(c, 7);
   c.algorithm = SchedulerAlgorithm::kListEdf;
-  const GraphOutcome list = evaluate_scenario(c, 7);
+  const GraphOutcome list = evaluate_seed(c, 7);
   EXPECT_TRUE(dispatch.scheduled);
   EXPECT_TRUE(list.scheduled);
   EXPECT_EQ(dispatch.task_count, list.task_count);
@@ -137,9 +142,9 @@ TEST(EvaluateScenario, BusContentionOptionFlowsThrough) {
   c.generator.workload.ccr = 0.5;
   c.technique = DistributionTechnique::kSlicingAdaptL;
   c.scheduler.simulate_bus_contention = true;
-  const GraphOutcome contended = evaluate_scenario(c, 3);
+  const GraphOutcome contended = evaluate_seed(c, 3);
   c.scheduler.simulate_bus_contention = false;
-  const GraphOutcome nominal = evaluate_scenario(c, 3);
+  const GraphOutcome nominal = evaluate_seed(c, 3);
   // The contended run can only do as well or worse than the nominal one on
   // the same scenario (same windows, extra constraint).
   EXPECT_LE(contended.scheduled, nominal.scheduled);

@@ -6,12 +6,28 @@
 
 #include "dsslice/core/metrics.hpp"
 #include "dsslice/graph/algorithms.hpp"
-#include "dsslice/graph/closure.hpp"
 #include "dsslice/util/check.hpp"
 #include "test_util.hpp"
 
 namespace dsslice {
 namespace {
+
+// DeadlineMetric::slices_into into a fresh vector.
+std::vector<double> slices(const DeadlineMetric& metric, Time window,
+                           std::span<const double> path_weights) {
+  std::vector<double> d;
+  metric.slices_into(window, path_weights, d);
+  return d;
+}
+
+// DeadlineMetric::adaptive_slices_into into a fresh vector.
+std::vector<double> adaptive_slices(const DeadlineMetric& metric, Time window,
+                                    std::span<const double> path_weights,
+                                    std::span<const double> path_est) {
+  std::vector<double> d;
+  metric.adaptive_slices_into(window, path_weights, path_est, d);
+  return d;
+}
 
 TEST(Metrics, NamesAndRegistry) {
   EXPECT_EQ(to_string(MetricKind::kPure), "PURE");
@@ -48,7 +64,7 @@ TEST(Metrics, PathValueDegenerateInputs) {
 TEST(Metrics, PureSlicesEqualShare) {
   const DeadlineMetric pure(MetricKind::kPure);
   const std::vector<double> c{10.0, 20.0, 30.0};
-  const auto d = pure.slices(90.0, c);
+  const auto d = slices(pure, 90.0, c);
   // R = (90-60)/3 = 10 → d = c + 10.
   EXPECT_DOUBLE_EQ(d[0], 20.0);
   EXPECT_DOUBLE_EQ(d[1], 30.0);
@@ -59,7 +75,7 @@ TEST(Metrics, PureSlicesEqualShare) {
 TEST(Metrics, NormSlicesProportional) {
   const DeadlineMetric norm(MetricKind::kNorm);
   const std::vector<double> c{10.0, 20.0, 30.0};
-  const auto d = norm.slices(90.0, c);
+  const auto d = slices(norm, 90.0, c);
   // d_i = c_i (1 + R), R = 30/60 = 0.5.
   EXPECT_DOUBLE_EQ(d[0], 15.0);
   EXPECT_DOUBLE_EQ(d[1], 30.0);
@@ -71,7 +87,7 @@ TEST(Metrics, SlicesTileWindowExactlyEvenWhenNegative) {
     const DeadlineMetric metric(kind);
     const std::vector<double> c{10.0, 25.0, 5.0};
     for (const double window : {100.0, 40.0, 20.0}) {
-      const auto d = metric.slices(window, c);
+      const auto d = slices(metric, window, c);
       EXPECT_NEAR(std::accumulate(d.begin(), d.end(), 0.0), window, 1e-9)
           << to_string(kind) << " window " << window;
     }
@@ -81,7 +97,7 @@ TEST(Metrics, SlicesTileWindowExactlyEvenWhenNegative) {
 TEST(Metrics, NormZeroWeightFallsBackToEqualSplit) {
   const DeadlineMetric norm(MetricKind::kNorm);
   const std::vector<double> zero{0.0, 0.0};
-  const auto d = norm.slices(10.0, zero);
+  const auto d = slices(norm, 10.0, zero);
   EXPECT_DOUBLE_EQ(d[0], 5.0);
   EXPECT_DOUBLE_EQ(d[1], 5.0);
 }
@@ -108,7 +124,7 @@ TEST(Metrics, AdaptGWeightsFollowEquation6) {
   params.threshold_factor = 1.0;  // threshold = mean = 20
   const DeadlineMetric metric(MetricKind::kAdaptG, params);
   const std::size_t m = 2;
-  const auto w = metric.weights(app, est, m);
+  const auto w = testing::weights(metric, app, est, m);
   const double xi = average_parallelism(app.graph(), est);  // 80/50 = 1.6
   EXPECT_DOUBLE_EQ(xi, 1.6);
   const double surplus = 1.0 + 1.5 * xi / static_cast<double>(m);
@@ -125,7 +141,7 @@ TEST(Metrics, AdaptLWeightsFollowEquation8) {
   params.k_local = 0.2;
   const DeadlineMetric metric(MetricKind::kAdaptL, params);
   const std::size_t m = 2;
-  const auto w = metric.weights(app, est, m);
+  const auto w = testing::weights(metric, app, est, m);
   // Parallel sets: src/sink have |Ψ|=0; mids have |Ψ|=1.
   EXPECT_DOUBLE_EQ(w[0], 10.0);
   EXPECT_DOUBLE_EQ(w[1], 30.0 * (1.0 + 0.2 * 1.0 / 2.0));
@@ -137,7 +153,7 @@ TEST(Metrics, NonAdaptiveWeightsAreTheEstimates) {
   const Application app = testing::make_chain(3, 10.0, 100.0);
   const std::vector<double> est{10.0, 10.0, 10.0};
   for (const MetricKind kind : {MetricKind::kPure, MetricKind::kNorm}) {
-    const auto w = DeadlineMetric(kind).weights(app, est, 4);
+    const auto w = testing::weights(DeadlineMetric(kind), app, est, 4);
     EXPECT_EQ(w, est);
   }
 }
@@ -150,14 +166,14 @@ TEST(Metrics, AdaptiveSlicesThreeRegimes) {
 
   // Regime 1: surplus (70-30=40) >= E (20) → paper formula ĉ + R.
   {
-    const auto d = metric.adaptive_slices(70.0, inflated, est);
+    const auto d = adaptive_slices(metric, 70.0, inflated, est);
     // R = (70 - 50)/2 = 10.
     EXPECT_DOUBLE_EQ(d[0], 20.0);
     EXPECT_DOUBLE_EQ(d[1], 50.0);
   }
   // Regime 2: 0 < surplus (10) < E (20) → scaled inflation, no one starves.
   {
-    const auto d = metric.adaptive_slices(40.0, inflated, est);
+    const auto d = adaptive_slices(metric, 40.0, inflated, est);
     EXPECT_DOUBLE_EQ(d[0], 10.0);               // est + 0·scale
     EXPECT_DOUBLE_EQ(d[1], 30.0);               // est + 20·(10/20)
     EXPECT_GE(d[0], est[0]);
@@ -165,13 +181,13 @@ TEST(Metrics, AdaptiveSlicesThreeRegimes) {
   }
   // Regime 3: surplus <= 0 → PURE on real estimates.
   {
-    const auto d = metric.adaptive_slices(20.0, inflated, est);
+    const auto d = adaptive_slices(metric, 20.0, inflated, est);
     EXPECT_DOUBLE_EQ(d[0], 5.0);   // 10 + (20-30)/2
     EXPECT_DOUBLE_EQ(d[1], 15.0);  // 20 + (20-30)/2
   }
   // All regimes tile the window.
   for (const double window : {70.0, 40.0, 20.0, -5.0}) {
-    const auto d = metric.adaptive_slices(window, inflated, est);
+    const auto d = adaptive_slices(metric, window, inflated, est);
     EXPECT_NEAR(d[0] + d[1], window, 1e-9);
   }
 }
@@ -179,8 +195,8 @@ TEST(Metrics, AdaptiveSlicesThreeRegimes) {
 TEST(Metrics, AdaptiveSlicesDelegateForNonAdaptiveKinds) {
   const DeadlineMetric pure(MetricKind::kPure);
   const std::vector<double> c{10.0, 20.0};
-  const auto via_slices = pure.slices(50.0, c);
-  const auto via_adaptive = pure.adaptive_slices(50.0, c, c);
+  const auto via_slices = slices(pure, 50.0, c);
+  const auto via_adaptive = adaptive_slices(pure, 50.0, c, c);
   EXPECT_EQ(via_slices, via_adaptive);
 }
 
@@ -191,7 +207,7 @@ TEST(Metrics, ParamsValidation) {
   bad = MetricParams{};
   bad.threshold_factor = -0.1;
   EXPECT_THROW(DeadlineMetric(MetricKind::kAdaptL, bad), ConfigError);
-  EXPECT_THROW(DeadlineMetric(MetricKind::kPure).slices(10.0, {}),
+  EXPECT_THROW(slices(DeadlineMetric(MetricKind::kPure), 10.0, {}),
                ConfigError);
 }
 

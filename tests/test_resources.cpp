@@ -127,8 +127,8 @@ TEST(ResourceMetric, AdaptLrInflatesConflictingTasks) {
   params.k_local = 0.2;
   params.k_resource = 0.3;
   const DeadlineMetric metric(MetricKind::kAdaptL, params);
-  const auto plain = metric.weights(app, est, 2);
-  const auto aware = metric.weights(app, est, 2, &model);
+  const auto plain = testing::weights(metric, app, est, 2);
+  const auto aware = testing::weights(metric, app, est, 2, &model);
   // mids: plain = 30(1 + 0.2·1/2); aware adds k_R·1.
   EXPECT_DOUBLE_EQ(plain[1], 30.0 * 1.1);
   EXPECT_DOUBLE_EQ(aware[1], 30.0 * (1.1 + 0.3));
@@ -136,11 +136,11 @@ TEST(ResourceMetric, AdaptLrInflatesConflictingTasks) {
   EXPECT_DOUBLE_EQ(aware[0], 10.0);
   EXPECT_DOUBLE_EQ(aware[3], 10.0);
   // Null model degenerates to the plain weights.
-  const auto null_model = metric.weights(app, est, 2, nullptr);
+  const auto null_model = testing::weights(metric, app, est, 2, nullptr);
   EXPECT_EQ(null_model, plain);
   // Non-ADAPT-L metrics ignore resources entirely.
   const DeadlineMetric pure(MetricKind::kPure);
-  EXPECT_EQ(pure.weights(app, est, 2, &model), est);
+  EXPECT_EQ(testing::weights(pure, app, est, 2, &model), est);
 }
 
 TEST(ResourceMetric, SlicingOptionsCarryTheModel) {

@@ -11,6 +11,15 @@
 namespace dsslice {
 namespace {
 
+// ADAPT-L weights under `params`.
+std::vector<double> adapt_l_weights(const MetricParams& params,
+                                    const Application& app,
+                                    std::span<const double> est,
+                                    std::size_t processor_count) {
+  return testing::weights(DeadlineMetric(MetricKind::kAdaptL, params), app,
+                          est, processor_count);
+}
+
 TEST(TemporalParallelSets, NoEffectWhenFramesOverlap) {
   // Single-shot diamond: both mids share one time frame, so the filter
   // changes nothing.
@@ -20,10 +29,8 @@ TEST(TemporalParallelSets, NoEffectWhenFramesOverlap) {
   MetricParams plain;
   MetricParams temporal;
   temporal.temporal_parallel_sets = true;
-  const auto w_plain =
-      DeadlineMetric(MetricKind::kAdaptL, plain).weights(app, est, 2);
-  const auto w_temporal =
-      DeadlineMetric(MetricKind::kAdaptL, temporal).weights(app, est, 2);
+  const auto w_plain = adapt_l_weights(plain, app, est, 2);
+  const auto w_temporal = adapt_l_weights(temporal, app, est, 2);
   EXPECT_EQ(w_plain, w_temporal);
 }
 
@@ -46,15 +53,13 @@ TEST(TemporalParallelSets, PrunesTemporallyDisjointComponents) {
   const std::vector<double> est{20.0, 20.0, 20.0, 20.0};
 
   MetricParams plain;
-  const auto w_plain =
-      DeadlineMetric(MetricKind::kAdaptL, plain).weights(app, est, 2);
+  const auto w_plain = adapt_l_weights(plain, app, est, 2);
   // Structurally each task has |Ψ| = 2 (the other chain).
   EXPECT_DOUBLE_EQ(w_plain[x0], 20.0 * (1.0 + 0.2 * 2.0 / 2.0));
 
   MetricParams temporal;
   temporal.temporal_parallel_sets = true;
-  const auto w_temporal =
-      DeadlineMetric(MetricKind::kAdaptL, temporal).weights(app, est, 2);
+  const auto w_temporal = adapt_l_weights(temporal, app, est, 2);
   // Temporally no rivals remain: frames [0,50] and [100,180] are disjoint.
   EXPECT_DOUBLE_EQ(w_temporal[x0], 20.0);
   EXPECT_DOUBLE_EQ(w_temporal[y0], 20.0);
@@ -74,8 +79,7 @@ TEST(TemporalParallelSets, PartialOverlapKeepsTheRival) {
   const std::vector<double> est{20.0, 20.0};
   MetricParams temporal;
   temporal.temporal_parallel_sets = true;
-  const auto w =
-      DeadlineMetric(MetricKind::kAdaptL, temporal).weights(app, est, 1);
+  const auto w = adapt_l_weights(temporal, app, est, 1);
   EXPECT_DOUBLE_EQ(w[x], 20.0 * (1.0 + 0.2 * 1.0 / 1.0));
   EXPECT_DOUBLE_EQ(w[y], w[x]);
 }
@@ -103,12 +107,8 @@ TEST(TemporalParallelSets, ImprovesUnrolledPlanningCycles) {
   MetricParams plain;
   MetricParams temporal;
   temporal.temporal_parallel_sets = true;
-  const auto w_plain =
-      DeadlineMetric(MetricKind::kAdaptL, plain)
-          .weights(expanded.app, est, 1);
-  const auto w_temporal =
-      DeadlineMetric(MetricKind::kAdaptL, temporal)
-          .weights(expanded.app, est, 1);
+  const auto w_plain = adapt_l_weights(plain, expanded.app, est, 1);
+  const auto w_temporal = adapt_l_weights(temporal, expanded.app, est, 1);
   // t1 of invocation 1 (frame ⊆ [0,45]) vs t1 of invocation 2 (frame ⊆
   // [50,95]): plain counts 3 rivals (other invocation's two tasks + s0),
   // temporal only s0 (whose frame [0,90] spans both periods).
