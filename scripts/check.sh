@@ -163,8 +163,10 @@ stream_smoke() {
   # from its own checkpoint must print the uninterrupted run's aggregate
   # summary (the first line), and the resumed run must mark its load. Both
   # runs end with every shard complete, so their final checkpoints hold the
-  # same folded aggregate and must match byte for byte. A copy relabelled
-  # as format version 1 (one aggregate per shard) must be refused.
+  # same folded aggregate in both slots and must match byte for byte. A copy
+  # relabelled as format version 1 (one aggregate per shard) and a version 2
+  # file (the bare state text of one slot, as earlier builds wrote it) must
+  # be refused by name.
   rm -f "$out/resume.ckpt"
   "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
     --checkpoint "$out/resume.ckpt" --max-shards 4 > "$out/partial.txt"
@@ -215,16 +217,22 @@ stream_smoke() {
   [[ $status -eq 1 ]] && grep -q "at most 1024" "$out/bad-threads.err" ||
     { echo "stream smoke [$tag]: --threads 1025 was not refused with exit 1" \
            "(exit $status)" >&2; exit 1; }
-  sed '1s/^dsslice-sweep-checkpoint 2$/dsslice-sweep-checkpoint 1/' \
+  sed '1s/^dsslice-sweep-checkpoint 3$/dsslice-sweep-checkpoint 1/' \
     "$out/resume.ckpt" > "$out/v1.ckpt"
-  status=0
-  "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
-    --checkpoint "$out/v1.ckpt" --resume > /dev/null 2> "$out/v1.err" ||
-    status=$?
-  [[ $status -ne 0 ]] && grep -q "unsupported checkpoint format version 1" \
-    "$out/v1.err" ||
-    { echo "stream smoke [$tag]: a version 1 checkpoint was not refused" \
-           "(exit $status)" >&2; exit 1; }
+  sed -n '/^dsslice-sweep-checkpoint 2$/,/^end$/{p;/^end$/q;}' \
+    "$out/resume.ckpt" > "$out/v2.ckpt"
+  local version
+  for version in 1 2; do
+    status=0
+    "$build/tools/sweep_runner" --scenarios 10000 --shard-size 512 \
+      --checkpoint "$out/v$version.ckpt" --resume > /dev/null \
+      2> "$out/v$version.err" || status=$?
+    [[ $status -ne 0 ]] &&
+      grep -q "unsupported checkpoint format version $version" \
+        "$out/v$version.err" ||
+      { echo "stream smoke [$tag]: a version $version checkpoint was not" \
+             "refused (exit $status)" >&2; exit 1; }
+  done
 }
 echo "==> stream smoke [default]"
 stream_smoke ./build

@@ -9,27 +9,46 @@
 // the sequence an uninterrupted one does and its aggregate is bit-identical.
 // A save therefore costs O(1) text however many shards have completed.
 //
-// The file is the repo's usual line-oriented text format, written and read
-// by the shared codec in util/text_codec.hpp, with a version header
-// ("dsslice-sweep-checkpoint 2"); files of any other version are refused.
-// Doubles are stored as 16-hex-digit raw bit patterns, not decimals:
-// Welford state must round-trip to the last bit or the resumed aggregate
-// drifts from the uninterrupted one.
+// The state text is the repo's usual line-oriented text format, written and
+// read by the shared codec in util/text_codec.hpp, with its own version
+// line ("dsslice-sweep-checkpoint 2"). Doubles are stored as 16-hex-digit
+// raw bit patterns, not decimals: Welford state must round-trip to the last
+// bit or the resumed aggregate drifts from the uninterrupted one. Only the
+// writer's canonical spellings are read back: integers as plain decimal
+// digits (no sign, no leading zero) and doubles as exactly 16 lowercase hex
+// digits (no sign, no 0x prefix). Tokens may be separated by any blanks,
+// lines may end in CRLF, and '#' starts a comment.
 //
-// Only the writer's canonical spellings are read back: integers as plain
-// decimal digits (no sign, no leading zero) and doubles as exactly 16
-// lowercase hex digits (no sign, no 0x prefix). Tokens may be separated by
-// any blanks, lines may end in CRLF, and '#' starts a comment.
+// The file holds that text twice over, in two fixed slots, so that a
+// routine save overwrites one slot in place instead of writing a new file
+// and renaming it (which makes ext4 flush the new file's blocks at once):
+//
+//   dsslice-sweep-checkpoint 3            the file's version line
+//   slot 0, kCheckpointSlotBytes bytes    a record, padded with blanks
+//   slot 1, kCheckpointSlotBytes bytes    a record, padded with blanks
+//
+// A record is one header line, "slot <completed> <fingerprint> <scenarios>
+// <shard-size> <body-bytes> <checksum>", followed by the state text. The
+// checksum is a 64-bit FNV-1a over the header up to the checksum and the
+// state text, in 16 lowercase hex digits; a slot whose checksum holds is
+// intact. A load takes the intact slot with the larger completed count.
+// Files of any other version, the single-text version 2 files included,
+// are refused by name.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsslice/sim/experiment.hpp"
 #include "dsslice/sweep/aggregate.hpp"
 
 namespace dsslice {
+
+/// Size of each of the two slots of a checkpoint file. A record (state text
+/// plus header line) runs to at most about 2.4 KB.
+inline constexpr std::size_t kCheckpointSlotBytes = 4096;
 
 /// ceil(n / d) for d > 0 without the wrap of (n + d - 1) / d when d is near
 /// 2^64: the shard count of `n` scenarios in shards of `d`.
@@ -69,20 +88,30 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config);
 /// assert bit-identity of two aggregates without poking at Welford state.
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate);
 
-/// Writes the layout and the fold of the completed slots. Throws
+/// The state text: the layout and the fold of the completed slots. Throws
 /// ConfigError unless the completed shards are a prefix of the sweep.
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint);
-/// Throws ConfigError (with a line number) on version mismatch, truncation,
-/// corruption, a non-canonical number, or a trial count that cannot be the
-/// fold of the completed shards.
-SweepCheckpoint parse_sweep_checkpoint(const std::string& text);
+/// Parses a state text. Throws ConfigError (with a line number) on version
+/// mismatch, truncation, corruption, a non-canonical number, or a trial
+/// count that cannot be the fold of the completed shards.
+SweepCheckpoint parse_sweep_checkpoint(std::string_view text);
 
-/// Atomic save: writes to `path + ".tmp"` then renames over `path`, so an
-/// interrupt mid-write leaves the previous checkpoint intact. Returns the
-/// serialized size in bytes (feeds the sweep.checkpoint.bytes counter).
+/// Saves the checkpoint to `path` so that an interrupt at any point leaves
+/// either the previous state or the new one loadable. When the file's
+/// newest intact slot is an earlier save of the same sweep (same
+/// fingerprint and layout, no more shards completed), the new record
+/// overwrites the other slot in place; the newest slot is not touched, so a
+/// write cut short tears only the slot being written. Otherwise — no file,
+/// another sweep's, another version, a further-along state or both slots
+/// torn — and whenever the checkpoint is complete, the whole file is written
+/// to `path + ".tmp"` with the record in both slots and renamed over
+/// `path`. Neither way syncs to disk. Returns the size of the state text in
+/// bytes (feeds the sweep.checkpoint.bytes counter).
 std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
                                   const std::string& path);
-/// Throws ConfigError when the file is missing or malformed.
+/// Loads the intact slot with the larger completed count. Throws
+/// ConfigError when the file is missing, of another version or malformed,
+/// or has no intact slot.
 SweepCheckpoint load_sweep_checkpoint(const std::string& path);
 
 }  // namespace dsslice
