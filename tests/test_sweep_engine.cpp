@@ -510,6 +510,52 @@ TEST(SweepCheckpoint, LoadRefusesOtherFileVersionsByName) {
   }
 }
 
+// A file round trip keeps every field on an edge of its encoding.
+TEST(SweepCheckpoint, SaveLoadRoundTripsEdgeValuesBitExactly) {
+  TempCheckpoint tmp("edge");
+  const SweepCheckpoint original = edge_checkpoint();
+  save_sweep_checkpoint(original, tmp.path());
+  const SweepCheckpoint loaded = load_sweep_checkpoint(tmp.path());
+  EXPECT_EQ(loaded.fingerprint, original.fingerprint);
+  EXPECT_EQ(loaded.scenario_count, original.scenario_count);
+  EXPECT_EQ(loaded.shard_size, original.shard_size);
+  EXPECT_EQ(loaded.completed, original.completed);
+  ASSERT_EQ(loaded.shards.size(), original.shards.size());
+  EXPECT_EQ(serialize_sweep_aggregate(loaded.shards[0]),
+            serialize_sweep_aggregate(original.shards[0]));
+}
+
+// A load reads the version line and the two slots and nothing after them.
+TEST(SweepCheckpoint, LoadIgnoresBytesAfterTheSlots) {
+  TempCheckpoint tmp("trailing");
+  save_sweep_checkpoint(sample_checkpoint(), tmp.path());
+  write_file(tmp.path(), read_text_file(tmp.path(), "checkpoint") +
+                             std::string(1024, 'x'));
+  EXPECT_EQ(loaded_text(tmp.path()),
+            serialize_sweep_checkpoint(sample_checkpoint()));
+}
+
+/// Expects `load_sweep_checkpoint(path)` to throw a ConfigError whose
+/// message names `path`.
+void expect_load_error_naming(const std::string& path) {
+  try {
+    load_sweep_checkpoint(path);
+    ADD_FAILURE() << path << " was loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+}
+
+// A file with no version line, or no file at all, is refused.
+TEST(SweepCheckpoint, LoadRejectsFilesWithoutVersionLine) {
+  TempCheckpoint tmp("no_version");
+  write_file(tmp.path(), "");
+  EXPECT_THROW(load_sweep_checkpoint(tmp.path()), ConfigError);
+  write_file(tmp.path(), "dsslice-sweep-check");
+  EXPECT_THROW(load_sweep_checkpoint(tmp.path()), ConfigError);
+  expect_load_error_naming(std::filesystem::temp_directory_path().string());
+}
+
 /// `file` with the checksum of the record at `at` recomputed over its header
 /// and the state text it delimits, if its header still has both, so that
 /// the record's edits reach the header checks and the state-text parser.
