@@ -7,7 +7,6 @@
 #include <array>
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string_view>
 
@@ -18,22 +17,20 @@ namespace dsslice {
 
 namespace {
 
-/// Version of the state text (serialize_sweep_checkpoint).
-constexpr int kTextVersion = 2;
-/// Version of the file: the two checksummed slots around the state text.
-constexpr int kFileVersion = 3;
-constexpr std::string_view kFileHeader = "dsslice-sweep-checkpoint 3\n";
+/// Version of the file, stated once by its first line.
+constexpr int kFileVersion = 4;
+constexpr std::string_view kFileHeader = "dsslice-sweep-checkpoint 4\n";
 constexpr std::size_t kFileBytes =
     kFileHeader.size() + 2 * kCheckpointSlotBytes;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
-/// Sanity bound on shard counts. A count beyond this is a corrupted file,
-/// not a real sweep; rejecting it up front avoids huge allocations.
+/// Sanity bound on shard counts. A layout deriving more is a corrupted
+/// file, not a real sweep; rejecting it up front avoids huge allocations.
 constexpr std::uint64_t kMaxShardCount = 1'000'000;
 
 /// Serialized size to reserve: an aggregate runs to ~700 bytes with small
-/// bin counts and the layout header to ~150, so the text rarely regrows.
+/// bin counts, so the text rarely regrows.
 constexpr std::size_t kTextHint = 1024;
 
 /// 64 bits in 16 lowercase hex digits.
@@ -181,15 +178,32 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset) {
   return h;
 }
 
-/// Reads a version line and refuses any version but `version` by name.
-void read_version(LineReader& reader, int version) {
+/// The fields of a record's header line, "slot <completed> <fingerprint>
+/// <scenarios> <shard-size> <body-bytes> <checksum>".
+struct RecordHeader {
+  std::uint64_t completed = 0;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t scenario_count = 0;
+  std::uint64_t shard_size = 0;
+  std::uint64_t body_bytes = 0;
+  std::uint64_t checksum = 0;
+  std::size_t sealed = 0;  ///< offset in the text of the checksum token
+};
+
+/// Reads the header line from `reader`, a reader over `text`. Every field
+/// must be spelled as the writer spells it; what the fields say is left to
+/// the caller.
+RecordHeader read_header(LineReader& reader, std::string_view text) {
   const Tokens tokens = reader.next();
-  reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
-  if (reader.to_u64(tokens[1]) != static_cast<std::uint64_t>(version)) {
-    reader.fail("unsupported checkpoint format version " +
-                std::string(tokens[1]) + " (this build reads version " +
-                std::to_string(version) + ")");
+  reader.expect(tokens, "slot", 6);
+  const std::optional<std::uint64_t> checksum = hex64(tokens[6]);
+  if (!checksum) {
+    reader.fail("not a 16-hex-digit checksum: " + std::string(tokens[6]));
   }
+  return {reader.to_u64(tokens[1]), reader.to_u64(tokens[2]),
+          reader.to_u64(tokens[3]), reader.to_u64(tokens[4]),
+          reader.to_u64(tokens[5]), *checksum,
+          static_cast<std::size_t>(tokens[6].data() - text.data())};
 }
 
 }  // namespace
@@ -203,44 +217,48 @@ std::size_t SweepCheckpoint::completed_count() const {
 }
 
 std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config) {
-  const PlatformConfig& p = config.generator.platform;
-  const WorkloadConfig& w = config.generator.workload;
-  const MetricParams& mp = config.metric_params;
+  // Every field is bound by name, so a field added to one of these configs
+  // fails to compile here until it is hashed or skipped on purpose. The
+  // sweep supplies its own scenario count, so graph_count is skipped, and a
+  // display label does not change outcomes.
+  const auto& [generator, technique, mp, wcet, scheduler, algorithm, label] =
+      config;
+  const auto& [platform, workload, graph_count, seed] = generator;
+  const auto& [m, min_classes, max_classes, bus, deviation, model] = platform;
+  const auto& [min_tasks, max_tasks, min_depth, max_depth, min_degree,
+               max_degree, locality, mean_c, etd, inel, olr, spread, ccr,
+               min_opt, max_opt, integral] = workload;
+  const auto& [k_global, k_local, threshold_factor, threshold_override,
+               k_resource, temporal] = mp;
+  const auto& [placement, abort_on_miss, bus_contention] = scheduler;
   std::string text;
   TextWriter out(text);
   out << "dsslice-sweep-config-v1"
-      << " m=" << p.processor_count << " classes=" << p.min_class_count << ','
-      << p.max_class_count << " bus=" << HexBits{p.bus_delay_per_item}
-      << " dev=" << HexBits{p.class_deviation}
-      << " cmodel=" << static_cast<int>(p.class_model)
-      << " tasks=" << w.min_tasks << ',' << w.max_tasks << " depth="
-      << w.min_depth << ',' << w.max_depth << " degree=" << w.min_degree << ','
-      << w.max_degree << " locality=" << static_cast<int>(w.edge_locality)
-      << " cmean=" << HexBits{w.mean_execution_time}
-      << " etd=" << HexBits{w.etd}
-      << " inel=" << HexBits{w.ineligible_probability}
-      << " olr=" << HexBits{w.olr} << " spread=" << HexBits{w.olr_spread}
-      << " ccr=" << HexBits{w.ccr}
-      << " opt=" << HexBits{w.min_optional_fraction} << ','
-      << HexBits{w.max_optional_fraction}
-      << " intmsg=" << (w.integral_messages ? 1 : 0)
-      << " seed=" << config.generator.base_seed
-      << " technique=" << static_cast<int>(config.technique)
-      << " kg=" << HexBits{mp.k_global} << " kl=" << HexBits{mp.k_local}
-      << " tf=" << HexBits{mp.threshold_factor} << " to=";
-  if (mp.threshold_override.has_value()) {
-    out << HexBits{*mp.threshold_override};
+      << " m=" << m << " classes=" << min_classes << ',' << max_classes
+      << " bus=" << HexBits{bus} << " dev=" << HexBits{deviation}
+      << " cmodel=" << static_cast<int>(model) << " tasks=" << min_tasks
+      << ',' << max_tasks << " depth=" << min_depth << ',' << max_depth
+      << " degree=" << min_degree << ',' << max_degree
+      << " locality=" << static_cast<int>(locality)
+      << " cmean=" << HexBits{mean_c} << " etd=" << HexBits{etd}
+      << " inel=" << HexBits{inel} << " olr=" << HexBits{olr}
+      << " spread=" << HexBits{spread} << " ccr=" << HexBits{ccr}
+      << " opt=" << HexBits{min_opt} << ',' << HexBits{max_opt}
+      << " intmsg=" << (integral ? 1 : 0) << " seed=" << seed
+      << " technique=" << static_cast<int>(technique)
+      << " kg=" << HexBits{k_global} << " kl=" << HexBits{k_local}
+      << " tf=" << HexBits{threshold_factor} << " to=";
+  if (threshold_override.has_value()) {
+    out << HexBits{*threshold_override};
   } else {
     out << "none";
   }
-  out << " kr=" << HexBits{mp.k_resource}
-      << " tps=" << (mp.temporal_parallel_sets ? 1 : 0)
-      << " wcet=" << static_cast<int>(config.wcet_strategy)
-      << " placement=" << static_cast<int>(config.scheduler.placement)
-      << " abort=" << (config.scheduler.abort_on_miss ? 1 : 0)
-      << " bus_contention="
-      << (config.scheduler.simulate_bus_contention ? 1 : 0)
-      << " algorithm=" << static_cast<int>(config.algorithm);
+  out << " kr=" << HexBits{k_resource} << " tps=" << (temporal ? 1 : 0)
+      << " wcet=" << static_cast<int>(wcet)
+      << " placement=" << static_cast<int>(placement)
+      << " abort=" << (abort_on_miss ? 1 : 0)
+      << " bus_contention=" << (bus_contention ? 1 : 0)
+      << " algorithm=" << static_cast<int>(algorithm);
   return fnv1a(text);
 }
 
@@ -253,6 +271,11 @@ std::string serialize_sweep_aggregate(const SweepAggregate& aggregate) {
 }
 
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint) {
+  DSSLICE_REQUIRE(checkpoint.shard_size > 0 &&
+                      checkpoint.shard_count() ==
+                          ceil_div(checkpoint.scenario_count,
+                                   checkpoint.shard_size),
+                  "checkpoint shard count must match its layout");
   const std::size_t completed = checkpoint.completed_count();
   for (std::size_t s = 0; s < checkpoint.shard_count(); ++s) {
     DSSLICE_REQUIRE((checkpoint.completed[s] != 0) == (s < completed),
@@ -271,65 +294,49 @@ std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint) {
       }
     }
   }
-  std::string text;
-  text.reserve(kTextHint);
-  TextWriter w(text);
-  w << "dsslice-sweep-checkpoint " << kTextVersion << '\n';
-  w << "fingerprint " << checkpoint.fingerprint << '\n';
-  w << "scenarios " << checkpoint.scenario_count << '\n';
-  w << "shard-size " << checkpoint.shard_size << '\n';
-  w << "shard-count " << checkpoint.shard_count() << '\n';
-  w << "completed " << completed << '\n';
-  write_aggregate(w, prefix);
-  w << "end\n";
-  return text;
+  const std::string body = serialize_sweep_aggregate(prefix);
+  std::string record;
+  record.reserve(body.size() + 128);  // the header runs to ~110 bytes
+  TextWriter w(record);
+  w << "slot " << completed << ' ' << checkpoint.fingerprint << ' '
+    << checkpoint.scenario_count << ' ' << checkpoint.shard_size << ' '
+    << body.size() << ' ';
+  // The checksum covers the header up to itself, so a write torn inside
+  // the header cannot pair new fields with the old body and its checksum.
+  w << Hex64{fnv1a(body, fnv1a(record))} << '\n';
+  record += body;
+  DSSLICE_REQUIRE(record.size() <= kCheckpointSlotBytes,
+                  "sweep checkpoint record of " +
+                      std::to_string(record.size()) +
+                      " bytes does not fit its slot");
+  return record;
 }
 
 SweepCheckpoint parse_sweep_checkpoint(std::string_view text) {
   LineReader reader(text, "sweep checkpoint");
-  read_version(reader, kTextVersion);
-  SweepCheckpoint cp;
-  Tokens tokens = reader.next();
-  reader.expect(tokens, "fingerprint", 1);
-  cp.fingerprint = reader.to_u64(tokens[1]);
-  tokens = reader.next();
-  reader.expect(tokens, "scenarios", 1);
-  cp.scenario_count = reader.to_u64(tokens[1]);
-  tokens = reader.next();
-  reader.expect(tokens, "shard-size", 1);
-  cp.shard_size = reader.to_u64(tokens[1]);
-  if (cp.shard_size == 0) {
+  const RecordHeader header = read_header(reader, text);
+  if (header.shard_size == 0) {
     reader.fail("shard size must be positive");
   }
-  tokens = reader.next();
-  reader.expect(tokens, "shard-count", 1);
-  const std::uint64_t shard_count = reader.to_u64(tokens[1]);
+  const std::uint64_t shard_count =
+      ceil_div(header.scenario_count, header.shard_size);
   if (shard_count > kMaxShardCount) {
-    reader.fail("shard count " + std::string(tokens[1]) +
-                " exceeds the sanity bound of " +
-                std::to_string(kMaxShardCount));
+    reader.fail("layout exceeds the sanity bound of " +
+                std::to_string(kMaxShardCount) + " shards");
   }
-  const std::uint64_t expected_shards =
-      ceil_div(cp.scenario_count, cp.shard_size);
-  if (shard_count != expected_shards) {
-    reader.fail("shard count " + std::string(tokens[1]) + " does not match " +
-                std::to_string(cp.scenario_count) + " scenarios in shards of " +
-                std::to_string(cp.shard_size));
-  }
-  tokens = reader.next();
-  reader.expect(tokens, "completed", 1);
-  const std::uint64_t completed_count = reader.to_u64(tokens[1]);
-  if (completed_count > shard_count) {
+  if (header.completed > shard_count) {
     reader.fail("completed count exceeds shard count");
   }
+  SweepCheckpoint cp;
+  cp.fingerprint = header.fingerprint;
+  cp.scenario_count = header.scenario_count;
+  cp.shard_size = header.shard_size;
   SweepAggregate prefix =
-      read_aggregate(reader, completed_count, cp.scenario_count);
-  tokens = reader.next();
-  reader.expect(tokens, "end", 0);
+      read_aggregate(reader, header.completed, header.scenario_count);
   cp.completed.assign(static_cast<std::size_t>(shard_count), 0);
-  std::fill_n(cp.completed.begin(), completed_count, std::uint8_t{1});
+  std::fill_n(cp.completed.begin(), header.completed, std::uint8_t{1});
   cp.shards.assign(static_cast<std::size_t>(shard_count), SweepAggregate{});
-  if (completed_count > 0) {
+  if (header.completed > 0) {
     cp.shards[0] = std::move(prefix);
   }
   return cp;
@@ -340,42 +347,17 @@ namespace {
 /// One slot of a checkpoint file as read back.
 struct Slot {
   const char* damage = nullptr;  ///< why the slot is not intact; null if it is
-  std::uint64_t completed = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t scenario_count = 0;
-  std::uint64_t shard_size = 0;
-  std::string_view body;  ///< the state text
+  RecordHeader header;
+  std::string_view record;  ///< the header line and the body it delimits
 };
 
 std::size_t slot_offset(std::size_t slot) {
   return kFileHeader.size() + slot * kCheckpointSlotBytes;
 }
 
-/// A slot record: the header line "slot <completed> <fingerprint>
-/// <scenarios> <shard-size> <body-bytes> <checksum>", then the state text.
-/// The checksum is FNV-1a over the header up to the checksum and then the
-/// body, so a write torn inside the header cannot pair new fields with the
-/// old body and its checksum.
-std::string slot_record(const SweepCheckpoint& checkpoint,
-                        std::size_t completed, std::string_view body) {
-  std::string record;
-  record.reserve(kTextHint + 128);
-  TextWriter w(record);
-  w << "slot " << completed << ' ' << checkpoint.fingerprint << ' '
-    << checkpoint.scenario_count << ' ' << checkpoint.shard_size << ' '
-    << body.size() << ' ';
-  w << Hex64{fnv1a(body, fnv1a(record))} << '\n';
-  record += body;
-  DSSLICE_REQUIRE(record.size() <= kCheckpointSlotBytes,
-                  "sweep checkpoint record of " +
-                      std::to_string(record.size()) +
-                      " bytes does not fit its slot");
-  return record;
-}
-
 /// Reads the record at the start of `bytes` (one slot's extent): its
-/// header, through the shared codec, and its checksum. The state text is
-/// left to the parser.
+/// header line, and the body that line delimits checked against its
+/// checksum. What the fields say is left to the parser.
 Slot read_slot(std::string_view bytes) {
   Slot slot;
   const std::size_t eol = bytes.find('\n');
@@ -383,63 +365,26 @@ Slot read_slot(std::string_view bytes) {
     slot.damage = "no header line";
     return slot;
   }
-  const std::string_view header = bytes.substr(0, eol);
-  std::uint64_t body_bytes = 0;
-  std::optional<std::uint64_t> checksum;
-  std::string_view sealed;  // the header up to the checksum
+  const std::string_view line = bytes.substr(0, eol);
   try {
-    LineReader reader(header, "sweep checkpoint slot");
-    const Tokens tokens = reader.next();
-    reader.expect(tokens, "slot", 6);
-    slot.completed = reader.to_u64(tokens[1]);
-    slot.fingerprint = reader.to_u64(tokens[2]);
-    slot.scenario_count = reader.to_u64(tokens[3]);
-    slot.shard_size = reader.to_u64(tokens[4]);
-    body_bytes = reader.to_u64(tokens[5]);
-    checksum = hex64(tokens[6]);
-    sealed = header.substr(0, static_cast<std::size_t>(tokens[6].data() -
-                                                       header.data()));
+    LineReader reader(line, "sweep checkpoint slot");
+    slot.header = read_header(reader, line);
   } catch (const ConfigError&) {
-    checksum.reset();
-  }
-  if (!checksum) {
     slot.damage = "malformed header";
     return slot;
   }
-  if (body_bytes > bytes.size() - (eol + 1)) {
-    slot.damage = "state text overruns the slot";
+  if (slot.header.body_bytes > bytes.size() - (eol + 1)) {
+    slot.damage = "body overruns the slot";
     return slot;
   }
-  slot.body = bytes.substr(eol + 1, static_cast<std::size_t>(body_bytes));
-  if (fnv1a(slot.body, fnv1a(sealed)) != *checksum) {
+  slot.record = bytes.substr(
+      0, eol + 1 + static_cast<std::size_t>(slot.header.body_bytes));
+  if (fnv1a(slot.record.substr(eol + 1),
+            fnv1a(line.substr(0, slot.header.sealed))) !=
+      slot.header.checksum) {
     slot.damage = "checksum mismatch";
   }
   return slot;
-}
-
-/// Both slots of `file`; a slot the file is too short to reach is damaged.
-std::array<Slot, 2> read_slots(std::string_view file) {
-  std::array<Slot, 2> slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slot_offset(i) >= file.size()) {
-      slots[i].damage = "missing";
-    } else {
-      slots[i] = read_slot(file.substr(slot_offset(i), kCheckpointSlotBytes));
-    }
-  }
-  return slots;
-}
-
-/// The intact slot with the larger completed count (slot 0 on a tie), or
-/// -1 when neither is intact.
-int newest_slot(const std::array<Slot, 2>& slots) {
-  if (slots[0].damage != nullptr) {
-    return slots[1].damage != nullptr ? -1 : 1;
-  }
-  if (slots[1].damage != nullptr) {
-    return 0;
-  }
-  return slots[1].completed > slots[0].completed ? 1 : 0;
 }
 
 /// Closes a file descriptor on scope exit.
@@ -452,6 +397,66 @@ struct FileDescriptor {
   }
 };
 
+/// Throws ConfigError naming `path` for a first line that is not this
+/// version's: another version by name, anything else as malformed.
+[[noreturn]] void refuse_version(std::string_view line,
+                                 const std::string& path) {
+  const std::string context = "sweep checkpoint " + path;
+  LineReader reader(line, context);
+  const Tokens tokens = reader.next();
+  reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
+  reader.fail("unsupported checkpoint format version " +
+              std::string(tokens[1]) + " (this build reads version " +
+              std::to_string(kFileVersion) + ")");
+}
+
+/// A checkpoint file as one pread of at most its fixed size shows it: the
+/// version line and both slots, each checked against its checksum. Bytes
+/// past the second slot are never read. The file stays open for a save's
+/// in-place write.
+struct CheckpointFile {
+  /// Opens `path` with `flags`. Throws ConfigError naming `path` when the
+  /// file cannot be opened or read, or its first line is not this version's.
+  CheckpointFile(const std::string& path, int flags)
+      : file{::open(path.c_str(), flags | O_CLOEXEC)} {
+    if (file.fd < 0) {
+      throw ConfigError("cannot open sweep checkpoint: " + path);
+    }
+    const ssize_t got = ::pread(file.fd, buffer.data(), buffer.size(), 0);
+    if (got < 0) {
+      throw ConfigError("cannot read sweep checkpoint: " + path);
+    }
+    const std::string_view bytes(buffer.data(), static_cast<std::size_t>(got));
+    if (!bytes.starts_with(kFileHeader)) {
+      refuse_version(bytes.substr(0, bytes.find('\n')), path);
+    }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slot_offset(i) >= bytes.size()) {
+        slots[i].damage = "missing";
+      } else {
+        slots[i] =
+            read_slot(bytes.substr(slot_offset(i), kCheckpointSlotBytes));
+      }
+    }
+  }
+
+  /// The intact slot with the larger completed count (slot 0 on a tie), or
+  /// -1 when neither is intact.
+  int newest() const {
+    if (slots[0].damage != nullptr) {
+      return slots[1].damage != nullptr ? -1 : 1;
+    }
+    if (slots[1].damage != nullptr) {
+      return 0;
+    }
+    return slots[1].header.completed > slots[0].header.completed ? 1 : 0;
+  }
+
+  FileDescriptor file;
+  std::array<char, kFileBytes> buffer;
+  std::array<Slot, 2> slots;  ///< views into buffer
+};
+
 /// Writes `record` over the older slot of the file at `path` when the
 /// newest intact slot is an earlier save of the same sweep, and returns
 /// whether it did. The newest slot is left untouched, so a write cut short
@@ -460,32 +465,25 @@ struct FileDescriptor {
 bool write_older_slot(const SweepCheckpoint& checkpoint,
                       std::size_t completed, std::string_view record,
                       const std::string& path) {
-  const FileDescriptor file{::open(path.c_str(), O_RDWR | O_CLOEXEC)};
-  if (file.fd < 0) {
-    return false;
+  std::optional<CheckpointFile> file;
+  try {
+    file.emplace(path, O_RDWR);
+  } catch (const ConfigError&) {
+    return false;  // no file, or not one of this version
   }
-  std::array<char, kFileBytes> buffer;
-  const ssize_t got = ::pread(file.fd, buffer.data(), buffer.size(), 0);
-  if (got < 0) {
-    return false;
-  }
-  const std::string_view bytes(buffer.data(), static_cast<std::size_t>(got));
-  if (!bytes.starts_with(kFileHeader)) {
-    return false;
-  }
-  const std::array<Slot, 2> slots = read_slots(bytes);
-  const int newest = newest_slot(slots);
+  const int newest = file->newest();
   if (newest < 0) {
     return false;
   }
-  const Slot& last = slots[static_cast<std::size_t>(newest)];
+  const RecordHeader& last =
+      file->slots[static_cast<std::size_t>(newest)].header;
   if (last.fingerprint != checkpoint.fingerprint ||
       last.scenario_count != checkpoint.scenario_count ||
       last.shard_size != checkpoint.shard_size || last.completed > completed) {
     return false;
   }
   const off_t at = static_cast<off_t>(slot_offset(newest == 0 ? 1 : 0));
-  if (::pwrite(file.fd, record.data(), record.size(), at) !=
+  if (::pwrite(file->file.fd, record.data(), record.size(), at) !=
       static_cast<ssize_t>(record.size())) {
     throw ConfigError("write failed for sweep checkpoint: " + path);
   }
@@ -496,23 +494,23 @@ bool write_older_slot(const SweepCheckpoint& checkpoint,
 /// renames it over `path`, so an interrupt mid-write leaves the previous
 /// file intact.
 void replace_file(std::string_view record, const std::string& path) {
-  std::string file(kFileBytes, ' ');
+  std::array<char, kFileBytes> file;
+  file.fill(' ');
   kFileHeader.copy(file.data(), kFileHeader.size());
   for (const std::size_t slot : {0u, 1u}) {
     record.copy(file.data() + slot_offset(slot), record.size());
     file[slot_offset(slot) + kCheckpointSlotBytes - 1] = '\n';
   }
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw ConfigError("cannot write sweep checkpoint: " + tmp);
-    }
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    out.flush();
-    if (!out) {
-      throw ConfigError("write failed for sweep checkpoint: " + tmp);
-    }
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw ConfigError("cannot write sweep checkpoint: " + tmp);
+  }
+  const bool written = ::write(fd, file.data(), file.size()) ==
+                       static_cast<ssize_t>(file.size());
+  if (::close(fd) != 0 || !written) {
+    throw ConfigError("write failed for sweep checkpoint: " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw ConfigError("cannot move sweep checkpoint into place: " + path);
@@ -523,31 +521,27 @@ void replace_file(std::string_view record, const std::string& path) {
 
 std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
                                   const std::string& path) {
-  const std::string body = serialize_sweep_checkpoint(checkpoint);
+  const std::string record = serialize_sweep_checkpoint(checkpoint);
   const std::size_t completed = checkpoint.completed_count();
-  const std::string record = slot_record(checkpoint, completed, body);
   // A complete checkpoint is always written whole, both slots alike, so its
   // bytes do not depend on the saves before it.
   if (completed == checkpoint.shard_count() ||
       !write_older_slot(checkpoint, completed, record, path)) {
     replace_file(record, path);
   }
-  return body.size();
+  return record.size();
 }
 
 SweepCheckpoint load_sweep_checkpoint(const std::string& path) {
-  const std::string file = read_text_file(path, "sweep checkpoint");
-  LineReader reader(std::string_view(file).substr(0, file.find('\n')),
-                    "sweep checkpoint");
-  read_version(reader, kFileVersion);
-  const std::array<Slot, 2> slots = read_slots(file);
-  const int newest = newest_slot(slots);
+  const CheckpointFile file(path, O_RDONLY);
+  const int newest = file.newest();
   if (newest < 0) {
     throw ConfigError("sweep checkpoint " + path +
-                      " has no intact slot (slot 0: " + slots[0].damage +
-                      "; slot 1: " + slots[1].damage + ")");
+                      " has no intact slot (slot 0: " + file.slots[0].damage +
+                      "; slot 1: " + file.slots[1].damage + ")");
   }
-  return parse_sweep_checkpoint(slots[static_cast<std::size_t>(newest)].body);
+  return parse_sweep_checkpoint(
+      file.slots[static_cast<std::size_t>(newest)].record);
 }
 
 }  // namespace dsslice

@@ -9,31 +9,29 @@
 // the sequence an uninterrupted one does and its aggregate is bit-identical.
 // A save therefore costs O(1) text however many shards have completed.
 //
-// The state text is the repo's usual line-oriented text format, written and
-// read by the shared codec in util/text_codec.hpp, with its own version
-// line ("dsslice-sweep-checkpoint 2"). Doubles are stored as 16-hex-digit
-// raw bit patterns, not decimals: Welford state must round-trip to the last
-// bit or the resumed aggregate drifts from the uninterrupted one. Only the
-// writer's canonical spellings are read back: integers as plain decimal
-// digits (no sign, no leading zero) and doubles as exactly 16 lowercase hex
-// digits (no sign, no 0x prefix). Tokens may be separated by any blanks,
-// lines may end in CRLF, and '#' starts a comment.
+// A record states that state once: the header line "slot <completed>
+// <fingerprint> <scenarios> <shard-size> <body-bytes> <checksum>" and a
+// body of the fold's lines, in the line-oriented text format of
+// util/text_codec.hpp. The shard count is ceil(scenarios / shard-size).
+// Doubles are 16-hex-digit raw bit patterns, not decimals: Welford state
+// must round-trip to the last bit or the resumed aggregate drifts. Only
+// the writer's spellings are read back: integers as plain decimal digits
+// (no sign, no leading zero), doubles and the checksum as exactly 16
+// lowercase hex digits. Tokens may be separated by any blanks, lines may
+// end in CRLF, and '#' starts a comment. The checksum is FNV-1a over the
+// header up to itself and the body's <body-bytes> bytes.
 //
-// The file holds that text twice over, in two fixed slots, so that a
-// routine save overwrites one slot in place instead of writing a new file
-// and renaming it (which makes ext4 flush the new file's blocks at once):
+// The file holds two fixed slots, so that a routine save overwrites one in
+// place instead of writing a new file and renaming it (which makes ext4
+// flush the new file's blocks at once):
 //
-//   dsslice-sweep-checkpoint 3            the file's version line
+//   dsslice-sweep-checkpoint 4            the file's version line
 //   slot 0, kCheckpointSlotBytes bytes    a record, padded with blanks
 //   slot 1, kCheckpointSlotBytes bytes    a record, padded with blanks
 //
-// A record is one header line, "slot <completed> <fingerprint> <scenarios>
-// <shard-size> <body-bytes> <checksum>", followed by the state text. The
-// checksum is a 64-bit FNV-1a over the header up to the checksum and the
-// state text, in 16 lowercase hex digits; a slot whose checksum holds is
-// intact. A load takes the intact slot with the larger completed count.
-// Files of any other version, the single-text version 2 files included,
-// are refused by name.
+// A slot whose checksum holds is intact; a load takes the intact slot with
+// the larger completed count. Save and load read at most the version line
+// and both slots. Files of any other version are refused by name.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +44,8 @@
 
 namespace dsslice {
 
-/// Size of each of the two slots of a checkpoint file. A record (state text
-/// plus header line) runs to at most about 2.4 KB.
+/// Size of each of the two slots of a checkpoint file. A record runs to at
+/// most about 2.3 KB.
 inline constexpr std::size_t kCheckpointSlotBytes = 4096;
 
 /// ceil(n / d) for d > 0 without the wrap of (n + d - 1) / d when d is near
@@ -88,12 +86,15 @@ std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config);
 /// assert bit-identity of two aggregates without poking at Welford state.
 std::string serialize_sweep_aggregate(const SweepAggregate& aggregate);
 
-/// The state text: the layout and the fold of the completed slots. Throws
-/// ConfigError unless the completed shards are a prefix of the sweep.
+/// The record: the layout and the fold of the completed slots. Throws
+/// ConfigError unless the completed shards are a prefix of the sweep and
+/// their count is the one the layout derives.
 std::string serialize_sweep_checkpoint(const SweepCheckpoint& checkpoint);
-/// Parses a state text. Throws ConfigError (with a line number) on version
-/// mismatch, truncation, corruption, a non-canonical number, or a trial
-/// count that cannot be the fold of the completed shards.
+/// Parses one record. Throws ConfigError (with a line number) on
+/// truncation, corruption, a non-canonical number, a layout of no shard
+/// size or more than a million shards, or a trial count that cannot be the
+/// fold of the completed shards. The checksum is checked by the load, not
+/// here, so a record edited by hand still parses.
 SweepCheckpoint parse_sweep_checkpoint(std::string_view text);
 
 /// Saves the checkpoint to `path` so that an interrupt at any point leaves
@@ -105,13 +106,14 @@ SweepCheckpoint parse_sweep_checkpoint(std::string_view text);
 /// another sweep's, another version, a further-along state or both slots
 /// torn — and whenever the checkpoint is complete, the whole file is written
 /// to `path + ".tmp"` with the record in both slots and renamed over
-/// `path`. Neither way syncs to disk. Returns the size of the state text in
+/// `path`. Neither way syncs to disk. Returns the size of the record in
 /// bytes (feeds the sweep.checkpoint.bytes counter).
 std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
                                   const std::string& path);
-/// Loads the intact slot with the larger completed count. Throws
-/// ConfigError when the file is missing, of another version or malformed,
-/// or has no intact slot.
+/// Loads the intact slot with the larger completed count, reading no more
+/// than the version line and two slots. Throws ConfigError when the file is
+/// missing, unreadable, of another version or malformed, or has no intact
+/// slot.
 SweepCheckpoint load_sweep_checkpoint(const std::string& path);
 
 }  // namespace dsslice

@@ -142,25 +142,6 @@ TEST(SweepCheckpoint, LoadRejectsMissingFile) {
                ConfigError);
 }
 
-// Version 1 stored every completed shard's aggregate; this build reads only
-// the folded-prefix format and refuses the old header by name.
-TEST(SweepCheckpoint, ParseRejectsVersionMismatch) {
-  std::string text = serialize_sweep_checkpoint(sample_checkpoint());
-  const std::string header = "dsslice-sweep-checkpoint 2";
-  ASSERT_EQ(text.compare(0, header.size(), header), 0);
-  text.replace(0, header.size(), "dsslice-sweep-checkpoint 1");
-  try {
-    parse_sweep_checkpoint(text);
-    FAIL() << "a version 1 header was accepted";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "unsupported checkpoint format version 1 (this build "
-                  "reads version 2)"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(SweepCheckpoint, ParseRejectsTruncation) {
   const std::string text = serialize_sweep_checkpoint(sample_checkpoint());
   EXPECT_THROW(parse_sweep_checkpoint(text.substr(0, text.size() / 2)),
@@ -257,6 +238,22 @@ TEST(SweepCheckpoint, SerializeRejectsNonPrefixCompleted) {
   EXPECT_THROW(serialize_sweep_checkpoint(three), ConfigError);
 }
 
+// The parser derives the shard count from the layout, so the writer
+// refuses a checkpoint whose count is another: 5 scenarios in shards of
+// 2^64-1 are one shard, not the zero a wrapping ceil-div gives.
+TEST(SweepCheckpoint, SerializeRejectsShardCountOffItsLayout) {
+  SweepCheckpoint wrapped;
+  wrapped.scenario_count = 5;
+  wrapped.shard_size = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(serialize_sweep_checkpoint(wrapped), ConfigError);
+  wrapped.completed.assign(1, 0);
+  wrapped.shards.resize(1);
+  EXPECT_NO_THROW(serialize_sweep_checkpoint(wrapped));
+  SweepCheckpoint no_size = sample_checkpoint();
+  no_size.shard_size = 0;
+  EXPECT_THROW(serialize_sweep_checkpoint(no_size), ConfigError);
+}
+
 // The reader splits tokens on any whitespace and drops '#' comments and
 // blank lines, so a file that went through a CRLF editor or was annotated
 // by hand still loads to the same checkpoint.
@@ -267,12 +264,12 @@ TEST(SweepCheckpoint, ParseAcceptsCrlfTabsAndComments) {
             text);
 }
 
-/// `text` with the `index`-th space-separated token of the first line that
+/// `text` with the `index`-th space-separated token of the last line that
 /// starts with `prefix` replaced by `token`.
 std::string with_token(const std::string& text, const std::string& prefix,
                        std::size_t index, const std::string& token) {
-  std::size_t begin = text.rfind('\n' + prefix) + 1;
-  EXPECT_NE(begin, 0u) << prefix;
+  std::size_t begin = ('\n' + text).rfind('\n' + prefix);
+  EXPECT_NE(begin, std::string::npos) << prefix;
   for (std::size_t i = 0; i < index; ++i) {
     begin = text.find(' ', begin) + 1;
   }
@@ -294,26 +291,30 @@ TEST(SweepCheckpoint, ParseRejectsNonCanonicalNumbers) {
                  ConfigError)
         << mean;
   }
-  ASSERT_NO_THROW(parse_sweep_checkpoint(with_token(text, "completed ", 1, "1")));
+  ASSERT_NO_THROW(parse_sweep_checkpoint(with_token(text, "slot ", 1, "1")));
   for (const char* count : {"+1", "01", "-0"}) {
-    EXPECT_THROW(
-        parse_sweep_checkpoint(with_token(text, "completed ", 1, count)),
-        ConfigError)
+    EXPECT_THROW(parse_sweep_checkpoint(with_token(text, "slot ", 1, count)),
+                 ConfigError)
         << count;
   }
-  EXPECT_THROW(parse_sweep_checkpoint(with_token(
-                   text, "scenarios ", 1, "18446744073709551616")),
+  EXPECT_THROW(parse_sweep_checkpoint(
+                   with_token(text, "slot ", 3, "18446744073709551616")),
                ConfigError);
+  for (const char* checksum : {"ABCDEF0123456789", "0123456789abcdef0"}) {
+    EXPECT_THROW(parse_sweep_checkpoint(with_token(text, "slot ", 6, checksum)),
+                 ConfigError)
+        << checksum;
+  }
 }
 
 // A fold of K completed shards holds trials exactly when K > 0, and never
 // more than the sweep's scenario count.
 TEST(SweepCheckpoint, ParseRejectsTrialCountsNoPrefixCanHave) {
   const std::string text = serialize_sweep_checkpoint(sample_checkpoint());
-  ASSERT_NE(text.find("\ncompleted 1\n"), std::string::npos);
+  ASSERT_TRUE(text.starts_with("slot 1 "));
   ASSERT_NE(text.find("\nsuccess 10 16\n"), std::string::npos);
   ASSERT_NO_THROW(parse_sweep_checkpoint(with_token(text, "success ", 2, "32")));
-  const std::string none_completed = with_token(text, "completed ", 1, "0");
+  const std::string none_completed = with_token(text, "slot ", 1, "0");
   EXPECT_THROW(parse_sweep_checkpoint(none_completed), ConfigError);
   EXPECT_THROW(parse_sweep_checkpoint(with_token(
                    with_token(text, "success ", 1, "0"), "success ", 2, "0")),
@@ -327,6 +328,24 @@ TEST(SweepCheckpoint, ParseRejectsTrialCountsNoPrefixCanHave) {
       parse_sweep_checkpoint(serialize_sweep_checkpoint(empty));
   EXPECT_EQ(restored.completed_count(), 0u);
   EXPECT_EQ(restored.shards[0].scenarios(), 0u);
+}
+
+// The shard count is derived from the layout and bounded before anything
+// is allocated: a header whose layout makes more than a million shards is
+// a corrupted file, not a sweep, and would otherwise allocate that many
+// aggregates.
+TEST(SweepCheckpoint, ParseRejectsShardCountsAboveTheBound) {
+  const std::string text = serialize_sweep_checkpoint(sample_checkpoint());
+  const std::string one_per_shard = with_token(text, "slot ", 4, "1");
+  ASSERT_NO_THROW(parse_sweep_checkpoint(one_per_shard));
+  for (const char* scenarios : {"1000001", "18446744073709551615"}) {
+    EXPECT_THROW(parse_sweep_checkpoint(
+                     with_token(one_per_shard, "slot ", 3, scenarios)),
+                 ConfigError)
+        << scenarios;
+  }
+  EXPECT_THROW(parse_sweep_checkpoint(with_token(text, "slot ", 4, "0")),
+               ConfigError);
 }
 
 // A line longer than the format's longest (hist, 69 tokens) is the wrong
@@ -357,7 +376,7 @@ TEST(SweepCheckpoint, SeededMutantsParseOrThrowConfigError) {
   const int parsed = testing::parse_or_reject_mutants(
       pinned, 0xC0DECULL, kMutants, kWords, parse_sweep_checkpoint,
       serialize_sweep_checkpoint);
-  // The mutants must reach past the first checks: some still parse (57 of
+  // The mutants must reach past the first checks: some still parse (113 of
   // the 2000 at this seed).
   EXPECT_GT(parsed, kMutants / 40);
 }
@@ -378,7 +397,7 @@ void write_file(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.flush()) << path;
 }
 
-/// The state text a load of `path` returns.
+/// The record a load of `path` re-serializes to.
 std::string loaded_text(const std::string& path) {
   return serialize_sweep_checkpoint(load_sweep_checkpoint(path));
 }
@@ -387,7 +406,7 @@ std::string loaded_text(const std::string& path) {
 /// first writes the whole file, the second and third write one slot each.
 struct SaveHistory {
   std::string after[4];  ///< the file after saves 1..3 (index 0 unused)
-  std::string text[4];   ///< the state text of saves 1..3
+  std::string text[4];   ///< the record of saves 1..3
   std::size_t first = 0;  ///< first byte where the files after 2 and 3 differ
   std::size_t last = 0;   ///< last such byte
 };
@@ -484,28 +503,29 @@ TEST(SweepCheckpoint, LoadRejectsFileWithBothSlotsDamaged) {
   }
 }
 
-// The file's version line is 3. A version 2 file (the bare state text, as
-// earlier builds wrote it) and a version 1 file are refused by name.
+// The file's version line is 4. Files of earlier versions (1: one
+// aggregate per shard, 2: a bare state text, 3: slots around a state text
+// with its own version line) are refused by name.
 TEST(SweepCheckpoint, LoadRefusesOtherFileVersionsByName) {
   TempCheckpoint tmp("versions");
-  const std::string text = serialize_sweep_checkpoint(sample_checkpoint());
   save_sweep_checkpoint(sample_checkpoint(), tmp.path());
-  std::string v1 = read_text_file(tmp.path(), "checkpoint");
-  const std::string line = "dsslice-sweep-checkpoint 3\n";
-  ASSERT_EQ(v1.compare(0, line.size(), line), 0);
-  v1[line.size() - 2] = '1';
-  for (const auto& [version, file] :
-       {std::pair{"1", v1}, std::pair{"2", text}}) {
+  const std::string v4 = read_text_file(tmp.path(), "checkpoint");
+  const std::string line = "dsslice-sweep-checkpoint 4\n";
+  ASSERT_EQ(v4.compare(0, line.size(), line), 0);
+  for (const char version : {'1', '2', '3'}) {
+    std::string file = v4;
+    file[line.size() - 2] = version;
     write_file(tmp.path(), file);
     try {
       load_sweep_checkpoint(tmp.path());
       FAIL() << "a version " << version << " file was loaded";
     } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "unsupported checkpoint format version " +
-                    std::string(version) + " (this build reads version 3)"),
-                std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      const std::string refusal = "unsupported checkpoint format version " +
+                                  std::string(1, version) +
+                                  " (this build reads version 4)";
+      EXPECT_NE(what.find(refusal), std::string::npos) << what;
+      EXPECT_NE(what.find(tmp.path()), std::string::npos) << what;
     }
   }
 }
@@ -546,19 +566,25 @@ void expect_load_error_naming(const std::string& path) {
   }
 }
 
-// A file with no version line, or no file at all, is refused.
+// A file with no version line, or no file at all, is refused by path.
 TEST(SweepCheckpoint, LoadRejectsFilesWithoutVersionLine) {
   TempCheckpoint tmp("no_version");
   write_file(tmp.path(), "");
-  EXPECT_THROW(load_sweep_checkpoint(tmp.path()), ConfigError);
+  expect_load_error_naming(tmp.path());
   write_file(tmp.path(), "dsslice-sweep-check");
-  EXPECT_THROW(load_sweep_checkpoint(tmp.path()), ConfigError);
+  expect_load_error_naming(tmp.path());
   expect_load_error_naming(std::filesystem::temp_directory_path().string());
 }
 
+// A load reads at most the file's fixed size, so an endless file is
+// refused by its first line instead of being read until memory runs out.
+TEST(SweepCheckpoint, LoadRejectsEndlessFile) {
+  expect_load_error_naming("/dev/zero");
+}
+
 /// `file` with the checksum of the record at `at` recomputed over its header
-/// and the state text it delimits, if its header still has both, so that
-/// the record's edits reach the header checks and the state-text parser.
+/// and the body it delimits, if its header still has both, so that the
+/// record's edits reach the record parser.
 std::string resealed(std::string file, std::size_t at) {
   const std::string_view record =
       std::string_view(file).substr(at, kCheckpointSlotBytes);
@@ -588,13 +614,12 @@ std::string resealed(std::string file, std::size_t at) {
 }
 
 // Seeded mutation fuzz over the whole file (the version line, both slot
-// headers with their lengths and checksums, the state texts, the padding)
-// and over the newest record with its checksum recomputed. Every mutant
-// loads or throws ConfigError. A whole-file mutant that loads holds the
-// second or third save's state exactly; a resealed record's edits reach
-// the header checks and the state parser, and what loads re-serializes to
-// a fixed point. Any other exception (or, under the sanitize preset, any
-// UB) fails the test.
+// headers with their lengths and checksums, the bodies, the padding) and
+// over the newest record with its checksum recomputed. Every mutant loads
+// or throws ConfigError. A whole-file mutant that loads holds the second
+// or third save's state exactly; a resealed record's edits reach the
+// record parser, and what loads re-serializes to a fixed point. Any other
+// exception (or, under the sanitize preset, any UB) fails the test.
 TEST(SweepCheckpoint, SeededFileMutantsLoadOrThrowConfigError) {
   TempCheckpoint tmp("file_mutants");
   const SaveHistory h = save_history(tmp.path());
@@ -616,7 +641,7 @@ TEST(SweepCheckpoint, SeededFileMutantsLoadOrThrowConfigError) {
         } catch (const ConfigError&) {
         }
       });
-  // About a third load (516 at this seed): an edit inside the newest
+  // About a third load (542 at this seed): an edit inside the newest
   // record, or one that shifts the slot after it, damages one slot and the
   // other loads; an edit to the version line, or one that shifts both
   // slots, is refused.
@@ -626,8 +651,8 @@ TEST(SweepCheckpoint, SeededFileMutantsLoadOrThrowConfigError) {
   const std::size_t header = h.after[3].find('\n') + 1;
   const std::size_t at =
       header + (h.first - header) / kCheckpointSlotBytes * kCheckpointSlotBytes;
-  const std::size_t record_end = h.after[3].find("\nend\n", at) + 5;
-  const std::string record = h.after[3].substr(at, record_end - at);
+  const std::string& record = h.text[3];
+  ASSERT_EQ(h.after[3].compare(at, record.size(), record), 0);
   int edited = 0;
   testing::for_each_mutant(
       record, 0x5EA1ULL, kMutants, kWords,
@@ -645,7 +670,7 @@ TEST(SweepCheckpoint, SeededFileMutantsLoadOrThrowConfigError) {
         } catch (const ConfigError&) {
         }
       });
-  // Some edited records still load (50 at this seed).
+  // Some edited records still load (88 at this seed).
   EXPECT_GT(edited, kMutants / 100);
 }
 
@@ -657,18 +682,6 @@ TEST(SweepCheckpoint, ConfigFingerprintIsPinned) {
   config.metric_params.threshold_override = -0.5;
   config.generator.base_seed = std::numeric_limits<std::uint64_t>::max();
   EXPECT_EQ(sweep_config_fingerprint(config), 0x6c43f9e2c51db89bULL);
-}
-
-// A layout whose shard-count line was computed with a wrapping ceil-div
-// (5 scenarios in shards of 2^64-1 as 0 shards) must be rejected: a sweep
-// resuming from it would index an empty completed bitmap.
-TEST(SweepCheckpoint, ParseRejectsWrappedShardCount) {
-  SweepCheckpoint wrapped;
-  wrapped.scenario_count = 5;
-  wrapped.shard_size = std::numeric_limits<std::uint64_t>::max();
-  const std::string text = serialize_sweep_checkpoint(wrapped);
-  ASSERT_NE(text.find("shard-count 0\n"), std::string::npos);
-  EXPECT_THROW(parse_sweep_checkpoint(text), ConfigError);
 }
 
 TEST(SweepEngine, ValidatesOptions) {
@@ -772,7 +785,7 @@ TEST(SweepEngine, ResumeFromEveryInterruptPointMatchesUninterruptedRun) {
 }
 
 // A save costs the same however many shards have completed: the file keeps
-// its fixed size, and the state text after 1 shard and after 64 have the
+// its fixed size, and the record after 1 shard and after 64 have the
 // same lines and tokens and differ in size only where a count has more
 // digits.
 TEST(SweepEngine, CheckpointSizeDoesNotGrowWithCompletedShards) {
@@ -794,8 +807,8 @@ TEST(SweepEngine, CheckpointSizeDoesNotGrowWithCompletedShards) {
   EXPECT_EQ(std::filesystem::file_size(tmp.path()), file_size);
   const std::string all =
       serialize_sweep_checkpoint(load_sweep_checkpoint(tmp.path()));
-  ASSERT_NE(one.find("\ncompleted 1\n"), std::string::npos);
-  ASSERT_NE(all.find("\ncompleted 64\n"), std::string::npos);
+  ASSERT_TRUE(one.starts_with("slot 1 "));
+  ASSERT_TRUE(all.starts_with("slot 64 "));
 
   EXPECT_LT(one.size(), 1100u);
   EXPECT_LT(all.size(), 1100u);
