@@ -207,8 +207,8 @@ SweepCheckpoint edge_checkpoint() {
 // wrote under the old one are refused by its version line.
 TEST(SweepCheckpoint, MatchesPinnedSerializationDigest) {
   const std::string text = serialize_sweep_checkpoint(edge_checkpoint());
-  EXPECT_EQ(text.size(), 1728u);
-  EXPECT_EQ(testing::fnv1a(text), 0xd044b212cfb21a60ULL);
+  EXPECT_EQ(text.size(), 1667u);
+  EXPECT_EQ(testing::fnv1a(text), 0x923688e366ffb2e8ULL);
 }
 
 TEST(SweepCheckpoint, EdgeValuesRoundTripBitExactly) {
