@@ -389,20 +389,23 @@ Slot read_slot(std::string_view bytes) {
 
 /// Closes a file descriptor on scope exit.
 struct FileDescriptor {
-  int fd;
+  explicit FileDescriptor(int descriptor) : fd(descriptor) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
   ~FileDescriptor() {
     if (fd >= 0) {
       ::close(fd);
     }
   }
+  int fd;
 };
 
-/// Throws ConfigError naming `path` for a first line that is not this
-/// version's: another version by name, anything else as malformed.
-[[noreturn]] void refuse_version(std::string_view line,
+/// Throws ConfigError naming `path` for a file whose first line is not
+/// this version's: another version by name, anything else as malformed.
+[[noreturn]] void refuse_version(std::string_view bytes,
                                  const std::string& path) {
   const std::string context = "sweep checkpoint " + path;
-  LineReader reader(line, context);
+  LineReader reader(bytes.substr(0, bytes.find('\n')), context);
   const Tokens tokens = reader.next();
   reader.expect(tokens, "dsslice-sweep-checkpoint", 1);
   reader.fail("unsupported checkpoint format version " +
@@ -413,25 +416,22 @@ struct FileDescriptor {
 /// A checkpoint file as one pread of at most its fixed size shows it: the
 /// version line and both slots, each checked against its checksum. Bytes
 /// past the second slot are never read. The file stays open for a save's
-/// in-place write.
+/// in-place write. Nothing here throws, so a save over a missing or
+/// foreign file falls back to a whole-file write without an exception.
 struct CheckpointFile {
-  /// Opens `path` with `flags`. Throws ConfigError naming `path` when the
-  /// file cannot be opened or read, or its first line is not this version's.
+  /// Opens `path` with `flags` and reads it. A file that cannot be read or
+  /// is not of this version has both slots damaged.
   CheckpointFile(const std::string& path, int flags)
-      : file{::open(path.c_str(), flags | O_CLOEXEC)} {
-    if (file.fd < 0) {
-      throw ConfigError("cannot open sweep checkpoint: " + path);
-    }
-    const ssize_t got = ::pread(file.fd, buffer.data(), buffer.size(), 0);
-    if (got < 0) {
-      throw ConfigError("cannot read sweep checkpoint: " + path);
-    }
-    const std::string_view bytes(buffer.data(), static_cast<std::size_t>(got));
-    if (!bytes.starts_with(kFileHeader)) {
-      refuse_version(bytes.substr(0, bytes.find('\n')), path);
-    }
+      : file(::open(path.c_str(), flags | O_CLOEXEC)) {
+    const ssize_t got =
+        file.fd < 0 ? -1 : ::pread(file.fd, buffer.data(), buffer.size(), 0);
+    read = got >= 0;
+    bytes = std::string_view(buffer.data(),
+                             read ? static_cast<std::size_t>(got) : 0);
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slot_offset(i) >= bytes.size()) {
+      if (!bytes.starts_with(kFileHeader)) {
+        slots[i].damage = "unread";
+      } else if (slot_offset(i) >= bytes.size()) {
         slots[i].damage = "missing";
       } else {
         slots[i] =
@@ -441,20 +441,23 @@ struct CheckpointFile {
   }
 
   /// The intact slot with the larger completed count (slot 0 on a tie), or
-  /// -1 when neither is intact.
-  int newest() const {
+  /// null when neither is intact.
+  const Slot* newest() const {
     if (slots[0].damage != nullptr) {
-      return slots[1].damage != nullptr ? -1 : 1;
+      return slots[1].damage != nullptr ? nullptr : &slots[1];
     }
     if (slots[1].damage != nullptr) {
-      return 0;
+      return &slots[0];
     }
-    return slots[1].header.completed > slots[0].header.completed ? 1 : 0;
+    return slots[1].header.completed > slots[0].header.completed ? &slots[1]
+                                                                 : &slots[0];
   }
 
   FileDescriptor file;
   std::array<char, kFileBytes> buffer;
-  std::array<Slot, 2> slots;  ///< views into buffer
+  bool read = false;       ///< whether the file opened and read
+  std::string_view bytes;  ///< what was read, in buffer
+  std::array<Slot, 2> slots;
 };
 
 /// Writes `record` over the older slot of the file at `path` when the
@@ -465,25 +468,20 @@ struct CheckpointFile {
 bool write_older_slot(const SweepCheckpoint& checkpoint,
                       std::size_t completed, std::string_view record,
                       const std::string& path) {
-  std::optional<CheckpointFile> file;
-  try {
-    file.emplace(path, O_RDWR);
-  } catch (const ConfigError&) {
-    return false;  // no file, or not one of this version
-  }
-  const int newest = file->newest();
-  if (newest < 0) {
+  const CheckpointFile file(path, O_RDWR);
+  const Slot* newest = file.newest();
+  if (newest == nullptr) {
     return false;
   }
-  const RecordHeader& last =
-      file->slots[static_cast<std::size_t>(newest)].header;
+  const RecordHeader& last = newest->header;
   if (last.fingerprint != checkpoint.fingerprint ||
       last.scenario_count != checkpoint.scenario_count ||
       last.shard_size != checkpoint.shard_size || last.completed > completed) {
     return false;
   }
-  const off_t at = static_cast<off_t>(slot_offset(newest == 0 ? 1 : 0));
-  if (::pwrite(file->file.fd, record.data(), record.size(), at) !=
+  const off_t at =
+      static_cast<off_t>(slot_offset(newest == &file.slots[0] ? 1 : 0));
+  if (::pwrite(file.file.fd, record.data(), record.size(), at) !=
       static_cast<ssize_t>(record.size())) {
     throw ConfigError("write failed for sweep checkpoint: " + path);
   }
@@ -534,14 +532,19 @@ std::size_t save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
 
 SweepCheckpoint load_sweep_checkpoint(const std::string& path) {
   const CheckpointFile file(path, O_RDONLY);
-  const int newest = file.newest();
-  if (newest < 0) {
+  if (!file.read) {
+    throw ConfigError("cannot read sweep checkpoint: " + path);
+  }
+  if (!file.bytes.starts_with(kFileHeader)) {
+    refuse_version(file.bytes, path);
+  }
+  const Slot* newest = file.newest();
+  if (newest == nullptr) {
     throw ConfigError("sweep checkpoint " + path +
                       " has no intact slot (slot 0: " + file.slots[0].damage +
                       "; slot 1: " + file.slots[1].damage + ")");
   }
-  return parse_sweep_checkpoint(
-      file.slots[static_cast<std::size_t>(newest)].record);
+  return parse_sweep_checkpoint(newest->record);
 }
 
 }  // namespace dsslice

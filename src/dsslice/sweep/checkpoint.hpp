@@ -78,8 +78,8 @@ struct SweepCheckpoint {
 /// FNV-1a fingerprint over a canonical rendering of every field that
 /// affects sweep outcomes: generator (platform + workload + base seed),
 /// technique, metric parameters, WCET strategy, scheduler options and
-/// algorithm. graph_count is deliberately excluded — the sweep supplies its
-/// own scenario count.
+/// algorithm. graph_count (the sweep supplies its own scenario count) and
+/// the display label are deliberately excluded.
 std::uint64_t sweep_config_fingerprint(const ExperimentConfig& config);
 
 /// Canonical text form of one aggregate — exposed so tests and benches can
