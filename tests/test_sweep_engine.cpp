@@ -566,7 +566,9 @@ void expect_load_error_naming(const std::string& path) {
   }
 }
 
-// A file with no version line, or no file at all, is refused by path.
+// A file with no version line, or no file at all, is refused by path. A
+// load reads at most the file's fixed size, so an endless file is refused
+// by its first line instead of being read until memory runs out.
 TEST(SweepCheckpoint, LoadRejectsFilesWithoutVersionLine) {
   TempCheckpoint tmp("no_version");
   write_file(tmp.path(), "");
@@ -574,11 +576,6 @@ TEST(SweepCheckpoint, LoadRejectsFilesWithoutVersionLine) {
   write_file(tmp.path(), "dsslice-sweep-check");
   expect_load_error_naming(tmp.path());
   expect_load_error_naming(std::filesystem::temp_directory_path().string());
-}
-
-// A load reads at most the file's fixed size, so an endless file is
-// refused by its first line instead of being read until memory runs out.
-TEST(SweepCheckpoint, LoadRejectsEndlessFile) {
   expect_load_error_naming("/dev/zero");
 }
 
