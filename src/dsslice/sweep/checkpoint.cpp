@@ -416,8 +416,8 @@ struct FileDescriptor {
 /// A checkpoint file as one pread of at most its fixed size shows it: the
 /// version line and both slots, each checked against its checksum. Bytes
 /// past the second slot are never read. The file stays open for a save's
-/// in-place write. Nothing here throws, so a save over a missing or
-/// foreign file falls back to a whole-file write without an exception.
+/// in-place write. A missing, unreadable or foreign file is not an
+/// exception here, so a save over one falls back to a whole-file write.
 struct CheckpointFile {
   /// Opens `path` with `flags` and reads it. A file that cannot be read or
   /// is not of this version has both slots damaged.

@@ -64,6 +64,12 @@ class TempCheckpoint {
   std::string path_;
 };
 
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.flush()) << path;
+}
+
 /// A checkpoint with non-trivial Welford state in its shard aggregates.
 SweepCheckpoint sample_checkpoint() {
   SweepCheckpoint ckpt;
@@ -112,9 +118,9 @@ TEST(SweepCheckpoint, SaveLoadRoundTrip) {
             serialize_sweep_checkpoint(original));
 }
 
-// A save over a checkpoint of another sweep (another configuration or
-// layout) leaves the file a save to a fresh path would: nothing of the
-// foreign file survives, even where it is no further along.
+// A save over a checkpoint of another sweep (another configuration,
+// layout or file version) leaves the file a save to a fresh path would:
+// nothing of the foreign file survives, even where it is no further along.
 TEST(SweepCheckpoint, SaveOverForeignCheckpointReplacesItWhole) {
   TempCheckpoint fresh("foreign_fresh");
   const SweepCheckpoint mine = sample_checkpoint();
@@ -135,6 +141,13 @@ TEST(SweepCheckpoint, SaveOverForeignCheckpointReplacesItWhole) {
     save_sweep_checkpoint(mine, tmp.path());
     EXPECT_EQ(read_text_file(tmp.path(), "checkpoint"), expected);
   }
+  // A file of another version is foreign too, even with this sweep's
+  // records in its slots: writing one slot would keep its version line.
+  std::string other_version = expected;
+  other_version[expected.find('\n') - 1] = '3';
+  write_file(tmp.path(), other_version);
+  save_sweep_checkpoint(mine, tmp.path());
+  EXPECT_EQ(read_text_file(tmp.path(), "checkpoint"), expected);
 }
 
 TEST(SweepCheckpoint, LoadRejectsMissingFile) {
@@ -389,12 +402,6 @@ SweepCheckpoint partial_checkpoint(std::size_t done) {
   std::fill_n(ckpt.completed.begin(), done, std::uint8_t{1});
   ckpt.shards.assign(4, ckpt.shards[0]);
   return ckpt;
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.flush()) << path;
 }
 
 /// The record a load of `path` re-serializes to.
